@@ -46,7 +46,7 @@ from .numerics import (
     NonConvergenceError,
     QuadratureConfig,
     hilbert_transform,
-    integrate,
+    integrate_batch,
     inverse_fourier_to_time,
 )
 from .pressure import (
@@ -127,7 +127,7 @@ __all__ = [
     "fdt_check",
     "force_kernel",
     "hilbert_transform",
-    "integrate",
+    "integrate_batch",
     "inverse_fourier_to_time",
     "max_entry",
     "mean_force",

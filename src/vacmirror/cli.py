@@ -261,11 +261,9 @@ def cmd_noise(cfg: RunConfig) -> int:
     state = _build_state(cfg)
     grid = _parse_grid(cfg)
     quad = _quad(cfg)
-    rows = []
-    for w in grid.omega:
-        cff = noise_spectrum(model, state, float(w), quad)
-        xiff = xi_spectrum(model, state, float(w), quad)
-        rows.append((float(w), cff, xiff))
+    cff = noise_spectrum(model, state, grid.omega, quad)
+    xiff = xi_spectrum(model, state, grid.omega, quad)
+    rows = [(float(w), float(c), float(x)) for w, c, x in zip(grid.omega, cff, xiff)]
     comments = []
     if cfg.state == "thermal":
         # detailed balance: C(-w)/C(w) should follow the Boltzmann factor

@@ -31,19 +31,20 @@ reports their maximum disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import FrequencyGrid, Spectrum
+from .core import FrequencyGrid, Spectrum, dagger
 from .mirrors import Mirror
-from .numerics import NonConvergenceError, QuadratureConfig, integrate
+from .numerics import QuadratureConfig
 from .pressure import alpha, beta, force_kernel
-from .response import _THERMAL_DECADES, _require_decay, chi_kernel, susceptibility
+from .response import budgeted_spectrum, chi_kernel, convolve, fold, susceptibility
 from .states import FieldState, VacuumState
 
 
-def cff_kernel(model: Mirror, state: FieldState, omega: float, omega2: float) -> complex:
-    """Noise kernel C_FF[w, w'], symmetric in its arguments.
+def cff_kernel(model: Mirror, state: FieldState, omega, omega2):
+    """Noise kernel C_FF[w, w'], symmetric in its arguments, elementwise over arrays.
 
     Diagonal states evaluate through the noise weights (exact zeros where the
     vacuum occupancy vanishes); general states use the full-covariance trace,
@@ -54,27 +55,27 @@ def cff_kernel(model: Mirror, state: FieldState, omega: float, omega2: float) ->
         b = beta(model, omega, omega2)
         w1 = state.noise_weight(omega)
         w2 = state.noise_weight(omega2)
-        val = 2.0 * (
+        return 2.0 * (
             np.abs(a) ** 2 * (w1[..., 0] * w2[..., 0] + w1[..., 1] * w2[..., 1])
             + np.abs(b) ** 2 * (w1[..., 0] * w2[..., 1] + w1[..., 1] * w2[..., 0])
         )
-        return complex(val)
-    f = force_kernel(model, omega, omega2)
-    c_w = state.cfull(omega)
-    c_w2 = state.cfull(omega2)
-    return complex(
-        2.0 * omega**2 * omega2**2 * np.trace(f @ c_w @ f.conj().T @ c_w2.T)
+    w1 = np.asarray(omega, dtype=float)
+    w2 = np.asarray(omega2, dtype=float)
+    f = force_kernel(model, w1, w2)
+    c_w2_t = np.swapaxes(state.cfull(w2), -1, -2)
+    return 2.0 * w1**2 * w2**2 * np.trace(
+        f @ state.cfull(w1) @ dagger(f) @ c_w2_t, axis1=-2, axis2=-1
     )
 
 
 def commutator_kernel(
     model: Mirror,
     state: FieldState,
-    omega: float,
-    omega2: float,
+    omega,
+    omega2,
     route: str = "noise",
-) -> complex:
-    """Force commutator kernel xi[w, w'].
+):
+    """Force commutator kernel xi[w, w'], elementwise over arrays.
 
     route="noise" antisymmetrizes the noise kernel (valid beyond Gaussian
     states); route="response" antisymmetrizes the susceptibility kernel.  The
@@ -94,97 +95,57 @@ def commutator_kernel(
     raise ValueError(f"unknown route {route!r}")
 
 
-def _convolve(kernel, omega: float, state: FieldState, model: Mirror, quad: QuadratureConfig,
-              what: str) -> complex:
-    """integral dw'/(2 pi) kernel(w', w - w') with state-appropriate support."""
-    hbar = state.context.hbar
-    decay0 = state.decay_scale() or 0.0
-    # natural magnitude of the convolved spectra: hbar^2 w^3 in vacuum, with
-    # thermal contributions entering through the decay scale
-    scale = hbar * (hbar * abs(omega) ** 3 + decay0**2 * abs(omega) + decay0**3)
+def _real(values: np.ndarray, omega, what: str) -> np.ndarray:
+    """Real parts of convolved spectra that must be real; raises on a residue."""
+    residue = np.abs(values.imag) > 1e-10 * np.maximum(np.abs(values.real), 1e-300)
+    if np.any(residue):
+        k = int(np.argmax(residue))
+        raise ValueError(
+            f"{what} at w={np.ravel(omega)[k]:g} has imaginary residue {np.ravel(values)[k].imag:.3e}"
+        )
+    return values.real
 
-    def integrand(w: float) -> complex:
-        return kernel(w, omega - w) / (2.0 * np.pi)
 
-    decay = state.decay_scale()
-    if isinstance(state, VacuumState):
-        if omega <= 0:
-            # theta factors of the vacuum weights: empty support
-            return 0.0 + 0.0j
-        lo, hi = 0.0, omega
-        points = None
-    elif decay is None:
-        if quad.window is None:
-            raise ValueError(
-                f"{what} for a custom state has no known support bound; "
-                "set QuadratureConfig.window explicitly"
-            )
-        lo, hi = min(-quad.window, 0.0), max(quad.window, omega)
-        points = (0.0, omega)
-    else:
-        _require_decay(model, state, what)
-        span = _THERMAL_DECADES * decay / hbar
-        lo, hi = min(0.0, omega) - span, max(0.0, omega) + span
-        if quad.window is not None:
-            lo, hi = min(-quad.window, lo), max(quad.window, hi)
-        points = (0.0, omega)
-    cfg = QuadratureConfig(
-        abs_tol=min(quad.abs_tol, 1e-10 * scale) if scale > 0 else quad.abs_tol,
-        rel_tol=quad.rel_tol,
-        max_subdivisions=quad.max_subdivisions,
-    )
-    try:
-        val, _ = integrate(integrand, lo, hi, cfg, points=points)
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(
-            f"{what} at omega={omega!r}: {exc.args[0]}",
-            best=exc.best,
-            error_estimate=exc.error_estimate,
-        ) from None
-    return val
+def _noise(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
+    kernel = partial(cff_kernel, model, state)
+    values, abs_error, evaluations = convolve(kernel, omega, state, model, quad, "noise_spectrum")
+    return _real(values, omega, "noise spectrum"), abs_error, evaluations
 
 
 def noise_spectrum(
     model: Mirror,
     state: FieldState,
-    omega: float,
+    omega,
     quad: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Force noise spectrum C_FF(w), real and nonnegative.
+):
+    """Force noise spectrum C_FF(w), real and nonnegative, at a frequency or an array.
 
     Vacuum noise is exactly zero for w <= 0 (the vacuum damps mirror motion
     but cannot excite it); thermal spectra satisfy the detailed-balance ratio
-    C_FF(-w)/C_FF(w) = e^{-hbar w / T}.
+    C_FF(-w)/C_FF(w) = e^{-hbar w / T}.  All frequencies are integrated in one
+    vector quadrature.
     """
-    val = _convolve(
-        lambda a, b: cff_kernel(model, state, a, b),
-        omega, state, model, quad, "noise_spectrum",
-    )
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
-        raise ValueError(f"noise spectrum at w={omega:g} has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    return _noise(model, state, omega, quad)[0][()]
 
 
 def xi_spectrum(
     model: Mirror,
     state: FieldState,
-    omega: float,
+    omega,
     quad: QuadratureConfig = QuadratureConfig(),
-) -> float:
+):
     """Commutator spectrum xi(w): convolution of the commutator kernel.
 
     Real and odd in w; equals Im chi(w) when the fluctuation-dissipation
-    relation holds.
+    relation holds.  In the vacuum the oddness holds by construction.
     """
-    if isinstance(state, VacuumState) and omega < 0:
-        return -xi_spectrum(model, state, -omega, quad)
-    val = _convolve(
-        lambda a, b: commutator_kernel(model, state, a, b, route="noise"),
-        omega, state, model, quad, "xi_spectrum",
-    )
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
-        raise ValueError(f"commutator spectrum at w={omega:g} has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    kernel = partial(commutator_kernel, model, state)
+
+    def compute(w):
+        return convolve(kernel, w, state, model, quad, "xi_spectrum")
+
+    values = (fold(omega, compute, np.negative) if isinstance(state, VacuumState) else compute(omega))[0]
+    return _real(values, omega, "commutator spectrum")[()]
 
 
 def noise_spectrum_grid(
@@ -193,11 +154,8 @@ def noise_spectrum_grid(
     grid: FrequencyGrid,
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> Spectrum:
-    """C_FF(w) sampled on a grid, as a Spectrum."""
-    vals = np.array([
-        noise_spectrum(model, state, float(w), quad) for w in grid.omega
-    ], dtype=complex)
-    return Spectrum(grid, vals, {"label": "noise-spectrum"})
+    """C_FF(w) sampled on a grid, as a Spectrum with per-sample error budgets."""
+    return budgeted_spectrum(grid, "noise-spectrum", *_noise(model, state, grid.omega, quad))
 
 
 @dataclass(frozen=True)
@@ -252,12 +210,10 @@ def fdt_check(
         raise ValueError("fdt_check needs a sign-symmetric grid")
     hbar = state.context.hbar
 
-    xi_a = np.array([xi_spectrum(model, state, float(w), quad) for w in om])
-    cff = np.array([noise_spectrum(model, state, float(w), quad) for w in om])
+    xi_a = xi_spectrum(model, state, om, quad)
+    cff = noise_spectrum(model, state, om, quad)
     xi_b = (cff - cff[::-1]) / (2.0 * hbar)
-    xi_c = np.array([
-        float(np.imag(susceptibility(model, state, float(w), quad))) for w in om
-    ])
+    xi_c = np.imag(susceptibility(model, state, om, quad))
 
     deviation = max(
         float(np.max(np.abs(xi_a - xi_b))),

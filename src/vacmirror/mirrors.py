@@ -51,11 +51,14 @@ class Mirror:
     def r(self, omega):
         raise NotImplementedError
 
-    def smatrix(self, omega: float) -> np.ndarray:
-        """The symmetric matrix [[s, r], [r, s]] at one frequency."""
-        s = complex(self.s(omega))
-        r = complex(self.r(omega))
-        return np.array([[s, r], [r, s]])
+    def smatrix(self, omega) -> np.ndarray:
+        """The symmetric matrix [[s, r], [r, s]], shape ``np.shape(omega) + (2, 2)``."""
+        s = self.s(omega)
+        r = self.r(omega)
+        out = np.empty(np.shape(s) + (2, 2), dtype=complex)
+        out[..., 0, 0] = out[..., 1, 1] = s
+        out[..., 0, 1] = out[..., 1, 0] = r
+        return out
 
 
 def eval_smatrix(model: Mirror, omega: float) -> np.ndarray:
@@ -298,7 +301,7 @@ def validate_model(
     # the [[s, r], [r, s]] structure is symmetric by construction; verify the
     # matrix evaluation path agrees with the amplitude path
     sub = om[:: max(1, om.size // 16)]
-    mats = np.stack([model.smatrix(w) for w in sub])
+    mats = model.smatrix(sub)
     symmetry = max(
         max_entry(mats - np.swapaxes(mats, -1, -2)),
         max_entry(mats[:, 0, 0] - np.asarray(model.s(sub))),

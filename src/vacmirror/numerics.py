@@ -1,10 +1,13 @@
-"""Quadrature, principal-value transforms, and inverse Fourier transforms.
+"""Vector quadrature, principal-value transforms, and inverse Fourier transforms.
 
 Three operations used throughout the package:
 
-* :func:`integrate` wraps adaptive Gauss-Kronrod quadrature with a strict
-  error contract: the returned estimate must satisfy the requested tolerance
-  or a :class:`NonConvergenceError` carrying the best estimate is raised.
+* :func:`integrate_batch` integrates a vector of integrands, one per
+  frequency sample, in one adaptive Gauss-Kronrod quadrature
+  (``scipy.integrate.quad_vec``).  Each sample keeps the error contract of a
+  scalar adaptive rule: its estimate satisfies its own tolerance, and the
+  call reports a per-sample error bound, or a :class:`NonConvergenceError`
+  naming the worst frequency is raised.
 * :func:`hilbert_transform` computes the windowed principal-value transform
   (1/pi) P int f(w') / (w' - w) dw' on a uniform grid, excising a symmetric
   neighborhood of the singularity and restoring it with a derivative
@@ -59,8 +62,8 @@ class QuadratureConfig:
     max_subdivisions : int
         Upper bound on adaptive interval splits.
     window : float, optional
-        Half-width W used by callers to truncate infinite-support integrands
-        to [-W, W].  ``integrate`` itself only accepts finite bounds.
+        Half-width W: convolutions over states without a known decay scale
+        integrate over at least [-W, W].
     """
 
     abs_tol: float = 1e-12
@@ -77,75 +80,84 @@ class QuadratureConfig:
             raise ValueError("window must be positive when given")
 
 
-def integrate(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    points: tuple[float, ...] | None = None,
-) -> tuple[complex, float]:
-    """Adaptive quadrature of a complex-valued integrand on [a, b].
+def integrate_batch(
+    f: Callable[[float], np.ndarray],
+    length: float,
+    scale: np.ndarray,
+    omegas: np.ndarray,
+    cfg: QuadratureConfig,
+    what: str,
+    points: tuple[float, ...] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One adaptive quadrature over t in [0, length] of a vector integrand.
 
-    Parameters
-    ----------
-    f : callable
-        Integrand, real argument to complex value, finite on [a, b].
-    a, b : float
-        Finite integration bounds, a < b.
-    cfg : QuadratureConfig
-        Tolerances and subdivision limit.
-    points : tuple of float, optional
-        Interior break points (kinks) passed to the adaptive rule.
+    Sample k of ``f(t)`` belongs to frequency ``omegas[k]``.  All samples
+    share the subdivision of ``scipy.integrate.quad_vec`` (max norm), and
+    each is divided by its own target ``max(min(abs_tol, 1e-10 * scale_k),
+    rel_tol * |v_k|)`` (``abs_tol`` alone where ``scale_k = 0``), with
+    ``v_k`` from a coarse first pass; the pass is repeated once with the
+    fine values if some ``v_k`` overshot.  The global error estimate ``err``
+    of the scaled integrand then bounds every sample, ``err_k <= err *
+    target_k``.  ``points`` are kinks shared by all samples.
 
     Returns
     -------
-    value : complex
-    error_estimate : float
-        Conservative absolute error estimate.
+    values, abs_error, evaluations : numpy.ndarray
+        Complex integrals, their error bounds ``err * target_k`` and the
+        vector evaluations of ``f`` spent (the same for every sample).
 
     Raises
     ------
     NonConvergenceError
-        If the adaptive rule reports trouble or the error estimate exceeds
-        ``max(abs_tol, rel_tol * |value|)``.  The exception carries the best
-        estimate and its error.
+        If the rule stops short of its target or a bound exceeds its
+        sample's tolerance.  The message names the worst sample as
+        ``omega=...``; the exception carries its estimate and error.
     """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("bounds must be finite; window infinite-support integrands first")
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    pts = None
-    if points:
-        inside = sorted(p for p in points if a < p < b)
-        pts = inside or None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", scipy.integrate.IntegrationWarning)
-        # targets are halved so a marginal quadpack termination still lands
-        # inside the tolerances enforced below
-        val, err = scipy.integrate.quad(
-            f,
-            a,
-            b,
-            epsabs=0.5 * cfg.abs_tol,
-            epsrel=0.5 * cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-            points=pts,
-            complex_func=True,
+    scale = np.asarray(scale, dtype=float)
+    floor = np.where(scale > 0, np.minimum(cfg.abs_tol, 1e-10 * scale), cfg.abs_tol)
+    kwargs = dict(epsrel=0.0, norm="max", limit=cfg.max_subdivisions, points=points or None)
+
+    def scaled(target):
+        return scipy.integrate.quad_vec(
+            lambda t: f(t) / target, 0.0, length, epsabs=1.0, full_output=True, **kwargs
         )
-    val = complex(val)
-    err = abs(complex(err).real) + abs(complex(err).imag)
-    trouble = [w for w in caught if issubclass(w.category, scipy.integrate.IntegrationWarning)]
-    bound = max(cfg.abs_tol, cfg.rel_tol * abs(val))
-    if trouble or err > bound:
-        reason = str(trouble[0].message) if trouble else (
-            f"error estimate {err:.3e} exceeds tolerance {bound:.3e}"
-        )
-        raise NonConvergenceError(
-            f"quadrature on [{a:g}, {b:g}] did not converge: {reason}",
-            best=val,
-            error_estimate=err,
-        )
-    return val, err
+
+    coarse_target = np.maximum(1e-3 * scale, floor)
+    coarse, _, info = scaled(coarse_target)
+    neval = info.neval
+    target = np.maximum(floor, cfg.rel_tol * np.abs(coarse * coarse_target))
+    # a second pass runs only if the coarse values overshot some target
+    for _ in range(2):
+        res, err, info = scaled(target)
+        neval += info.neval
+        values = np.asarray(res * target, dtype=complex)
+        abs_error = err * target
+        excess = abs_error / np.maximum(floor, cfg.rel_tol * np.abs(values))
+        if not info.success or np.all(excess <= 1.0):
+            break
+        target = np.maximum(floor, cfg.rel_tol * np.abs(values))
+    if info.success and np.all(excess <= 1.0):
+        return values, abs_error, np.full(values.shape, neval)
+    if info.success:
+        k, reason = int(np.argmax(excess)), "error estimate exceeds tolerance"
+    else:
+        k, reason = int(np.argmax(_sample_errors(lambda t: f(t) / target, info))), info.message
+    raise NonConvergenceError(
+        f"{what} at omega={float(omegas[k])!r}: quadrature did not converge: {reason}",
+        best=complex(values[k]),
+        error_estimate=float(abs_error[k]),
+    )
+
+
+def _sample_errors(f, info) -> np.ndarray:
+    """Per-sample |Kronrod - Gauss| summed over the final intervals of a run."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    total = 0.0
+    for (a, b), kronrod in zip(info.intervals, info.integrals):
+        half = 0.5 * (b - a)
+        gauss = half * sum(w * f(a + half * (1.0 + x)) for x, w in zip(nodes, weights))
+        total = total + np.abs(kronrod - gauss)
+    return total
 
 
 def _pv_weights(omega: np.ndarray) -> np.ndarray:

@@ -44,8 +44,8 @@ def beta(model: Mirror, omega, omega2):
     return model.s(omega) * model.r(omega2) - model.r(omega) * model.s(omega2)
 
 
-def force_kernel(model: Mirror, omega: float, omega2: float) -> np.ndarray:
-    """F[w, w'] = eta - S(w') eta S(w) as a 2x2 array."""
+def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
+    """F[w, w'] = eta - S(w') eta S(w), shape ``np.broadcast(w, w').shape + (2, 2)``."""
     s_w = model.smatrix(omega)
     s_w2 = model.smatrix(omega2)
     return ETA - s_w2 @ ETA @ s_w
@@ -79,12 +79,8 @@ def mean_force_integrand(model: Mirror, state: FieldState, omega):
     equal and the integrand is exactly zero pointwise.
     """
     if not state.diagonal:
-        omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
-        vals = np.array([
-            w * w * np.trace(force_kernel(model, w, -w) @ state.cplus(w))
-            for w in omega_arr
-        ])
-        return vals.reshape(np.shape(omega))
+        w = np.asarray(omega, dtype=float)
+        return w * w * np.trace(force_kernel(model, w, -w) @ state.cplus(w), axis1=-2, axis2=-1)
     nw = state.noise_weight(omega)
     # v^2 cplus = v^2 (c - cminus); the cminus parts of the two components are
     # equal and cancel in the difference, so the noise weights serve directly

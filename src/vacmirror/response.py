@@ -26,12 +26,14 @@ identically, which :func:`chi_kernel_comoving` exposes for cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .core import ETA, FrequencyGrid, Spectrum
 from .mirrors import Mirror
-from .numerics import NonConvergenceError, QuadratureConfig, integrate
+from .numerics import QuadratureConfig, integrate_batch
 from .pressure import alpha, force_kernel
 from .states import FieldState, VacuumState
 
@@ -49,8 +51,8 @@ def delta_smatrix(model: Mirror, omega: float, omega2: float) -> np.ndarray:
     return 1j * omega2 * (model.smatrix(omega) @ ETA - ETA @ model.smatrix(omega2))
 
 
-def chi_kernel(model: Mirror, state: FieldState, omega: float, omega2: float) -> complex:
-    """Two-frequency susceptibility kernel chi[w, w'].
+def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
+    """Two-frequency susceptibility kernel chi[w, w'], elementwise over arrays.
 
     Diagonal states use the cancelled weight form, finite for all arguments;
     general states fall back to the matrix trace
@@ -59,12 +61,15 @@ def chi_kernel(model: Mirror, state: FieldState, omega: float, omega2: float) ->
     """
     if state.diagonal:
         a = alpha(model, omega, omega2)
-        u_w = float(state.chi_weight(omega))
-        u_w2 = float(state.chi_weight(omega2))
-        return complex(1j * a * (omega2 * u_w + omega * u_w2))
-    f = force_kernel(model, omega, omega2)
-    inner = 1j * omega * state.cplus(omega) @ ETA + 1j * omega2 * ETA @ state.cplus(-omega2)
-    return complex(omega * omega2 * np.trace(f @ inner))
+        return 1j * a * (omega2 * state.chi_weight(omega) + omega * state.chi_weight(omega2))
+    w1 = np.asarray(omega, dtype=float)
+    w2 = np.asarray(omega2, dtype=float)
+    f = force_kernel(model, w1, w2)
+    inner = (
+        1j * w1[..., None, None] * state.cplus(w1) @ ETA
+        + 1j * w2[..., None, None] * ETA @ state.cplus(-w2)
+    )
+    return w1 * w2 * np.trace(f @ inner, axis1=-2, axis2=-1)
 
 
 def chi_kernel_symmetrized(
@@ -78,16 +83,10 @@ def chi_kernel_symmetrized(
     The commutator parts of c cancel inside the symmetrized trace, so this
     equals :func:`chi_kernel` wherever both are defined (w, w' != 0).
     """
-    f12 = force_kernel(model, omega, omega2)
-    f21 = force_kernel(model, omega2, omega)
-    t1 = f12 @ (
-        1j * omega * state.cfull(omega) @ ETA
-        + 1j * omega2 * ETA @ state.cfull(-omega2)
-    )
-    t2 = f21 @ (
-        1j * omega2 * state.cfull(omega2) @ ETA
-        + 1j * omega * ETA @ state.cfull(-omega)
-    )
+    f12, f21 = force_kernel(model, np.array([omega, omega2]), np.array([omega2, omega]))
+    c_w, c_neg_w2, c_w2, c_neg_w = state.cfull(np.array([omega, -omega2, omega2, -omega]))
+    t1 = f12 @ (1j * omega * c_w @ ETA + 1j * omega2 * ETA @ c_neg_w2)
+    t2 = f21 @ (1j * omega2 * c_w2 @ ETA + 1j * omega * ETA @ c_neg_w)
     return complex(omega * omega2 / 2.0 * np.trace(t1 + t2))
 
 
@@ -100,10 +99,8 @@ def comoving_covariance_perturbation(
     motion makes the stationary input appear modulated.  Raises at zero
     frequency where the full covariance is singular.
     """
-    return (
-        -1j * omega * state.cfull(omega) @ ETA
-        - 1j * omega2 * ETA @ state.cfull(-omega2)
-    )
+    c_w, c_neg_w2 = state.cfull(np.array([omega, -omega2]))
+    return -1j * omega * c_w @ ETA - 1j * omega2 * ETA @ c_neg_w2
 
 
 def chi_kernel_comoving(model: Mirror, state: FieldState, omega: float, omega2: float) -> complex:
@@ -117,20 +114,109 @@ def chi_kernel_comoving(model: Mirror, state: FieldState, omega: float, omega2: 
     return complex((1j * omega) * (1j * omega2) * np.trace(f @ pert))
 
 
-def _require_decay(model: Mirror, state: FieldState, what: str) -> None:
-    if state.decay_scale() is not None and not model.transparent:
-        raise ValueError(
-            f"{what} over a thermal state needs a transparent model: the "
-            "integrand does not decay for a perfectly reflecting mirror"
+def convolve(
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    omegas,
+    state: FieldState,
+    model: Mirror,
+    quad: QuadratureConfig,
+    what: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """integral dw'/(2 pi) kernel(w', w - w') at every w, in one vector quadrature.
+
+    The support is the state's, cut into pieces that are each mapped
+    affinely onto a unit interval of t, so the kinks at 0 and w line up
+    across samples.  Vacuum weights vanish outside [0, w], one piece; w <= 0
+    has empty support and gives exactly zero (chi and xi are folded onto
+    w > 0 first).  Other states use [lo - span, lo], [lo, hi] and
+    [hi, hi + span] with lo = min(0, w), hi = max(0, w) and span the thermal
+    window; ``quad.window`` widens the outer pieces to at least [-W, W], and
+    a state without a decay scale requires it.  The natural scale
+    hbar|w|^3 + T^2|w|/hbar + T^3/hbar^2 tightens ``abs_tol`` as in
+    :func:`integrate_batch`, whose (values, abs_error, evaluations) arrays
+    are returned.
+    """
+    w = np.asarray(omegas, dtype=float)
+    hbar = state.context.hbar
+    decay = state.decay_scale()
+    temp = decay or 0.0
+    scale = hbar * np.abs(w) ** 3 + (temp**2 * np.abs(w) + temp**3 / hbar) / hbar
+    if isinstance(state, VacuumState):
+        edges = np.stack([np.zeros_like(w), np.maximum(w, 0.0)])
+    else:
+        if decay is None and quad.window is None:
+            raise ValueError(
+                f"{what} for a custom state has no known support bound; "
+                "set QuadratureConfig.window explicitly"
+            )
+        if decay is not None and not model.transparent:
+            raise ValueError(
+                f"{what} over a thermal state needs a transparent model: the "
+                "integrand does not decay for a perfectly reflecting mirror"
+            )
+        span = _THERMAL_DECADES * temp / hbar
+        lo, hi = np.minimum(0.0, w), np.maximum(0.0, w)
+        left, right = lo - span, hi + span
+        if quad.window is not None:
+            left, right = np.minimum(-quad.window, left), np.maximum(quad.window, right)
+        edges = np.stack([left, lo, hi, right])
+    live = edges[-1] > edges[0]
+    x, edges = w[live], edges[:, live]
+    widths = np.diff(edges, axis=0)
+    weights = widths / (2.0 * np.pi) + 0j
+    last = len(widths) - 1
+
+    def integrand(t: float) -> np.ndarray:
+        piece = min(int(t), last)
+        wp = edges[piece] + (t - piece) * widths[piece]
+        on = widths[piece] > 0
+        if on.all():
+            return kernel(wp, x - wp) * weights[piece]
+        # an empty piece (the middle one at w = 0) adds nothing, and the
+        # kernel may be singular there
+        out = np.zeros(x.shape, dtype=complex)
+        out[on] = kernel(wp[on], x[on] - wp[on]) * weights[piece][on]
+        return out
+
+    values = np.zeros(w.shape, dtype=complex)
+    abs_error = np.zeros(w.shape)
+    evaluations = np.zeros(w.shape, dtype=int)
+    if x.size:
+        values[live], abs_error[live], evaluations[live] = integrate_batch(
+            integrand, float(last + 1), scale[live], x, quad, what, tuple(range(1, last + 1))
         )
+    return values, abs_error, evaluations
+
+
+def fold(omega, compute, reflect):
+    """Evaluate ``compute`` on the distinct |w| > 0 only, in one call.
+
+    ``compute(mags)`` returns (values, abs_error, evaluations) arrays; the
+    results are spread back over ``omega``, with ``reflect`` applied to the
+    values at w < 0 and exact zeros at w = 0, so a symmetry such as
+    chi(-w) = conj chi(w) holds bitwise.
+    """
+    w = np.asarray(omega, dtype=float)
+    mags, back = np.unique(np.abs(w), return_inverse=True)
+    skip = int(mags.size > 0 and mags[0] == 0)  # w = 0 sorts first
+    values, abs_error, evaluations = (
+        np.concatenate([np.zeros(skip, part.dtype), part])[back].reshape(w.shape)
+        for part in compute(mags[skip:])
+    )
+    return np.where(w < 0, reflect(values), values), abs_error, evaluations
+
+
+def _chi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
+    kernel = partial(chi_kernel, model, state)
+    return fold(omega, lambda w: convolve(kernel, w, state, model, quad, "susceptibility"), np.conj)
 
 
 def susceptibility(
     model: Mirror,
     state: FieldState,
-    omega: float,
+    omega,
     quad: QuadratureConfig = QuadratureConfig(),
-) -> complex:
+):
     """Force susceptibility chi(w) = integral dw'/(2 pi) chi[w', w - w'].
 
     Parameters
@@ -140,77 +226,21 @@ def susceptibility(
         Built-in diagonal states integrate through the cancellation-free
         kernel; thermal tails are windowed where the occupancy has decayed
         below double precision.
-    omega : float
-        Analysis frequency; chi(0) = 0 and chi(-w) = conj(chi(w)) hold by
-        construction.
+    omega : float or array of float
+        Analysis frequencies, all integrated in one vector quadrature (see
+        :func:`convolve`); the result has the same shape.  chi(0) = 0 and
+        chi(-w) = conj(chi(w)) hold by construction.
     quad : QuadratureConfig
-        ``abs_tol`` is tightened to 1e-10 * hbar |w|^3 when that is stricter,
-        matching the natural scale of the response.
 
     Raises
     ------
     NonConvergenceError
-        If the adaptive quadrature cannot meet its tolerance.
+        If the adaptive quadrature cannot meet its tolerance; the message
+        names the worst frequency.
     ValueError
         For thermal states with a non-transparent model.
     """
-    if omega == 0:
-        return 0.0 + 0.0j
-    if omega < 0:
-        return complex(np.conj(susceptibility(model, state, -omega, quad)))
-
-    hbar = state.context.hbar
-    scale = hbar * abs(omega) ** 3
-    decay = state.decay_scale()
-
-    def integrand(w: float) -> complex:
-        return chi_kernel(model, state, w, omega - w) / (2.0 * np.pi)
-
-    if isinstance(state, VacuumState):
-        # the vacuum weight u = hbar|v|/2 cancels exactly outside [0, w]
-        cfg = QuadratureConfig(
-            abs_tol=min(quad.abs_tol, 1e-10 * scale),
-            rel_tol=quad.rel_tol,
-            max_subdivisions=quad.max_subdivisions,
-        )
-        try:
-            val, _ = integrate(integrand, 0.0, omega, cfg)
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                f"susceptibility at omega={omega!r}: {exc.args[0]}",
-                best=exc.best,
-                error_estimate=exc.error_estimate,
-            ) from None
-        return val
-
-    if decay is None:
-        if quad.window is None:
-            raise ValueError(
-                "susceptibility for a custom state has no known support bound; "
-                "set QuadratureConfig.window explicitly"
-            )
-        lo, hi = min(-quad.window, 0.0), max(quad.window, omega)
-    else:
-        _require_decay(model, state, "susceptibility")
-        span = _THERMAL_DECADES * decay / hbar
-        lo, hi = -span, omega + span
-        if quad.window is not None:
-            lo, hi = min(-quad.window, lo), max(quad.window, hi)
-        scale = scale + abs(omega) * decay**2 / hbar
-    cfg = QuadratureConfig(
-        abs_tol=min(quad.abs_tol, 1e-10 * scale),
-        rel_tol=quad.rel_tol,
-        max_subdivisions=quad.max_subdivisions,
-    )
-    try:
-        val, _ = integrate(integrand, lo, hi, cfg, points=(0.0, omega))
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(
-            f"susceptibility at omega={omega!r}: {exc.args[0]}",
-            best=exc.best,
-            error_estimate=exc.error_estimate,
-        ) from None
-    return val
+    return _chi(model, state, omega, quad)[0][()]
 
 
 def susceptibility_grid(
@@ -221,20 +251,17 @@ def susceptibility_grid(
 ) -> Spectrum:
     """chi(w) sampled on a grid, as a Spectrum.
 
-    On sign-symmetric grids only w >= 0 is integrated; negative frequencies
-    are filled by conjugation, so the reality constraint holds bitwise.
+    Only the distinct |w| > 0 are integrated; negative frequencies are filled
+    by conjugation, so on sign-symmetric grids the reality constraint holds
+    bitwise.  ``meta["abs_error"]`` and ``meta["evaluations"]`` carry each
+    sample's error bound and kernel evaluation count.
     """
-    om = grid.omega
-    vals = np.empty(om.size, dtype=complex)
-    symmetric = bool(np.array_equal(om, -om[::-1]))
-    for k, w in enumerate(om):
-        if symmetric and w < 0:
-            continue
-        vals[k] = susceptibility(model, state, float(w), quad)
-    if symmetric:
-        half = om.size // 2
-        vals[:half] = np.conj(vals[:half:-1])
-    return Spectrum(grid, vals, {"label": "susceptibility"})
+    return budgeted_spectrum(grid, "susceptibility", *_chi(model, state, grid.omega, quad))
+
+
+def budgeted_spectrum(grid: FrequencyGrid, label: str, values, abs_error, evaluations) -> Spectrum:
+    """A convolved Spectrum carrying ``meta["abs_error"]`` and ``meta["evaluations"]``."""
+    return Spectrum(grid, values, {"label": label, "abs_error": abs_error, "evaluations": evaluations})
 
 
 @dataclass(frozen=True)
@@ -302,12 +329,11 @@ def motional_force_spectrum(
         return chi.with_values(chi.values * traj.values, label="force-spectrum")
     if isinstance(traj, MonochromaticOscillation):
         vals = np.zeros(grid.size, dtype=complex)
-        lines = []
-        for w_line, weight in traj.line_weights():
-            chi_line = susceptibility(model, state, w_line, quad)
-            k = int(np.argmin(np.abs(grid.omega - w_line)))
-            vals[k] += weight * chi_line
-            lines.append((w_line, weight * chi_line))
+        w_lines, weights = np.array(traj.line_weights()).T
+        forces = weights * susceptibility(model, state, w_lines, quad)
+        for w_line, force in zip(w_lines, forces):
+            vals[int(np.argmin(np.abs(grid.omega - w_line)))] += force
+        lines = list(zip(w_lines.tolist(), forces.tolist()))
         return Spectrum(
             grid,
             vals,

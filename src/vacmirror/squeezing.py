@@ -31,20 +31,18 @@ from .response import MonochromaticOscillation
 from .states import FieldState
 
 
-def delta_cout(model: Mirror, state: FieldState, omega: float, omega2: float) -> np.ndarray:
+def delta_cout(model: Mirror, state: FieldState, omega, omega2) -> np.ndarray:
     """Output-covariance perturbation per unit dq[w + w'], general route.
 
-    Contracts the first-order scattering with the state's full covariance;
-    raises at zero frequency where the covariance is singular.
+    Contracts the first-order scattering with the state's full covariance,
+    elementwise over frequency arrays (shape ``... + (2, 2)``); raises at
+    zero frequency where the covariance is singular.
     """
-    s_w = model.smatrix(omega)
-    s_w2 = model.smatrix(omega2)
-    s_neg_w = model.smatrix(-omega)
-    s_neg_w2 = model.smatrix(-omega2)
-    c_neg_w2 = state.cfull(-omega2)
-    c_w = state.cfull(omega)
-    term1 = -1j * omega2 * (s_w @ ETA - ETA @ s_neg_w2) @ c_neg_w2 @ s_w2
-    term2 = -1j * omega * s_w @ c_w @ (ETA @ s_w2 - s_neg_w @ ETA)
+    w1, w2 = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(omega2, dtype=float))
+    s_w, s_w2, s_neg_w, s_neg_w2 = model.smatrix(np.array([w1, w2, -w1, -w2]))
+    c_neg_w2, c_w = state.cfull(np.array([-w2, w1]))
+    term1 = -1j * w2[..., None, None] * (s_w @ ETA - ETA @ s_neg_w2) @ c_neg_w2 @ s_w2
+    term2 = -1j * w1[..., None, None] * s_w @ c_w @ (ETA @ s_w2 - s_neg_w @ ETA)
     return term1 + term2
 
 
@@ -98,10 +96,9 @@ def oscillation_squeeze_lines(
     """
     out: list[tuple[float, float, np.ndarray]] = []
     for total, weight in osc.line_weights():
-        for k in range(1, n_samples + 1):
-            w = total * k / (n_samples + 1)
-            w2 = total - w
-            out.append((w, w2, weight * delta_cout(model, state, w, w2)))
+        ws = total * np.arange(1, n_samples + 1) / (n_samples + 1)
+        mats = weight * delta_cout(model, state, ws, total - ws)
+        out += [(float(w), float(total - w), m) for w, m in zip(ws, mats)]
     return out
 
 
@@ -119,11 +116,8 @@ def oscillation_line_strength(
     """
     strengths: dict[float, float] = {}
     for total, weight in osc.line_weights():
-        ws = np.array([total * k / (n_samples + 1) for k in range(1, n_samples + 1)])
-        norms = np.array([
-            np.linalg.norm(weight * delta_cout(model, state, w, total - w))
-            for w in ws
-        ])
+        ws = total * np.arange(1, n_samples + 1) / (n_samples + 1)
+        norms = np.linalg.norm(weight * delta_cout(model, state, ws, total - ws), axis=(-2, -1))
         # ws descends for the negative line; |.| restores the positive measure
         strengths[total] = float(abs(np.trapezoid(norms, ws)))
     return strengths

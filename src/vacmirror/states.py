@@ -32,6 +32,21 @@ import numpy as np
 from .core import EYE2, PhysicsContext, SingularFrequencyError, max_entry
 
 
+def _diag2(a, b=None) -> np.ndarray:
+    """Matrices diag(a, b) of shape ``np.shape(a) + (2, 2)``; b defaults to a."""
+    if b is None:
+        return np.asarray(a)[..., None, None] * EYE2
+    return np.stack([a, b], axis=-1)[..., None] * EYE2
+
+
+def _nonzero(omega, what: str) -> np.ndarray:
+    """``omega`` as a float array; raises at zero frequency where ``what`` diverges."""
+    nu = np.asarray(omega, dtype=float)
+    if np.count_nonzero(nu) < nu.size:
+        raise SingularFrequencyError(f"{what} diverges at omega = 0")
+    return nu
+
+
 def _occupancy(x):
     """Bose occupancy 1/(e^x - 1) for x > 0, safe against overflow."""
     x = np.asarray(x, dtype=float)
@@ -43,24 +58,23 @@ class FieldState:
     """Base class for stationary states of the input field.
 
     Subclasses provide :meth:`cplus`; the commutator part, full covariance,
-    and the scalar weights derive from it.  ``diagonal`` declares that
-    cplus(w) is diagonal in the doublet basis at every frequency, enabling
-    the cancellation-free kernel forms.
+    and the scalar weights derive from it; covariances take a frequency or an
+    array of them and have shape ``np.shape(omega) + (2, 2)``.  ``diagonal``
+    declares that cplus(w) is diagonal in the doublet basis at every
+    frequency, enabling the cancellation-free kernel forms.
     """
 
     context: PhysicsContext
     diagonal: bool = True
 
-    def cplus(self, omega: float) -> np.ndarray:
+    def cplus(self, omega) -> np.ndarray:
         raise NotImplementedError
 
-    def cminus(self, omega: float) -> np.ndarray:
+    def cminus(self, omega) -> np.ndarray:
         """Universal commutator spectrum I*hbar/(4 w), state independent."""
-        if omega == 0:
-            raise SingularFrequencyError("cminus diverges at omega = 0")
-        return EYE2 * (self.context.hbar / (4.0 * omega))
+        return _diag2(self.context.hbar / (4.0 * _nonzero(omega, "cminus")))
 
-    def cfull(self, omega: float) -> np.ndarray:
+    def cfull(self, omega) -> np.ndarray:
         """Full covariance c = cplus + cminus."""
         return self.cplus(omega) + self.cminus(omega)
 
@@ -92,10 +106,9 @@ class VacuumState(FieldState):
 
     context: PhysicsContext = field(default_factory=PhysicsContext)
 
-    def cplus(self, omega: float) -> np.ndarray:
-        if omega == 0:
-            raise SingularFrequencyError("vacuum cplus diverges at omega = 0")
-        return EYE2 * (self.context.hbar / (4.0 * abs(omega)))
+    def cplus(self, omega) -> np.ndarray:
+        nu = _nonzero(omega, "vacuum cplus")
+        return _diag2(self.context.hbar / (4.0 * np.abs(nu)))
 
     def chi_weight(self, nu):
         nu = np.asarray(nu, dtype=float)
@@ -145,12 +158,11 @@ class ThermalState(FieldState):
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
-    def cplus(self, omega: float) -> np.ndarray:
-        if omega == 0:
-            raise SingularFrequencyError("thermal cplus diverges at omega = 0")
+    def cplus(self, omega) -> np.ndarray:
+        mag = np.abs(_nonzero(omega, "thermal cplus"))
         hbar = self.context.hbar
-        nbar = float(_occupancy(hbar * abs(omega) / self.temperature))
-        return EYE2 * (hbar / (4.0 * abs(omega)) * (1.0 + 2.0 * nbar))
+        nbar = _occupancy(hbar * mag / self.temperature)
+        return _diag2(hbar / (4.0 * mag) * (1.0 + 2.0 * nbar))
 
     def chi_weight(self, nu):
         return _thermal_chi_weight(nu, self.temperature, self.context.hbar)
@@ -179,17 +191,14 @@ class TwoTemperatureState(FieldState):
         if not (self.temp_phi > 0 and self.temp_psi > 0):
             raise ValueError("both temperatures must be positive")
 
-    def cplus(self, omega: float) -> np.ndarray:
-        if omega == 0:
-            raise SingularFrequencyError("cplus diverges at omega = 0")
+    def cplus(self, omega) -> np.ndarray:
+        mag = np.abs(_nonzero(omega, "cplus"))
         hbar = self.context.hbar
-        x_phi = hbar * abs(omega) / self.temp_phi
-        x_psi = hbar * abs(omega) / self.temp_psi
-        pref = hbar / (4.0 * abs(omega))
-        return np.diag([
-            pref * (1.0 + 2.0 * float(_occupancy(x_phi))),
-            pref * (1.0 + 2.0 * float(_occupancy(x_psi))),
-        ]).astype(complex)
+        pref = hbar / (4.0 * mag)
+        return _diag2(
+            pref * (1.0 + 2.0 * _occupancy(hbar * mag / self.temp_phi)),
+            pref * (1.0 + 2.0 * _occupancy(hbar * mag / self.temp_psi)),
+        )
 
     def chi_weight(self, nu):
         u_phi = _thermal_chi_weight(nu, self.temp_phi, self.context.hbar)
@@ -211,7 +220,8 @@ class CustomState(FieldState):
     Parameters
     ----------
     cplus_rule : callable
-        Map from frequency to a 2x2 complex array.
+        Map from one frequency to a 2x2 complex array; :meth:`cplus` applies
+        it to each frequency of an array.
     context : PhysicsContext
     diagonal : bool
         Declare the rule diagonal to enable the weight-based kernel forms.
@@ -247,20 +257,16 @@ class CustomState(FieldState):
             if self.diagonal and max_entry(c - np.diag(np.diag(c))) > tol * scale:
                 raise ValueError(f"cplus({nu}) declared diagonal but is not")
 
-    def cplus(self, omega: float) -> np.ndarray:
-        return np.asarray(self._rule(float(omega)), dtype=complex)
+    def cplus(self, omega) -> np.ndarray:
+        nu = np.asarray(omega, dtype=float)
+        mats = [np.asarray(self._rule(float(v)), dtype=complex) for v in nu.ravel()]
+        return np.reshape(mats, nu.shape + (2, 2))
 
     def chi_weight(self, nu):
-        nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-        out = np.array([v * v * np.trace(self.cplus(v)).real for v in nu_arr])
-        return out.reshape(np.shape(nu))
+        nu = np.asarray(nu, dtype=float)
+        return nu * nu * np.trace(self.cplus(nu), axis1=-2, axis2=-1).real
 
     def noise_weight(self, nu):
-        nu_arr = np.atleast_1d(np.asarray(nu, dtype=float))
-        hbar = self.context.hbar
-        rows = []
-        for v in nu_arr:
-            diag = np.real(np.diag(self.cplus(v))) * v * v + hbar * v / 4.0
-            rows.append(diag)
-        out = np.array(rows)
-        return out.reshape(np.shape(nu) + (2,))
+        nu = np.asarray(nu, dtype=float)[..., None]
+        diag = np.real(np.diagonal(self.cplus(nu[..., 0]), axis1=-2, axis2=-1))
+        return diag * nu * nu + self.context.hbar * nu / 4.0

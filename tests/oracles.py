@@ -2,12 +2,19 @@
 
 Everything here is derived independently of the library's integration
 routines: the single-pole forms are analytic antiderivatives of the vacuum
-kernel, and the trapezoid integrators resample the kernels at fixed high
-resolution instead of relying on the adaptive quadrature under test.
+kernel, the trapezoid integrators resample the kernels at fixed high
+resolution, and :func:`integrate` is a scalar adaptive quadrature (one
+QUADPACK call per integrand) against which the batched vector quadrature is
+compared sample by sample.
 """
 
-import numpy as np
+import warnings
+from typing import Callable
 
+import numpy as np
+import scipy.integrate
+
+from vacmirror.numerics import NonConvergenceError, QuadratureConfig
 from vacmirror.pressure import alpha, beta
 
 
@@ -73,3 +80,77 @@ def trapezoid_cff(model, state, omega, lo, hi, n=200_001):
         + b2 * (w1[..., 0] * w2[..., 1] + w1[..., 1] * w2[..., 0])
     )
     return float(np.trapezoid(vals, wp) / (2.0 * np.pi))
+
+
+def integrate(
+    f: Callable[[float], complex],
+    a: float,
+    b: float,
+    cfg: QuadratureConfig = QuadratureConfig(),
+    points: tuple[float, ...] | None = None,
+) -> tuple[complex, float]:
+    """Adaptive quadrature of a complex-valued integrand on [a, b].
+
+    The scalar reference for ``vacmirror.numerics.integrate_batch``: one
+    ``scipy.integrate.quad`` call per integrand.
+
+    Parameters
+    ----------
+    f : callable
+        Integrand, real argument to complex value, finite on [a, b].
+    a, b : float
+        Finite integration bounds, a < b.
+    cfg : QuadratureConfig
+        Tolerances and subdivision limit.
+    points : tuple of float, optional
+        Interior break points (kinks) passed to the adaptive rule.
+
+    Returns
+    -------
+    value : complex
+    error_estimate : float
+        Conservative absolute error estimate.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the adaptive rule reports trouble or the error estimate exceeds
+        ``max(abs_tol, rel_tol * |value|)``.  The exception carries the best
+        estimate and its error.
+    """
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("bounds must be finite; window infinite-support integrands first")
+    if not a < b:
+        raise ValueError(f"need a < b, got a={a}, b={b}")
+    pts = None
+    if points:
+        inside = sorted(p for p in points if a < p < b)
+        pts = inside or None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", scipy.integrate.IntegrationWarning)
+        # targets are halved so a marginal quadpack termination still lands
+        # inside the tolerances enforced below
+        val, err = scipy.integrate.quad(
+            f,
+            a,
+            b,
+            epsabs=0.5 * cfg.abs_tol,
+            epsrel=0.5 * cfg.rel_tol,
+            limit=cfg.max_subdivisions,
+            points=pts,
+            complex_func=True,
+        )
+    val = complex(val)
+    err = abs(complex(err).real) + abs(complex(err).imag)
+    trouble = [w for w in caught if issubclass(w.category, scipy.integrate.IntegrationWarning)]
+    bound = max(cfg.abs_tol, cfg.rel_tol * abs(val))
+    if trouble or err > bound:
+        reason = str(trouble[0].message) if trouble else (
+            f"error estimate {err:.3e} exceeds tolerance {bound:.3e}"
+        )
+        raise NonConvergenceError(
+            f"quadrature on [{a:g}, {b:g}] did not converge: {reason}",
+            best=val,
+            error_estimate=err,
+        )
+    return val, err

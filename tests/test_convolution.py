@@ -1,0 +1,185 @@
+"""The batched convolution against the scalar reference and the closed forms.
+
+Every grid spectrum is one vector quadrature over all its frequencies.  The
+differential tests integrate the same kernels sample by sample with the
+scalar QUADPACK reference ``oracles.integrate`` over the same supports, and
+require agreement within the two samples' error contracts.  Property tests
+draw the cutoff, hbar and the temperature at random and check the closed
+forms and the symmetries that hold by construction.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from vacmirror import (
+    CustomState,
+    FrequencyGrid,
+    NonConvergenceError,
+    PerfectMirror,
+    PhysicsContext,
+    QuadratureConfig,
+    SinglePoleMirror,
+    ThermalState,
+    TwoTemperatureState,
+    VacuumState,
+    chi_kernel,
+    cff_kernel,
+    commutator_kernel,
+    noise_spectrum,
+    noise_spectrum_grid,
+    susceptibility,
+    susceptibility_grid,
+    xi_spectrum,
+)
+from vacmirror.response import _THERMAL_DECADES
+
+QUAD = QuadratureConfig()
+WINDOW = QuadratureConfig(window=10.0)
+
+
+def _vacuum_rule(nu):
+    return np.eye(2) / (4.0 * abs(nu))
+
+
+def _correlated_rule(nu):
+    # vacuum diagonal plus a real, symmetric, decaying cross-correlation
+    off = 0.3 * np.exp(-nu * nu)
+    return np.array([[1.0, off], [off, 1.0]]) / (4.0 * abs(nu))
+
+
+def _scalar(kernel, state, omega, quad):
+    """One QUADPACK call at ``omega`` over the support the batched path uses."""
+    hbar = state.context.hbar
+    temp = state.decay_scale() or 0.0
+    scale = hbar * abs(omega) ** 3 + (temp**2 * abs(omega) + temp**3 / hbar) / hbar
+    cfg = QuadratureConfig(
+        abs_tol=min(quad.abs_tol, 1e-10 * scale) if scale > 0 else quad.abs_tol,
+        rel_tol=quad.rel_tol,
+        max_subdivisions=quad.max_subdivisions,
+    )
+    if isinstance(state, VacuumState):
+        lo, hi = 0.0, omega
+    else:
+        span = _THERMAL_DECADES * temp / hbar
+        lo, hi = min(0.0, omega) - span, max(0.0, omega) + span
+        if quad.window is not None:
+            lo, hi = min(-quad.window, lo), max(quad.window, hi)
+    val, _ = oracles.integrate(
+        lambda x: complex(kernel(x, omega - x)) / (2.0 * np.pi), lo, hi, cfg, points=(0.0, omega)
+    )
+    return val
+
+
+def _within_contracts(got, ref, quad):
+    return abs(got - ref) <= 2.0 * max(quad.abs_tol, quad.rel_tol * abs(ref))
+
+
+CASES = [
+    ("vacuum single-pole", SinglePoleMirror(2.0), VacuumState(), QUAD, 24.0),
+    ("vacuum perfect", PerfectMirror(), VacuumState(), QUAD, 3.0),
+    ("thermal", SinglePoleMirror(1.0), ThermalState(1.0), QUAD, 3.0),
+    ("two-temperature", SinglePoleMirror(1.0), TwoTemperatureState(2.0, 0.5), QUAD, 2.0),
+    ("custom diagonal", SinglePoleMirror(1.0), CustomState(_vacuum_rule, diagonal=True), WINDOW, 3.0),
+    ("custom correlated", SinglePoleMirror(1.0), CustomState(_correlated_rule), WINDOW, 2.0),
+]
+
+
+@pytest.mark.parametrize("name, model, state, quad, w_max", CASES, ids=[c[0] for c in CASES])
+def test_batched_spectra_match_scalar_reference(name, model, state, quad, w_max):
+    grid = FrequencyGrid.symmetric(w_max, 9)
+    kernels = {
+        "chi": lambda a, b: chi_kernel(model, state, a, b),
+        "cff": lambda a, b: cff_kernel(model, state, a, b),
+        "xi": lambda a, b: commutator_kernel(model, state, a, b),
+    }
+    chi = susceptibility_grid(model, state, grid, quad)
+    cff = noise_spectrum_grid(model, state, grid, quad)
+    batched = {"chi": chi.values, "cff": cff.values, "xi": xi_spectrum(model, state, grid.omega, quad)}
+    vacuum = isinstance(state, VacuumState)
+    for k, w in enumerate(grid.omega):
+        for what, kernel in kernels.items():
+            if w <= 0 and (what == "chi" or vacuum):
+                continue  # fixed by construction: conjugation, oddness, zero support
+            ref = _scalar(kernel, state, w, quad)
+            got = batched[what][k]
+            assert _within_contracts(got, ref, quad), (what, w, got, ref)
+    for spec in (chi, cff):
+        bound = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(spec.values))
+        assert np.all(spec.meta["abs_error"] <= bound)
+
+
+def test_spectra_carry_error_budgets():
+    m = SinglePoleMirror(1.0)
+    grid = FrequencyGrid.symmetric(4.0, 9)
+    chi = susceptibility_grid(m, VacuumState(), grid)
+    cff = noise_spectrum_grid(m, VacuumState(), grid)
+    for spec in (chi, cff):
+        assert spec.meta["abs_error"].shape == grid.omega.shape
+        assert spec.meta["evaluations"].shape == grid.omega.shape
+    # chi(0) and vacuum noise at w <= 0 hold by construction: nothing integrated
+    assert chi.meta["evaluations"][4] == 0 and chi.meta["abs_error"][4] == 0.0
+    assert np.all(cff.meta["evaluations"][grid.omega <= 0] == 0)
+    assert np.all(cff.meta["evaluations"][grid.omega > 0] > 0)
+    bound = np.maximum(QUAD.abs_tol, QUAD.rel_tol * np.abs(chi.values))
+    assert np.all(chi.meta["abs_error"] <= bound)
+
+
+def test_scalar_and_array_frequencies_share_one_path():
+    m, vac = SinglePoleMirror(1.0), VacuumState()
+    one = susceptibility(m, vac, 2.0)
+    assert isinstance(one, complex)
+    assert np.shape(susceptibility(m, vac, np.array([2.0]))) == (1,)
+    assert isinstance(noise_spectrum(m, vac, 2.0), float)
+    assert np.shape(xi_spectrum(m, vac, np.array([[1.0, -1.0]]))) == (1, 2)
+
+
+def test_subdivision_limit_raises_naming_the_frequency():
+    cfg = QuadratureConfig(max_subdivisions=1)
+    with pytest.raises(NonConvergenceError, match=r"omega=") as info:
+        susceptibility(SinglePoleMirror(1.0), VacuumState(), np.array([0.5, 2.0, 8.0]), cfg)
+    assert "susceptibility" in str(info.value)
+    assert isinstance(info.value.best, complex)
+    assert np.isfinite(info.value.error_estimate)
+    with pytest.raises(NonConvergenceError, match=r"noise_spectrum at omega="):
+        noise_spectrum(SinglePoleMirror(1.0), ThermalState(1.0), np.array([-1.0, 1.0]), cfg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    omega_c=st.floats(1e-2, 1e4),
+    hbar=st.floats(0.1, 10.0),
+    ratios=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=5, unique=True),
+)
+def test_vacuum_closed_forms_over_parameter_space(omega_c, hbar, ratios):
+    m = SinglePoleMirror(omega_c)
+    vac = VacuumState(PhysicsContext(hbar))
+    pos = np.array(ratios) * omega_c
+    om = np.concatenate([-pos, [0.0], pos])
+    chi = susceptibility(m, vac, om)
+    cff = noise_spectrum(m, vac, om)
+    n = pos.size
+    assert np.array_equal(chi[:n], np.conj(chi[n + 1:]))
+    assert chi[n] == 0.0
+    assert np.all(cff[: n + 1] == 0.0)
+    for k, w in enumerate(pos):
+        ref = oracles.chi_single_pole(w, omega_c, hbar)
+        assert abs(chi[n + 1 + k] - ref) <= 1e-10 * abs(ref)
+        ref = oracles.cff_vacuum(w, omega_c, hbar)
+        assert abs(cff[n + 1 + k] - ref) <= 1e-10 * abs(ref)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    omega_c=st.floats(1e-2, 1e4),
+    hbar=st.floats(0.1, 10.0),
+    temp=st.floats(0.1, 10.0),
+    x=st.floats(0.1, 5.0),
+)
+def test_thermal_detailed_balance_over_parameter_space(omega_c, hbar, temp, x):
+    w = x * temp / hbar
+    th = ThermalState(temp, PhysicsContext(hbar))
+    cff = noise_spectrum(SinglePoleMirror(omega_c), th, np.array([-w, w]))
+    assert abs(cff[0] / cff[1] - np.exp(-x)) <= 1e-8 * np.exp(-x)

