@@ -39,7 +39,6 @@ from .mirrors import (
     SinglePoleMirror,
     TabulatedMirror,
     ValidationReport,
-    eval_smatrix,
     validate_model,
 )
 from .numerics import (
@@ -123,7 +122,6 @@ __all__ = [
     "delta_cout_vacuum",
     "delta_smatrix",
     "energy_exchange_kernel",
-    "eval_smatrix",
     "fdt_check",
     "force_kernel",
     "hilbert_transform",

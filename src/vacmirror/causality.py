@@ -83,6 +83,9 @@ class CausalityReport:
     kk_residual : float
         Relative l2 mismatch of the once-subtracted dispersion relation
         over the scored interior band.
+    tail_bound : float
+        Estimate of the out-of-window contribution the Hilbert transform of
+        Im a(w)/w neglects (``meta["tail_bound"]`` of that transform).
     plateau : float
         Real high-frequency plateau removed before transforming.
     t_exclusion : float
@@ -94,6 +97,7 @@ class CausalityReport:
     mode: str
     negative_time_fraction: float
     kk_residual: float
+    tail_bound: float
     plateau: float
     t_exclusion: float
     negative_energy: float
@@ -194,21 +198,24 @@ def causality_report(spectrum: Spectrum, config: CausalityConfig | None = None) 
     a, plateau = _subtract_plateau(om, a, cfg.fit_frac)
     a = a * _cosine_taper(n, cfg.taper_frac)
 
-    # energy fraction at negative times
-    dw = float(om[1] - om[0])
-    t_max = np.pi / (5.0 * dw)
-    t = np.linspace(-t_max, t_max, cfg.nt)
+    # energy fraction at negative times, t on [-pi/5dw, pi/5dw] sign-symmetric
+    dw = spectrum.grid.spacing
+    dt = 2.0 * np.pi / (5.0 * dw) / (cfg.nt - 1)
+    t = dt * (np.arange(cfg.nt) - 0.5 * (cfg.nt - 1))
     signal = inverse_fourier_to_time(Spectrum(spectrum.grid, a), t)
     power = np.abs(signal) ** 2
     t_excl = cfg.exclusion_mult * np.pi / w_max
-    dt = float(t[1] - t[0])
-    neg_energy = float(power[t < -t_excl].sum() * dt)
-    total_energy = float(power[np.abs(t) > t_excl].sum() * dt)
+    # a sample on the window edge (default grids place one there) counts as
+    # inside, whichever way its rounding falls
+    outside = np.abs(t) > t_excl * (1.0 + 1e-9)
+    neg_energy = float(power[outside & (t < 0.0)].sum() * dt)
+    total_energy = float(power[outside].sum() * dt)
     fraction = neg_energy / total_energy if total_energy > 0.0 else 0.0
 
     # once-subtracted dispersion relation anchored at w = 0
     safe = np.where(om == 0.0, 1.0, om)
     m = _fill_zero(om, np.where(om == 0.0, 0.0, a.imag / safe))
+    # the tail warning is silenced because its bound is reported
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         transformed = hilbert_transform(Spectrum(spectrum.grid, m.astype(complex)))
@@ -222,6 +229,7 @@ def causality_report(spectrum: Spectrum, config: CausalityConfig | None = None) 
         mode=mode,
         negative_time_fraction=float(fraction),
         kk_residual=float(mismatch / denom),
+        tail_bound=float(transformed.meta["tail_bound"]),
         plateau=plateau,
         t_exclusion=float(t_excl),
         negative_energy=neg_energy,

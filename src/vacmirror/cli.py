@@ -235,7 +235,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     report = validate_model(model, grid, tol=cfg.tol)
     fields: dict[str, object] = {
         name: getattr(report, name)
-        for name in ("reality", "unitarity", "symmetry", "causality", "transparency")
+        for name in ("reality", "unitarity", "symmetry", "causality", "tail_bound", "transparency")
     }
     fields.update({f"{name}_pass": flag for name, flag in report.checks.items()})
     fields["passed"] = report.passed
@@ -320,17 +320,7 @@ def cmd_causality(cfg: RunConfig) -> int:
         spectrum = susceptibility_grid(model, state, grid, QuadratureConfig())
     report = causality_report(spectrum)
     passed = report.passes(neg_tol=cfg.tol, kk_tol=0.01)
-    fields: dict[str, object] = {
-        "mode": report.mode,
-        "negative_time_fraction": report.negative_time_fraction,
-        "kk_residual": report.kk_residual,
-        "plateau": report.plateau,
-        "t_exclusion": report.t_exclusion,
-        "negative_energy": report.negative_energy,
-        "total_energy": report.total_energy,
-        "passed": passed,
-    }
-    _write_report(cfg, fields)
+    _write_report(cfg, {**asdict(report), "passed": passed})
     return 0 if passed else 1
 
 

@@ -104,7 +104,8 @@ class FrequencyGrid:
 
     @property
     def spacing(self) -> float:
-        return float(self.omega[1] - self.omega[0])
+        """(w_max - w_min) / (n - 1), free of a neighbour difference's rounding."""
+        return float((self.omega[-1] - self.omega[0]) / (self.omega.size - 1))
 
     @property
     def size(self) -> int:

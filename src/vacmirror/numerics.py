@@ -15,8 +15,9 @@ Three operations used throughout the package:
 * :func:`inverse_fourier_to_time` applies the package Fourier convention
   f(t) = int dw/(2*pi) f[w] exp(-i*w*t) to a sampled spectrum.
 
-Both grid transforms are exact-arithmetic trapezoid rules applied in chunks,
-so memory stays bounded for long grids.
+Both grid transforms are trapezoid rules on uniform grids, evaluated as FFT
+convolutions in O(n log n) time and O(n) memory: the principal value as a
+Toeplitz product, the inverse Fourier sum as a chirp-z transform.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 import scipy.integrate
 
 from .core import FrequencyGrid, Spectrum
@@ -160,25 +162,15 @@ def _sample_errors(f, info) -> np.ndarray:
     return total
 
 
-def _pv_weights(omega: np.ndarray) -> np.ndarray:
-    """Trapezoid weights for the full grid."""
-    h = omega[1] - omega[0]
-    w = np.full(omega.size, h)
-    w[0] = w[-1] = h / 2
-    return w
-
-
-def hilbert_transform(
-    spectrum: Spectrum,
-    cfg: QuadratureConfig | None = None,
-    chunk: int = 256,
-) -> Spectrum:
+def hilbert_transform(spectrum: Spectrum, cfg: QuadratureConfig | None = None) -> Spectrum:
     """Windowed principal-value transform of a real sampled spectrum.
 
     Computes ``g(w) = (1/pi) P int f(w') / (w' - w) dw'`` over the grid span.
     At each sample the symmetric neighborhood [w - h, w + h] is excised and
     restored analytically: the principal value over the excised window equals
     2h f'(w) + O(h^3), estimated by the centered difference f[j+1] - f[j-1].
+    The trapezoid sum is one FFT convolution with the Toeplitz kernel
+    1/(k - j); each neighbor of the excised sample then loses h/2 of weight.
 
     Parameters
     ----------
@@ -189,8 +181,6 @@ def hilbert_transform(
     cfg : QuadratureConfig, optional
         If given, the tail bound is compared against ``0.1 * abs_tol`` to
         decide whether to warn; otherwise a relative heuristic is used.
-    chunk : int
-        Number of output samples per matrix block.
 
     Returns
     -------
@@ -205,32 +195,17 @@ def hilbert_transform(
     Edge samples use one-sided excision and are less accurate; restrict
     quantitative use to the grid interior.
     """
-    om = spectrum.omega
     f = np.real(spectrum.values).astype(float)
-    n = om.size
-    h = spectrum.grid.spacing
-    wts = _pv_weights(om)
-
-    out = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        idx = np.arange(start, stop)
-        dist = om[None, :] - om[idx, None]
-        wrow = np.broadcast_to(wts, (idx.size, n)).copy()
-        rows = np.arange(idx.size)
-        # excise the sample itself and half-weight the neighbors, which become
-        # endpoints of the two remaining trapezoid runs
-        wrow[rows, idx] = 0.0
-        left = idx - 1
-        ok = left >= 0
-        wrow[rows[ok], left[ok]] = np.where(left[ok] == 0, 0.0, h / 2)
-        right = idx + 1
-        ok = right <= n - 1
-        wrow[rows[ok], right[ok]] = np.where(right[ok] == n - 1, 0.0, h / 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(dist == 0.0, 0.0, f[None, :] / np.where(dist == 0.0, 1.0, dist))
-        corr = f[np.minimum(idx + 1, n - 1)] - f[np.maximum(idx - 1, 0)]
-        out[start:stop] = (np.sum(wrow * g, axis=1) + corr) / np.pi
+    n = f.size
+    size = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    # kernel[d] = 1/(k - j) at d = j - k, wrapped for d < 0
+    inv = 1.0 / np.arange(1, n)
+    kernel = np.zeros(size)
+    kernel[1:n], kernel[size - n + 1:] = -inv, inv[::-1]
+    trapezoid = np.r_[0.5 * f[0], f[1:-1], 0.5 * f[-1]]
+    pv = scipy.fft.irfft(scipy.fft.rfft(trapezoid, size) * scipy.fft.rfft(kernel), size)[:n]
+    zero, edge = np.pad(f, 1), np.pad(f, 1, mode="edge")
+    out = (pv - 0.5 * (zero[2:] - zero[:-2]) + (edge[2:] - edge[:-2])) / np.pi
 
     # Tail estimate: if |f| ~ A/|w'| beyond the window, the out-of-window
     # contribution at interior samples is bounded by ~(2 ln 2 / pi) * |f_edge|.
@@ -248,27 +223,50 @@ def hilbert_transform(
     return Spectrum(spectrum.grid, out.astype(complex), meta)
 
 
-def inverse_fourier_to_time(
-    spectrum: Spectrum,
-    t: np.ndarray,
-    chunk: int = 256,
-) -> np.ndarray:
+def _chirp(c: float, n: int) -> np.ndarray:
+    """exp(-2 pi i c k^2) for k < n, with c k^2 reduced modulo 1: c is rounded
+    to ``hi`` so that ``hi * k^2`` is exact, and only ``(c - hi) * k^2`` is not.
+    The plain product would carry a phase error of eps * c * n^2 turns."""
+    k2 = np.arange(n, dtype=np.int64) ** 2
+    step = np.ldexp(1.0, int(np.frexp(c)[1]) - 53 + int(k2[-1]).bit_length())
+    hi = np.round(c / step) * step
+    k2 = k2.astype(float)
+    return np.exp(-2j * np.pi * ((hi * k2) % 1.0 + (c - hi) * k2))
+
+
+def _chirp_z(x: np.ndarray, c: float, m: int) -> np.ndarray:
+    """y[i] = sum_k x[k] exp(-2 pi i c i k) for i < m (Bluestein's algorithm)."""
+    n = x.size
+    size = scipy.fft.next_fast_len(n + m - 1)
+    w = _chirp(0.5 * c, max(n, m))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m], kernel[size - n + 1:] = np.conj(w[:m]), np.conj(w[1:n][::-1])
+    conv = scipy.fft.ifft(scipy.fft.fft(x * w[:n], size) * scipy.fft.fft(kernel), size)
+    return conv[:m] * w[:m]
+
+
+def inverse_fourier_to_time(spectrum: Spectrum, t: np.ndarray) -> np.ndarray:
     """Inverse transform f(t) = int dw/(2*pi) f[w] exp(-i*w*t), trapezoid rule.
+
+    On uniform w and t grids the sum is a chirp-z transform, evaluated in
+    O((n + nt) log(n + nt)) by Bluestein's algorithm.
 
     Parameters
     ----------
     spectrum : Spectrum
         Samples on a uniform grid spanning the support of interest.
     t : numpy.ndarray
-        Output times.
-    chunk : int
-        Number of time samples per matrix block, bounding memory at
-        ``chunk * len(grid)`` complex entries.
+        Uniformly spaced output times, one-dimensional, in either order.
 
     Returns
     -------
     numpy.ndarray
         Complex time samples, same length as ``t``.
+
+    Raises
+    ------
+    ValueError
+        If ``t`` is not one-dimensional and uniform to 1e-12 of max |t|.
 
     Warns
     -----
@@ -276,11 +274,17 @@ def inverse_fourier_to_time(
         When the requested time span exceeds the alias-free window 2*pi/dw
         implied by the grid spacing.
     """
-    om = spectrum.omega
-    vals = spectrum.values
     t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"inverse_fourier_to_time: t must be one-dimensional, got shape {t.shape}")
+    nt = t.size
+    if nt == 0:
+        return np.empty(0, dtype=complex)
+    dt = (t[-1] - t[0]) / (nt - 1) if nt > 1 else 0.0
+    if not np.max(np.abs(t - (t[0] + dt * np.arange(nt)))) <= 1e-12 * np.max(np.abs(t)):
+        raise ValueError("inverse_fourier_to_time: t must be finite and uniformly spaced")
     dw = spectrum.grid.spacing
-    span = float(t.max() - t.min()) if t.size else 0.0
+    span = abs(t[-1] - t[0])
     if span > 2.0 * np.pi / dw:
         warnings.warn(
             f"inverse_fourier_to_time: time span {span:.3g} exceeds the alias-free "
@@ -288,11 +292,8 @@ def inverse_fourier_to_time(
             RuntimeWarning,
             stacklevel=2,
         )
-    wts = _pv_weights(om) / (2.0 * np.pi)
-    weighted = wts * vals
-    out = np.empty(t.size, dtype=complex)
-    for start in range(0, t.size, chunk):
-        stop = min(start + chunk, t.size)
-        phase = np.exp(-1j * np.outer(t[start:stop], om))
-        out[start:stop] = phase @ weighted
-    return out
+    # t_i w_k = t_i w_0 + t_0 k dw + i k dt dw on the two grids
+    n = spectrum.grid.size
+    x = np.r_[0.5, np.ones(n - 2), 0.5] * dw / (2.0 * np.pi) * spectrum.values
+    x = x * np.exp(-1j * t[0] * dw * np.arange(n))
+    return np.exp(-1j * t * spectrum.omega[0]) * _chirp_z(x, dt * dw / (2.0 * np.pi), nt)

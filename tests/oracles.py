@@ -3,9 +3,12 @@
 Everything here is derived independently of the library's integration
 routines: the single-pole forms are analytic antiderivatives of the vacuum
 kernel, the trapezoid integrators resample the kernels at fixed high
-resolution, and :func:`integrate` is a scalar adaptive quadrature (one
+resolution, :func:`integrate` is a scalar adaptive quadrature (one
 QUADPACK call per integrand) against which the batched vector quadrature is
-compared sample by sample.
+compared sample by sample, and :func:`hilbert_dense` and
+:func:`inverse_fourier_dense` evaluate the grid transforms as explicit
+matrix products, block by block, against which the FFT versions are
+compared.
 """
 
 import warnings
@@ -154,3 +157,55 @@ def integrate(
             error_estimate=err,
         )
     return val, err
+
+
+def _pv_weights(omega):
+    """Trapezoid weights for the full grid."""
+    h = omega[1] - omega[0]
+    w = np.full(omega.size, h)
+    w[0] = w[-1] = h / 2
+    return w
+
+
+def hilbert_dense(omega, f, chunk=256):
+    """Excised-trapezoid principal value (1/pi) P int f(w')/(w' - w) dw' as a
+    dense matrix product; the reference for ``numerics.hilbert_transform``."""
+    om = np.asarray(omega, dtype=float)
+    f = np.asarray(f, dtype=float)
+    n = om.size
+    h = (om[-1] - om[0]) / (n - 1)
+    wts = _pv_weights(om)
+    out = np.empty(n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        idx = np.arange(start, stop)
+        dist = om[None, :] - om[idx, None]
+        wrow = np.broadcast_to(wts, (idx.size, n)).copy()
+        rows = np.arange(idx.size)
+        # excise the sample itself and half-weight the neighbors, which become
+        # endpoints of the two remaining trapezoid runs
+        wrow[rows, idx] = 0.0
+        left = idx - 1
+        ok = left >= 0
+        wrow[rows[ok], left[ok]] = np.where(left[ok] == 0, 0.0, h / 2)
+        right = idx + 1
+        ok = right <= n - 1
+        wrow[rows[ok], right[ok]] = np.where(right[ok] == n - 1, 0.0, h / 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(dist == 0.0, 0.0, f[None, :] / np.where(dist == 0.0, 1.0, dist))
+        corr = f[np.minimum(idx + 1, n - 1)] - f[np.maximum(idx - 1, 0)]
+        out[start:stop] = (np.sum(wrow * g, axis=1) + corr) / np.pi
+    return out
+
+
+def inverse_fourier_dense(omega, values, t, chunk=256):
+    """Trapezoid sum int dw/(2 pi) f[w] exp(-i w t) as a dense matrix product;
+    the reference for ``numerics.inverse_fourier_to_time``."""
+    om = np.asarray(omega, dtype=float)
+    t = np.asarray(t, dtype=float)
+    weighted = _pv_weights(om) / (2.0 * np.pi) * np.asarray(values, dtype=complex)
+    out = np.empty(t.size, dtype=complex)
+    for start in range(0, t.size, chunk):
+        stop = min(start + chunk, t.size)
+        out[start:stop] = np.exp(-1j * np.outer(t[start:stop], om)) @ weighted
+    return out

@@ -32,6 +32,7 @@ def test_validate_single_pole_passes(tmp_path):
     text = out.read_text()
     assert text.startswith("# vacmirror")
     assert "passed,true" in text
+    assert "\ntail_bound,0\n" in text
 
 
 def test_validate_perfect_fails_transparency(tmp_path):
@@ -118,6 +119,7 @@ def test_causality_injected_spectra(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["report"]["mode"] == "direct"
     assert doc["report"]["negative_time_fraction"] < 1e-5
+    assert doc["report"]["tail_bound"] == 0.0  # the taper zeroes the edge samples
     code = main([
         "causality", "--inject", "cubic", "--format", "json", "--out", str(out),
     ])

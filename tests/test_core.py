@@ -35,6 +35,11 @@ def test_symmetric_grid_is_bitwise_symmetric():
     assert np.isclose(grid.spacing, 0.1)
 
 
+def test_spacing_is_exact_from_the_span():
+    # a neighbour difference would leave ~1e-12 relative error here
+    assert FrequencyGrid.symmetric(200.0, 16001).spacing == 400.0 / 16000
+
+
 def test_symmetric_grid_rejects_bad_counts():
     with pytest.raises(ValueError):
         FrequencyGrid.symmetric(5.0, 100)

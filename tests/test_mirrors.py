@@ -6,7 +6,6 @@ from vacmirror import (
     PerfectMirror,
     SinglePoleMirror,
     TabulatedMirror,
-    eval_smatrix,
     validate_model,
 )
 from vacmirror.mirrors import Mirror
@@ -68,11 +67,6 @@ def test_perfect_mirror_values():
     assert p.r(-2.0) == -1.0
     assert np.array_equal(p.smatrix(0.7), np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert not p.transparent
-
-
-def test_eval_smatrix_matches_method():
-    m = SinglePoleMirror(1.5)
-    assert np.array_equal(eval_smatrix(m, 2.0), m.smatrix(2.0))
 
 
 def test_base_mirror_is_abstract():
@@ -153,6 +147,16 @@ def test_validate_single_pole_passes():
     assert report.unitarity <= 1e-14
     assert report.causality < 0.05
     assert len(report.lines()) == 5
+
+
+def test_validate_reports_the_hilbert_tail_bound():
+    model = SinglePoleMirror(1.0)
+    # Re(s - 1) and Re r are even: on a symmetric grid the edge offset cancels
+    assert validate_model(model, FrequencyGrid.symmetric(50.0, 2001)).tail_bound == 0.0
+    om = np.linspace(-20.0, 50.0, 2001)
+    report = validate_model(model, FrequencyGrid(om))
+    edges = [np.real(f[0] - f[-1]) for f in (model.s(om) - 1.0, model.r(om))]
+    assert np.isclose(report.tail_bound, max(map(abs, edges)) * 2.0 * np.log(2.0) / np.pi, rtol=1e-12)
 
 
 def test_validate_perfect_fails_only_transparency():

@@ -1,9 +1,12 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import integrate
+from oracles import hilbert_dense, integrate, inverse_fourier_dense
 from vacmirror import (
     FrequencyGrid,
     NonConvergenceError,
@@ -104,12 +107,26 @@ def test_hilbert_applied_twice_negates():
     assert rel < 0.01
 
 
-def test_hilbert_chunking_is_invisible():
-    grid = FrequencyGrid.symmetric(10.0, 801)
-    f = np.exp(-grid.omega**2).astype(complex)
-    a = hilbert_transform(Spectrum(grid, f), chunk=7)
-    b = hilbert_transform(Spectrum(grid, f), chunk=256)
-    assert np.array_equal(a.values, b.values)
+def _drawn_grid(n, span, offset):
+    return FrequencyGrid(np.linspace(offset * span - span, offset * span + span, n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(65, 4001),
+    span=st.floats(1e-2, 1e3),
+    offset=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hilbert_matches_dense_reference(n, span, offset, seed):
+    grid = _drawn_grid(n, span, offset)
+    f = np.random.default_rng(seed).standard_normal(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        h = hilbert_transform(Spectrum(grid, f.astype(complex)))
+    expect = hilbert_dense(grid.omega, f)
+    assert np.max(np.abs(h.values.real - expect)) <= 1e-12 * np.max(np.abs(f))
+    assert not np.any(h.values.imag)
 
 
 def test_hilbert_warns_on_heavy_tails():
@@ -122,9 +139,10 @@ def test_hilbert_warns_on_heavy_tails():
 def test_ift_exponential_pair():
     grid = FrequencyGrid.symmetric(200.0, 16001)
     spec = Spectrum(grid, (1.0 / (1.0 - 1j * grid.omega)).astype(complex))
-    t = np.array([-2.0, -0.5, 0.5, 1.0, 2.0])
-    ft = inverse_fourier_to_time(spec, t)
-    expect = np.where(t > 0, np.exp(-np.abs(t)), 0.0)
+    t = np.linspace(-2.0, 2.0, 9)
+    probe = [0, 3, 5, 6, 8]  # t = -2, -0.5, 0.5, 1, 2
+    ft = inverse_fourier_to_time(spec, t)[probe]
+    expect = np.where(t[probe] > 0, np.exp(-np.abs(t[probe])), 0.0)
     assert np.allclose(ft.real, expect, rtol=0.0, atol=5e-3)
     tt = np.linspace(-20.0, 20.0, 4001)
     power = np.abs(inverse_fourier_to_time(spec, tt)) ** 2
@@ -142,13 +160,69 @@ def test_ift_gaussian_pair_real_and_even():
     assert np.allclose(ft.real, expect, rtol=0.0, atol=1e-12)
 
 
-def test_ift_chunking_is_invisible():
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(65, 4001),
+    span=st.floats(1e-2, 1e3),
+    offset=st.floats(-1.0, 1.0),
+    t_frac=st.floats(1e-3, 1.0),
+    t_center=st.floats(-0.5, 0.5),
+    nt=st.one_of(st.integers(1, 8), st.integers(9, 512)),  # few times: the widest chirp
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4001, span=200.0, offset=0.25, t_frac=1.0, t_center=0.2, nt=2, seed=0)
+def test_ift_matches_dense_reference(n, span, offset, t_frac, t_center, nt, seed):
+    grid = _drawn_grid(n, span, offset)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # t span and center inside the alias-free window 2 pi / dw
+    window = 2.0 * np.pi / grid.spacing
+    t = t_center * window + np.linspace(-0.5, 0.5, nt) * t_frac * window
+    ft = inverse_fourier_to_time(Spectrum(grid, vals), t)
+    expect = inverse_fourier_dense(grid.omega, vals, t)
+    assert np.max(np.abs(ft - expect)) <= 1e-11 * np.max(np.abs(expect))
+
+
+def test_ift_rejects_non_uniform_times():
     grid = FrequencyGrid.symmetric(10.0, 401)
     spec = Spectrum(grid, np.exp(-grid.omega**2).astype(complex))
     t = np.linspace(-2.0, 2.0, 101)
-    a = inverse_fourier_to_time(spec, t, chunk=3)
-    b = inverse_fourier_to_time(spec, t, chunk=256)
-    assert np.array_equal(a, b)
+    bent = t.copy()
+    bent[50] += 1e-6
+    for bad in (bent, np.array([0.0, 1.0, 3.0]), np.array([0.0, np.nan, 2.0]), t.reshape(1, -1)):
+        with pytest.raises(ValueError, match="t must be"):
+            inverse_fourier_to_time(spec, bad)
+    assert np.allclose(inverse_fourier_to_time(spec, t[::-1]), inverse_fourier_to_time(spec, t)[::-1])
+
+
+def test_ift_empty_and_single_time():
+    grid = FrequencyGrid.symmetric(10.0, 401)
+    vals = np.exp(-grid.omega**2).astype(complex)
+    spec = Spectrum(grid, vals)
+    empty = inverse_fourier_to_time(spec, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == complex
+    single = inverse_fourier_to_time(spec, np.array([0.7]))
+    assert single.shape == (1,)
+    assert np.isclose(single[0], inverse_fourier_dense(grid.omega, vals, [0.7])[0], rtol=1e-13)
+
+
+@pytest.mark.parametrize("transform", ["hilbert", "inverse_fourier"])
+def test_transform_memory_is_linear_in_grid_size(transform):
+    # the chunked dense transforms peaked near 8 kB per grid point
+    n = 65537
+    grid = FrequencyGrid.symmetric(200.0, n)
+    spec = Spectrum(grid, np.exp(-grid.omega**2).astype(complex))
+    t = np.linspace(-20.0, 20.0, 4001)
+    tracemalloc.start()
+    try:
+        if transform == "hilbert":
+            hilbert_transform(spec)
+        else:
+            inverse_fourier_to_time(spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * n
 
 
 def test_ift_warns_beyond_alias_span():
