@@ -50,6 +50,7 @@ from .numerics import (
 )
 from .pressure import (
     alpha,
+    alpha_beta,
     beta,
     energy_exchange_kernel,
     force_kernel,
@@ -109,6 +110,7 @@ __all__ = [
     "ValidationReport",
     "__version__",
     "alpha",
+    "alpha_beta",
     "beta",
     "causality_report",
     "cff_kernel",

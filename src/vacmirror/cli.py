@@ -296,9 +296,15 @@ def cmd_fdt(cfg: RunConfig) -> int:
     comments = [
         f"# max_deviation {_FMT % report.max_deviation}",
         f"# relative_deviation {_FMT % report.relative_deviation}",
+        f"# error_budget {_FMT % report.error_budget}",
         f"# tol {_FMT % cfg.tol}",
         f"# passed {str(passed).lower()}",
     ]
+    if report.within_budget:
+        comments.append(
+            "# note max_deviation lies within error_budget: the routes agree to "
+            "within their quadrature errors, and a smaller violation would not show"
+        )
     _write_table(cfg, ["omega", "xi_commutator", "xi_noise", "xi_chi"], rows, comments)
     return 0 if passed else 1
 

@@ -38,8 +38,8 @@ import numpy as np
 from .core import FrequencyGrid, Spectrum, dagger
 from .mirrors import Mirror
 from .numerics import QuadratureConfig
-from .pressure import alpha, beta, force_kernel
-from .response import budgeted_spectrum, chi_kernel, convolve, fold, susceptibility
+from .pressure import alpha_beta, force_kernel
+from .response import _chi, budgeted_spectrum, chi_kernel, convolve, fold
 from .states import FieldState, VacuumState
 
 
@@ -51,8 +51,7 @@ def cff_kernel(model: Mirror, state: FieldState, omega, omega2):
     which requires w, w' != 0.
     """
     if state.diagonal:
-        a = alpha(model, omega, omega2)
-        b = beta(model, omega, omega2)
+        a, b = alpha_beta(model, omega, omega2)
         w1 = state.noise_weight(omega)
         w2 = state.noise_weight(omega2)
         return 2.0 * (
@@ -128,6 +127,18 @@ def noise_spectrum(
     return _noise(model, state, omega, quad)[0][()]
 
 
+def _xi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
+    kernel = partial(commutator_kernel, model, state)
+
+    def compute(w):
+        return convolve(kernel, w, state, model, quad, "xi_spectrum")
+
+    values, abs_error, evaluations = (
+        fold(omega, compute, np.negative) if isinstance(state, VacuumState) else compute(omega)
+    )
+    return _real(values, omega, "commutator spectrum"), abs_error, evaluations
+
+
 def xi_spectrum(
     model: Mirror,
     state: FieldState,
@@ -139,13 +150,7 @@ def xi_spectrum(
     Real and odd in w; equals Im chi(w) when the fluctuation-dissipation
     relation holds.  In the vacuum the oddness holds by construction.
     """
-    kernel = partial(commutator_kernel, model, state)
-
-    def compute(w):
-        return convolve(kernel, w, state, model, quad, "xi_spectrum")
-
-    values = (fold(omega, compute, np.negative) if isinstance(state, VacuumState) else compute(omega))[0]
-    return _real(values, omega, "commutator spectrum")[()]
+    return _xi(model, state, omega, quad)[0][()]
 
 
 def noise_spectrum_grid(
@@ -175,6 +180,10 @@ class FdtReport:
         Largest pairwise difference across the grid.
     peak : float
         max |xi| across routes, the natural scale for max_deviation.
+    error_budget : float
+        Largest quadrature error estimate of any route at any frequency:
+        route (b) carries (e(w) + e(-w)) / (2 hbar) from its noise samples.
+        A max_deviation below it says nothing about the relation.
     """
 
     grid: FrequencyGrid
@@ -183,6 +192,12 @@ class FdtReport:
     xi_chi: np.ndarray
     max_deviation: float
     peak: float
+    error_budget: float
+
+    @property
+    def within_budget(self) -> bool:
+        """Whether the routes agree to within their quadrature errors."""
+        return self.max_deviation <= self.error_budget
 
     @property
     def relative_deviation(self) -> float:
@@ -203,17 +218,19 @@ def fdt_check(
     Computes xi(w) three independent ways (commutator-kernel convolution,
     antisymmetrized noise spectra, imaginary part of the susceptibility) and
     reports the maximum pairwise deviation together with the peak magnitude
-    it should be compared against.
+    it should be compared against and the routes' quadrature error budget.
     """
     om = grid.omega
     if not np.array_equal(om, -om[::-1]):
         raise ValueError("fdt_check needs a sign-symmetric grid")
     hbar = state.context.hbar
 
-    xi_a = xi_spectrum(model, state, om, quad)
-    cff = noise_spectrum(model, state, om, quad)
+    xi_a, err_a, _ = _xi(model, state, om, quad)
+    cff, err_cff, _ = _noise(model, state, om, quad)
     xi_b = (cff - cff[::-1]) / (2.0 * hbar)
-    xi_c = np.imag(susceptibility(model, state, om, quad))
+    err_b = (err_cff + err_cff[::-1]) / (2.0 * hbar)
+    chi, err_c, _ = _chi(model, state, om, quad)
+    xi_c = np.imag(chi)
 
     deviation = max(
         float(np.max(np.abs(xi_a - xi_b))),
@@ -228,4 +245,5 @@ def fdt_check(
         xi_chi=xi_c,
         max_deviation=deviation,
         peak=peak,
+        error_budget=float(max(np.max(err_a), np.max(err_b), np.max(err_c))),
     )

@@ -34,21 +34,33 @@ from .mirrors import Mirror
 from .states import FieldState
 
 
+def alpha_beta(model: Mirror, omega, omega2):
+    """(alpha, beta) at (w, w'), elementwise, from one s and one r call per argument."""
+    s1, r1 = model.s(omega), model.r(omega)
+    s2, r2 = model.s(omega2), model.r(omega2)
+    return 1.0 - s1 * s2 + r1 * r2, s1 * r2 - r1 * s2
+
+
 def alpha(model: Mirror, omega, omega2):
-    """Diagonal kernel entry 1 - s(w)s(w') + r(w)r(w'), vectorized."""
+    """Diagonal kernel entry 1 - s(w)s(w') + r(w)r(w'), vectorized.
+
+    The susceptibility kernel needs alpha alone, so beta is not formed here.
+    """
     return 1.0 - model.s(omega) * model.s(omega2) + model.r(omega) * model.r(omega2)
 
 
 def beta(model: Mirror, omega, omega2):
     """Off-diagonal kernel entry s(w)r(w') - r(w)s(w'), vectorized."""
-    return model.s(omega) * model.r(omega2) - model.r(omega) * model.s(omega2)
+    return alpha_beta(model, omega, omega2)[1]
 
 
 def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
-    """F[w, w'] = eta - S(w') eta S(w), shape ``np.broadcast(w, w').shape + (2, 2)``."""
-    s_w = model.smatrix(omega)
-    s_w2 = model.smatrix(omega2)
-    return ETA - s_w2 @ ETA @ s_w
+    """F[w, w'] = [[alpha, beta], [-beta, -alpha]], shape ``np.broadcast(w, w').shape + (2, 2)``."""
+    a, b = alpha_beta(model, omega, omega2)
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = a, b
+    out[..., 1, 0], out[..., 1, 1] = -b, -a
+    return out
 
 
 def unitarity_identities(model: Mirror, omega: float, omega2: float) -> tuple[float, float]:

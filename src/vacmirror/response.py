@@ -163,19 +163,21 @@ def convolve(
     live = edges[-1] > edges[0]
     x, edges = w[live], edges[:, live]
     widths = np.diff(edges, axis=0)
-    weights = widths / (2.0 * np.pi) + 0j
+    weights = widths / (2.0 * np.pi)
     last = len(widths) - 1
 
-    def integrand(t: float) -> np.ndarray:
-        piece = min(int(t), last)
-        wp = edges[piece] + (t - piece) * widths[piece]
-        on = widths[piece] > 0
+    def integrand(t: np.ndarray, cols: slice) -> np.ndarray:
+        # nodes never sit on a piece edge, so each lies inside one piece
+        piece = np.minimum(t.astype(int), last)
+        left, width, weight = edges[:, cols][piece], widths[:, cols][piece], weights[:, cols][piece]
+        wp = left + (t - piece)[:, None] * width
+        on = width > 0
         if on.all():
-            return kernel(wp, x - wp) * weights[piece]
+            return kernel(wp, x[cols] - wp) * weight
         # an empty piece (the middle one at w = 0) adds nothing, and the
         # kernel may be singular there
-        out = np.zeros(x.shape, dtype=complex)
-        out[on] = kernel(wp[on], x[on] - wp[on]) * weights[piece][on]
+        out = np.zeros(wp.shape, dtype=complex)
+        out[on] = kernel(wp[on], (x[cols] - wp)[on]) * weight[on]
         return out
 
     values = np.zeros(w.shape, dtype=complex)
@@ -254,7 +256,7 @@ def susceptibility_grid(
     Only the distinct |w| > 0 are integrated; negative frequencies are filled
     by conjugation, so on sign-symmetric grids the reality constraint holds
     bitwise.  ``meta["abs_error"]`` and ``meta["evaluations"]`` carry each
-    sample's error bound and kernel evaluation count.
+    sample's error estimate and the number of quadrature nodes evaluated.
     """
     return budgeted_spectrum(grid, "susceptibility", *_chi(model, state, grid.omega, quad))
 

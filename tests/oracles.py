@@ -2,7 +2,9 @@
 
 Everything here is derived independently of the library's integration
 routines: the single-pole forms are analytic antiderivatives of the vacuum
-kernel, the trapezoid integrators resample the kernels at fixed high
+kernel, :func:`thermal_chi_mp` and :func:`thermal_cff_mp` integrate the
+thermal kernels over the whole real line in 30-digit arithmetic, the
+trapezoid integrators resample the kernels at fixed high
 resolution, :func:`integrate` is a scalar adaptive quadrature (one
 QUADPACK call per integrand) against which the batched vector quadrature is
 compared sample by sample, and :func:`hilbert_dense` and
@@ -14,6 +16,7 @@ compared.
 import warnings
 from typing import Callable
 
+import mpmath
 import numpy as np
 import scipy.integrate
 
@@ -59,6 +62,56 @@ def cff_vacuum(omega, omega_c, hbar=1.0):
     if w <= 0.0:
         return 0.0
     return 2.0 * hbar * xi_single_pole(w, omega_c, hbar)
+
+
+def _thermal_mp(kernel, omega, omega_c, temp, hbar):
+    """integral dw'/(2 pi) kernel(s, r, u, W, w', w - w') over the real line, 30 digits.
+
+    s, r are the single-pole amplitudes; u(v) = (hbar v/2) coth(hbar v/2T)
+    and W(v) = hbar v / (2 (1 - e^{-hbar v/T})) the thermal chi and noise
+    weights.  The line is split at 0 and w, where the weights have kinks.
+    """
+    with mpmath.workdps(30):
+        w, oc, t, h = (mpmath.mpf(v) for v in (omega, omega_c, temp, hbar))
+
+        def s(v):
+            return v / (v + 1j * oc)
+
+        def r(v):
+            return -1j * oc / (v + 1j * oc)
+
+        def u(v):
+            return t if v == 0 else h * v / (2 * mpmath.tanh(h * v / (2 * t)))
+
+        def weight(v):
+            return t / 2 if v == 0 else h * v / (2 * -mpmath.expm1(-h * v / t))
+
+        def integrand(x):
+            return kernel(s, r, u, weight, x, w - x) / (2 * mpmath.pi)
+
+        cuts = sorted({mpmath.mpf(0), w})
+        return mpmath.quad(integrand, [-mpmath.inf, *cuts, mpmath.inf])
+
+
+def thermal_chi_mp(omega, omega_c, temp, hbar=1.0):
+    """Thermal chi(w) of the single-pole mirror, independent 30-digit reference."""
+
+    def kernel(s, r, u, weight, w1, w2):
+        a = 1 - s(w1) * s(w2) + r(w1) * r(w2)
+        return 1j * a * (w2 * u(w1) + w1 * u(w2))
+
+    return complex(_thermal_mp(kernel, omega, omega_c, temp, hbar))
+
+
+def thermal_cff_mp(omega, omega_c, temp, hbar=1.0):
+    """Thermal C_FF(w) of the single-pole mirror, independent 30-digit reference."""
+
+    def kernel(s, r, u, weight, w1, w2):
+        a = 1 - s(w1) * s(w2) + r(w1) * r(w2)
+        b = s(w1) * r(w2) - r(w1) * s(w2)
+        return 4 * weight(w1) * weight(w2) * (abs(a) ** 2 + abs(b) ** 2)
+
+    return float(mpmath.re(_thermal_mp(kernel, omega, omega_c, temp, hbar)))
 
 
 def trapezoid_chi(model, state, omega, lo, hi, n=200_001):

@@ -95,7 +95,11 @@ def test_fdt_passes_for_vacuum(tmp_path):
     out = tmp_path / "fdt.csv"
     code = main(["fdt", "--grid", "-2:2:11", "--out", str(out)])
     assert code == 0
-    assert "# passed true" in out.read_text()
+    text = out.read_text()
+    assert "# passed true" in text
+    budget = next(ln for ln in text.splitlines() if ln.startswith("# error_budget "))
+    assert 0.0 < float(budget.split()[-1]) < 1e-8
+    assert "# note max_deviation lies within error_budget" in text
 
 
 def test_fdt_fails_for_broken_table(tmp_path):
@@ -107,7 +111,9 @@ def test_fdt_fails_for_broken_table(tmp_path):
         "--grid", "-2:2:11", "--out", str(out),
     ])
     assert code == 1
-    assert "# passed false" in out.read_text()
+    text = out.read_text()
+    assert "# passed false" in text
+    assert "# error_budget " in text and "# note" not in text
 
 
 def test_causality_injected_spectra(tmp_path):

@@ -3,10 +3,14 @@
 Every grid spectrum is one vector quadrature over all its frequencies.  The
 differential tests integrate the same kernels sample by sample with the
 scalar QUADPACK reference ``oracles.integrate`` over the same supports, and
-require agreement within the two samples' error contracts.  Property tests
-draw the cutoff, hbar and the temperature at random and check the closed
-forms and the symmetries that hold by construction.
+require agreement within the two samples' error contracts.  Thermal spectra
+are also compared with 30-digit references over the whole real line.
+Property tests draw the cutoff, hbar and the temperature at random and check
+the closed forms and the symmetries that hold by construction.  Work is
+guarded by counting kernel calls and traced memory, not by timing.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +38,7 @@ from vacmirror import (
     susceptibility_grid,
     xi_spectrum,
 )
+import vacmirror.fluctuations
 from vacmirror.response import _THERMAL_DECADES
 
 QUAD = QuadratureConfig()
@@ -183,3 +188,52 @@ def test_thermal_detailed_balance_over_parameter_space(omega_c, hbar, temp, x):
     th = ThermalState(temp, PhysicsContext(hbar))
     cff = noise_spectrum(SinglePoleMirror(omega_c), th, np.array([-w, w]))
     assert abs(cff[0] / cff[1] - np.exp(-x)) <= 1e-8 * np.exp(-x)
+
+
+@pytest.mark.parametrize(
+    "spectrum, reference, omegas",
+    [
+        (susceptibility_grid, oracles.thermal_chi_mp, [0.5, 2.0, 3.5]),
+        (noise_spectrum_grid, oracles.thermal_cff_mp, [-2.0, 0.5, 3.0, 5.5]),
+    ],
+    ids=["chi", "cff"],
+)
+def test_thermal_spectra_match_30_digit_references(spectrum, reference, omegas):
+    # the references integrate over the whole line, so this also checks the
+    # thermal window of _THERMAL_DECADES
+    spec = spectrum(SinglePoleMirror(1.0), ThermalState(1.0), FrequencyGrid(np.array(omegas)))
+    for k, w in enumerate(omegas):
+        ref = reference(w, 1.0, 1.0)
+        error = abs(spec.values[k] - ref)
+        assert error <= spec.meta["abs_error"][k], (w, error, spec.meta["abs_error"][k])
+        assert error <= 1e-10 * abs(ref), (w, error)
+
+
+def test_thermal_noise_calls_its_kernel_once_per_batch_of_nodes(monkeypatch):
+    calls = []
+    kernel = vacmirror.fluctuations.cff_kernel
+
+    def counting(model, state, omega, omega2):
+        calls.append(np.size(omega))
+        return kernel(model, state, omega, omega2)
+
+    monkeypatch.setattr(vacmirror.fluctuations, "cff_kernel", counting)
+    spec = noise_spectrum_grid(SinglePoleMirror(1.0), ThermalState(1.0), FrequencyGrid.symmetric(5.0, 41))
+    evaluations = int(spec.meta["evaluations"].max())
+    assert np.all(spec.meta["evaluations"] == evaluations)
+    assert 0 < len(calls) <= evaluations / 21
+    assert sum(calls) <= evaluations * 41
+
+
+def test_grid_quadrature_memory_is_linear_in_grid_size():
+    # about 0.36 kB per grid point; evaluating all nodes of a round in one
+    # call peaked near 4.7 kB, one interval for all samples per call near 1.6 kB
+    n = 16001
+    grid = FrequencyGrid.symmetric(200.0, n)
+    tracemalloc.start()
+    try:
+        susceptibility_grid(SinglePoleMirror(2.0), VacuumState(), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * n

@@ -15,6 +15,7 @@ from vacmirror import (
     noise_spectrum,
     noise_spectrum_grid,
     susceptibility,
+    susceptibility_grid,
     xi_spectrum,
 )
 
@@ -148,6 +149,19 @@ def test_fdt_check_vacuum():
 def test_fdt_check_thermal():
     rep = fdt_check(SinglePoleMirror(1.0), ThermalState(1.0), FrequencyGrid.symmetric(3.0, 13))
     assert rep.relative_deviation <= 1e-8
+
+
+def test_fdt_report_carries_the_routes_error_budget():
+    m, th = SinglePoleMirror(1.0), ThermalState(1.0)
+    grid = FrequencyGrid.symmetric(3.0, 13)
+    rep = fdt_check(m, th, grid)
+    chi = susceptibility_grid(m, th, grid)
+    cff = noise_spectrum_grid(m, th, grid)
+    err_b = (cff.meta["abs_error"] + cff.meta["abs_error"][::-1]) / 2.0
+    assert rep.error_budget >= max(np.max(chi.meta["abs_error"]), np.max(err_b))
+    assert 0.0 < rep.error_budget <= 1e-10 * max(np.max(np.abs(chi.values)), np.max(cff.values))
+    # the routes agree far better than their error estimates
+    assert rep.within_budget
 
 
 def test_fdt_check_needs_symmetric_grid():

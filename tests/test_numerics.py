@@ -13,8 +13,10 @@ from vacmirror import (
     QuadratureConfig,
     Spectrum,
     hilbert_transform,
+    integrate_batch,
     inverse_fourier_to_time,
 )
+from vacmirror.numerics import _GAUSS, _KRONROD, _NODES
 
 
 def test_integrate_polynomial_exact():
@@ -58,6 +60,55 @@ def test_integrate_raises_with_best_estimate():
         integrate(rough, 0.0, 1.0, cfg)
     assert np.isfinite(info.value.error_estimate)
     assert isinstance(info.value.best, complex)
+
+
+def _monomial_errors(nodes, weights, degrees):
+    exact = [2.0 / (d + 1) if d % 2 == 0 else 0.0 for d in degrees]
+    return [abs(weights @ nodes**d - e) for d, e in zip(degrees, exact)]
+
+
+def test_kronrod_rule_is_exact_through_degree_31():
+    assert np.all(np.diff(_NODES) < 0) and np.array_equal(_NODES, -_NODES[::-1])
+    assert max(_monomial_errors(_NODES, _KRONROD, range(32))) <= 1e-15
+    assert min(_monomial_errors(_NODES, _KRONROD, [32, 34])) > 1e-13
+
+
+def test_gauss_rule_is_exact_through_degree_19():
+    gauss_nodes = _NODES[1::2]
+    assert np.allclose(gauss_nodes, np.polynomial.legendre.leggauss(10)[0][::-1], rtol=0.0, atol=1e-15)
+    assert max(_monomial_errors(gauss_nodes, _GAUSS, range(20))) <= 1e-15
+    assert min(_monomial_errors(gauss_nodes, _GAUSS, [20, 22])) > 1e-8
+
+
+def test_integrate_batch_keeps_each_sample_contract():
+    # exp(c t) on [0, 2] with a kink-free break at t = 1; samples of very
+    # different size each meet their own tolerance
+    c = np.array([-3.0, 0.5, 2.0 + 5.0j, 8.0])
+    cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
+    sizes = []
+
+    def f(t, cols):
+        sizes.append(t.size)
+        return np.exp(np.outer(t, c[cols]))
+
+    values, abs_error, evaluations = integrate_batch(
+        f, 2.0, np.ones(c.size), c.real, cfg, "test", points=(1.0,)
+    )
+    exact = np.expm1(2.0 * c) / c
+    assert np.all(np.abs(values - exact) <= abs_error)
+    assert np.all(abs_error <= np.maximum(1e-12, 1e-10 * np.abs(exact)) / 8)
+    assert np.all(evaluations == sum(sizes)) and evaluations[0] % 21 == 0
+    assert min(sizes) >= 21
+
+
+def test_integrate_batch_names_the_sample_that_fails():
+    def f(t, cols):
+        out = np.ones((t.size, 3))
+        out[:, 1] = np.where(t > 0.5, np.nan, 1.0)
+        return out[:, cols]
+
+    with pytest.raises(NonConvergenceError, match=r"test at omega=2\.0: .*non-finite"):
+        integrate_batch(f, 1.0, np.ones(3), np.array([1.0, 2.0, 3.0]), QuadratureConfig(), "test")
 
 
 def test_quadrature_config_validation():

@@ -10,7 +10,9 @@ from vacmirror import (
     ThermalState,
     TwoTemperatureState,
     VacuumState,
+    Mirror,
     alpha,
+    alpha_beta,
     beta,
     energy_exchange_kernel,
     force_kernel,
@@ -67,6 +69,38 @@ def test_force_kernel_structure():
     assert np.allclose(f.T, force_kernel(m, w2, w1), atol=1e-15)
     assert np.allclose(ETA @ f @ ETA, force_kernel(m, w2, w1), atol=1e-15)
     assert np.allclose(f.conj().T, force_kernel(m, -w2, -w1), atol=1e-15)
+
+
+def test_force_kernel_matches_the_scattering_product():
+    # F = eta - S(w') eta S(w) from the S-matrices, over broadcast arrays
+    m = SinglePoleMirror(1.3)
+    rng = np.random.default_rng(5)
+    w1 = rng.uniform(-6.0, 6.0, (4, 1))
+    w2 = rng.uniform(-6.0, 6.0, 5)
+    expect = ETA - m.smatrix(w2) @ ETA @ m.smatrix(w1)
+    assert force_kernel(m, w1, w2).shape == (4, 5, 2, 2)
+    assert np.allclose(force_kernel(m, w1, w2), expect, rtol=0.0, atol=1e-15)
+
+
+def test_alpha_beta_evaluates_each_amplitude_once_per_argument():
+    calls = []
+
+    class Counting(Mirror):
+        inner = SinglePoleMirror(0.8)
+
+        def s(self, omega):
+            calls.append("s")
+            return self.inner.s(omega)
+
+        def r(self, omega):
+            calls.append("r")
+            return self.inner.r(omega)
+
+    w1, w2 = np.array([0.3, -1.1]), np.array([2.0, 0.7])
+    a, b = alpha_beta(Counting(), w1, w2)
+    assert sorted(calls) == ["r", "r", "s", "s"]
+    assert np.array_equal(a, alpha(Counting.inner, w1, w2))
+    assert np.array_equal(b, beta(Counting.inner, w1, w2))
 
 
 def test_force_kernel_perfect_mirror():
