@@ -14,7 +14,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .causality import CausalityConfig, CausalityReport, causality_report
+from .causality import CausalityReport, causality_report
 from .core import (
     ETA,
     FrequencyGrid,
@@ -51,7 +51,6 @@ from .numerics import (
 from .pressure import (
     alpha,
     alpha_beta,
-    beta,
     energy_exchange_kernel,
     force_kernel,
     mean_force,
@@ -86,7 +85,6 @@ from .states import (
 )
 
 __all__ = [
-    "CausalityConfig",
     "CausalityReport",
     "CustomState",
     "ETA",
@@ -111,7 +109,6 @@ __all__ = [
     "__version__",
     "alpha",
     "alpha_beta",
-    "beta",
     "causality_report",
     "cff_kernel",
     "chi_kernel",

@@ -28,46 +28,17 @@ from .core import Spectrum
 from .numerics import hilbert_transform, inverse_fourier_to_time
 
 
-@dataclass(frozen=True)
-class CausalityConfig:
-    """Tuning knobs for the causality diagnostics.
-
-    Parameters
-    ----------
-    taper_frac : float
-        Fraction of each band edge smoothed to zero by a cosine ramp.
-    fit_frac : float
-        Fraction of each band edge used to fit the real plateau mu + c/|w|.
-    exclusion_mult : float
-        Half-width of the excluded window around t = 0, in units of pi/w_max;
-        window-limited resolution makes times below this scale meaningless.
-    interior_frac : float
-        Fraction of the band (around zero) scored by the dispersion residual.
-    nt : int
-        Number of time samples for the energy-fraction metric.
-    mode : str
-        "inertial" divides by -w^2 first, "direct" uses the spectrum as is,
-        "auto" picks by comparing edge magnitude against the interior median.
-    """
-
-    taper_frac: float = 0.15
-    fit_frac: float = 0.10
-    exclusion_mult: float = 8.0
-    interior_frac: float = 0.25
-    nt: int = 4001
-    mode: str = "auto"
-
-    def __post_init__(self) -> None:
-        for name in ("taper_frac", "fit_frac", "interior_frac"):
-            value = getattr(self, name)
-            if not 0.0 < value < 0.5:
-                raise ValueError(f"{name} must lie in (0, 0.5), got {value}")
-        if self.exclusion_mult <= 0.0:
-            raise ValueError("exclusion_mult must be positive")
-        if self.nt < 64:
-            raise ValueError("nt must be at least 64")
-        if self.mode not in ("auto", "inertial", "direct"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+# fraction of each band edge smoothed to zero by a cosine ramp
+_TAPER_FRAC = 0.15
+# fraction of each band edge used to fit the real plateau mu + c/|w|
+_FIT_FRAC = 0.10
+# half-width of the excluded window around t = 0, in units of pi/w_max:
+# window-limited resolution makes times below this scale meaningless
+_EXCLUSION_MULT = 8.0
+# fraction of the band (around zero) scored by the dispersion residual
+_INTERIOR_FRAC = 0.25
+# time samples for the energy-fraction metric
+_NT = 4001
 
 
 @dataclass(frozen=True)
@@ -106,15 +77,6 @@ class CausalityReport:
     def passes(self, neg_tol: float = 1e-3, kk_tol: float = 0.01) -> bool:
         return self.negative_time_fraction < neg_tol and self.kk_residual < kk_tol
 
-    def lines(self) -> list[str]:
-        return [
-            f"mode                    {self.mode}",
-            f"negative_time_fraction  {self.negative_time_fraction:.6e}",
-            f"kk_residual             {self.kk_residual:.6e}",
-            f"plateau                 {self.plateau:.6e}",
-            f"t_exclusion             {self.t_exclusion:.6e}",
-        ]
-
 
 def _fill_zero(om: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Replace samples at w = 0 by the average of their neighbours."""
@@ -147,14 +109,16 @@ def _subtract_plateau(om: np.ndarray, values: np.ndarray, frac: float) -> tuple[
     return values - coef[0], float(coef[0])
 
 
-def causality_report(spectrum: Spectrum, config: CausalityConfig | None = None) -> CausalityReport:
+def causality_report(spectrum: Spectrum, mode: str = "auto") -> CausalityReport:
     """Score a sampled response spectrum against both causality metrics.
 
     Parameters
     ----------
     spectrum : Spectrum
         Response samples on a sign-symmetric uniform grid containing w = 0.
-    config : CausalityConfig, optional
+    mode : str
+        "inertial" divides by -w^2 first, "direct" uses the spectrum as is,
+        "auto" picks by comparing edge magnitude against the interior median.
 
     Returns
     -------
@@ -169,7 +133,8 @@ def causality_report(spectrum: Spectrum, config: CausalityConfig | None = None) 
     >>> causality_report(chi).passes()
     True
     """
-    cfg = config or CausalityConfig()
+    if mode not in ("auto", "inertial", "direct"):
+        raise ValueError(f"unknown mode {mode!r}")
     om = spectrum.omega
     values = spectrum.values
     n = om.size
@@ -182,7 +147,6 @@ def causality_report(spectrum: Spectrum, config: CausalityConfig | None = None) 
         raise ValueError("grid must contain the zero frequency")
     w_max = float(om[-1])
 
-    mode = cfg.mode
     if mode == "auto":
         k = max(3, n // 50)
         edge = max(float(np.mean(np.abs(values[:k]))), float(np.mean(np.abs(values[-k:]))))
@@ -195,16 +159,16 @@ def causality_report(spectrum: Spectrum, config: CausalityConfig | None = None) 
     else:
         a = values.astype(complex)
 
-    a, plateau = _subtract_plateau(om, a, cfg.fit_frac)
-    a = a * _cosine_taper(n, cfg.taper_frac)
+    a, plateau = _subtract_plateau(om, a, _FIT_FRAC)
+    a = a * _cosine_taper(n, _TAPER_FRAC)
 
     # energy fraction at negative times, t on [-pi/5dw, pi/5dw] sign-symmetric
     dw = spectrum.grid.spacing
-    dt = 2.0 * np.pi / (5.0 * dw) / (cfg.nt - 1)
-    t = dt * (np.arange(cfg.nt) - 0.5 * (cfg.nt - 1))
+    dt = 2.0 * np.pi / (5.0 * dw) / (_NT - 1)
+    t = dt * (np.arange(_NT) - 0.5 * (_NT - 1))
     signal = inverse_fourier_to_time(Spectrum(spectrum.grid, a), t)
     power = np.abs(signal) ** 2
-    t_excl = cfg.exclusion_mult * np.pi / w_max
+    t_excl = _EXCLUSION_MULT * np.pi / w_max
     # a sample on the window edge (default grids place one there) counts as
     # inside, whichever way its rounding falls
     outside = np.abs(t) > t_excl * (1.0 + 1e-9)
@@ -221,7 +185,7 @@ def causality_report(spectrum: Spectrum, config: CausalityConfig | None = None) 
         transformed = hilbert_transform(Spectrum(spectrum.grid, m.astype(complex)))
     predicted = om * transformed.values.real
     anchored = a.real - a.real[mid]
-    band = np.abs(om) <= cfg.interior_frac * w_max
+    band = np.abs(om) <= _INTERIOR_FRAC * w_max
     mismatch = np.linalg.norm(anchored[band] - predicted[band])
     denom = max(np.linalg.norm(anchored[band]), np.linalg.norm(predicted[band]), 1e-300)
 

@@ -31,6 +31,18 @@ def max_entry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
+def frequency_pair(omega, omega2) -> tuple[np.ndarray, np.ndarray]:
+    """The two arguments of a two-frequency kernel as float arrays of one shape.
+
+    Arguments of equal shape, scalars included, are not broadcast, which
+    keeps the per-pair call cheap; ``np.array([w1, w2])`` then stacks them.
+    """
+    w1, w2 = np.asarray(omega, dtype=float), np.asarray(omega2, dtype=float)
+    if w1.shape != w2.shape:
+        w1, w2 = np.broadcast_arrays(w1, w2)
+    return w1, w2
+
+
 @dataclass(frozen=True)
 class PhysicsContext:
     """Physical constants for a computation.

@@ -241,7 +241,7 @@ def integrate_batch(
     )
 
 
-def hilbert_transform(spectrum: Spectrum, cfg: QuadratureConfig | None = None) -> Spectrum:
+def hilbert_transform(spectrum: Spectrum) -> Spectrum:
     """Windowed principal-value transform of a real sampled spectrum.
 
     Computes ``g(w) = (1/pi) P int f(w') / (w' - w) dw'`` over the grid span.
@@ -257,9 +257,6 @@ def hilbert_transform(spectrum: Spectrum, cfg: QuadratureConfig | None = None) -
         Real-valued samples on a uniform grid; imaginary parts are discarded.
         The input should decay toward the grid ends, otherwise the neglected
         tail dominates.
-    cfg : QuadratureConfig, optional
-        If given, the tail bound is compared against ``0.1 * abs_tol`` to
-        decide whether to warn; otherwise a relative heuristic is used.
 
     Returns
     -------
@@ -267,7 +264,8 @@ def hilbert_transform(spectrum: Spectrum, cfg: QuadratureConfig | None = None) -
         Real-valued transform with ``meta["tail_bound"]`` set to an estimate
         of the neglected out-of-window contribution, assuming the input decays
         at least like 1/|w| beyond the grid.  A ``meta["warning"]`` entry is
-        added (and a RuntimeWarning emitted) when that bound is not small.
+        added (and a RuntimeWarning emitted) when that bound exceeds 1e-3 of
+        the transform's peak magnitude.
 
     Notes
     -----
@@ -290,8 +288,7 @@ def hilbert_transform(spectrum: Spectrum, cfg: QuadratureConfig | None = None) -
     # contribution at interior samples is bounded by ~(2 ln 2 / pi) * |f_edge|.
     tail = (abs(f[0]) + abs(f[-1])) * (2.0 * np.log(2.0) / np.pi)
     meta: dict = {"tail_bound": tail}
-    scale = max(np.max(np.abs(out)), _TINY)
-    threshold = 0.1 * cfg.abs_tol if cfg is not None else 1e-3 * scale
+    threshold = 1e-3 * max(np.max(np.abs(out)), _TINY)
     if tail > threshold:
         msg = (
             f"hilbert_transform: estimated out-of-window tail {tail:.3e} exceeds "

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ETA, EYE2, FrequencyGrid, dagger, max_entry
+from .core import ETA, EYE2, FrequencyGrid, dagger
 from .mirrors import Mirror
 from .states import FieldState
 
@@ -49,11 +49,6 @@ def alpha(model: Mirror, omega, omega2):
     return 1.0 - model.s(omega) * model.s(omega2) + model.r(omega) * model.r(omega2)
 
 
-def beta(model: Mirror, omega, omega2):
-    """Off-diagonal kernel entry s(w)r(w') - r(w)s(w'), vectorized."""
-    return alpha_beta(model, omega, omega2)[1]
-
-
 def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
     """F[w, w'] = [[alpha, beta], [-beta, -alpha]], shape ``np.broadcast(w, w').shape + (2, 2)``."""
     a, b = alpha_beta(model, omega, omega2)
@@ -63,22 +58,24 @@ def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
     return out
 
 
-def unitarity_identities(model: Mirror, omega: float, omega2: float) -> tuple[float, float]:
-    """Max-entry residuals of the two product identities at (w, w').
+def unitarity_identities(model: Mirror, omega, omega2) -> tuple[np.ndarray, np.ndarray]:
+    """Max-entry residuals of the two product identities, one per (w, w') pair.
 
-    Both vanish identically for unitary models; a non-unitary model (for
-    example a tabulated mirror with rescaled reflection) yields nonzero
-    residuals, which is how tests detect the broken symmetry.
+    Elementwise over frequency arrays: each residual is the largest absolute
+    entry of its pair's 2x2 identity.  Both vanish identically for unitary
+    models; a non-unitary model (for example a tabulated mirror with
+    rescaled reflection) yields nonzero residuals, which is how tests detect
+    the broken symmetry.
     """
     f = force_kernel(model, omega, omega2)
     fd = dagger(f)
-    res_a = max_entry(f @ fd - (f @ ETA + ETA @ fd))
-    res_b = max_entry(fd @ f - (ETA @ f + fd @ ETA))
+    res_a = np.max(np.abs(f @ fd - (f @ ETA + ETA @ fd)), axis=(-2, -1))
+    res_b = np.max(np.abs(fd @ f - (ETA @ f + fd @ ETA)), axis=(-2, -1))
     return res_a, res_b
 
 
-def energy_exchange_kernel(model: Mirror, omega: float) -> np.ndarray:
-    """G(w, -w) = I - S(-w) S(w); zero for unitary, real models."""
+def energy_exchange_kernel(model: Mirror, omega) -> np.ndarray:
+    """G(w, -w) = I - S(-w) S(w); zero for unitary, real models, elementwise over arrays."""
     return EYE2 - model.smatrix(-omega) @ model.smatrix(omega)
 
 

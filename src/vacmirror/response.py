@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ETA, FrequencyGrid, Spectrum
+from .core import ETA, FrequencyGrid, Spectrum, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig, integrate_batch
 from .pressure import alpha, force_kernel
@@ -41,14 +41,27 @@ from .states import FieldState, VacuumState
 _THERMAL_DECADES = 46.0
 
 
-def delta_smatrix(model: Mirror, omega: float, omega2: float) -> np.ndarray:
+def _modulated(cov, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Modulated covariance i w c(w) eta + i w' eta c(-w'), per (w, w') pair.
+
+    ``cov`` is a covariance spectrum (``cplus`` or ``cfull`` of a state),
+    evaluated once on the stacked frequencies; ``w1`` and ``w2`` share a shape.
+    """
+    c_w, c_neg_w2 = cov(np.array([w1, -w2]))
+    return 1j * (w1[..., None, None] * c_w @ ETA + w2[..., None, None] * ETA @ c_neg_w2)
+
+
+def delta_smatrix(model: Mirror, omega, omega2) -> np.ndarray:
     """First-order scattering perturbation i w' (S(w) eta - eta S(w')).
 
     The returned matrix multiplies the trajectory weight dq[w - w']; at equal
     frequencies the diagonal cancels and only the off-diagonal -/+ 2 r
-    structure survives, while w' = 0 gives the zero matrix.
+    structure survives, while w' = 0 gives the zero matrix.  Elementwise
+    over frequency arrays, shape ``... + (2, 2)``.
     """
-    return 1j * omega2 * (model.smatrix(omega) @ ETA - ETA @ model.smatrix(omega2))
+    w1, w2 = frequency_pair(omega, omega2)
+    s_w, s_w2 = model.smatrix(np.array([w1, w2]))
+    return 1j * w2[..., None, None] * (s_w @ ETA - ETA @ s_w2)
 
 
 def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
@@ -62,19 +75,12 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
     if state.diagonal:
         a = alpha(model, omega, omega2)
         return 1j * a * (omega2 * state.chi_weight(omega) + omega * state.chi_weight(omega2))
-    w1 = np.asarray(omega, dtype=float)
-    w2 = np.asarray(omega2, dtype=float)
+    w1, w2 = frequency_pair(omega, omega2)
     f = force_kernel(model, w1, w2)
-    inner = (
-        1j * w1[..., None, None] * state.cplus(w1) @ ETA
-        + 1j * w2[..., None, None] * ETA @ state.cplus(-w2)
-    )
-    return w1 * w2 * np.trace(f @ inner, axis1=-2, axis2=-1)
+    return w1 * w2 * np.trace(f @ _modulated(state.cplus, w1, w2), axis1=-2, axis2=-1)
 
 
-def chi_kernel_symmetrized(
-    model: Mirror, state: FieldState, omega: float, omega2: float
-) -> complex:
+def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
     """Cross-check route: the explicitly symmetrized full-covariance trace.
 
     (w w'/2) Tr[F[w,w'] (i w c(w) eta + i w' eta c(-w'))
@@ -82,36 +88,35 @@ def chi_kernel_symmetrized(
 
     The commutator parts of c cancel inside the symmetrized trace, so this
     equals :func:`chi_kernel` wherever both are defined (w, w' != 0).
+    Elementwise over frequency arrays; both argument orders are stacked.
     """
-    f12, f21 = force_kernel(model, np.array([omega, omega2]), np.array([omega2, omega]))
-    c_w, c_neg_w2, c_w2, c_neg_w = state.cfull(np.array([omega, -omega2, omega2, -omega]))
-    t1 = f12 @ (1j * omega * c_w @ ETA + 1j * omega2 * ETA @ c_neg_w2)
-    t2 = f21 @ (1j * omega2 * c_w2 @ ETA + 1j * omega * ETA @ c_neg_w)
-    return complex(omega * omega2 / 2.0 * np.trace(t1 + t2))
+    first = np.array(frequency_pair(omega, omega2))
+    second = first[::-1]
+    t12, t21 = force_kernel(model, first, second) @ _modulated(state.cfull, first, second)
+    return omega * omega2 / 2.0 * np.trace(t12 + t21, axis1=-2, axis2=-1)
 
 
-def comoving_covariance_perturbation(
-    state: FieldState, omega: float, omega2: float
-) -> np.ndarray:
+def comoving_covariance_perturbation(state: FieldState, omega, omega2) -> np.ndarray:
     """Input-covariance perturbation seen from the comoving frame.
 
     Returns -i w c(w) eta - i w' eta c(-w') per unit dq[w + w']: the mirror's
-    motion makes the stationary input appear modulated.  Raises at zero
-    frequency where the full covariance is singular.
+    motion makes the stationary input appear modulated.  Elementwise over
+    frequency arrays, shape ``... + (2, 2)``; raises at zero frequency where
+    the full covariance is singular.
     """
-    c_w, c_neg_w2 = state.cfull(np.array([omega, -omega2]))
-    return -1j * omega * c_w @ ETA - 1j * omega2 * ETA @ c_neg_w2
+    return -_modulated(state.cfull, *frequency_pair(omega, omega2))
 
 
-def chi_kernel_comoving(model: Mirror, state: FieldState, omega: float, omega2: float) -> complex:
+def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
     """Susceptibility kernel computed in the comoving frame.
 
     i w i w' Tr[F[w,w'] dC_in[w,w']]; identical to :func:`chi_kernel` because
     the commutator parts of the full covariance drop out of the trace.
+    Elementwise over frequency arrays.
     """
-    f = force_kernel(model, omega, omega2)
     pert = comoving_covariance_perturbation(state, omega, omega2)
-    return complex((1j * omega) * (1j * omega2) * np.trace(f @ pert))
+    f = force_kernel(model, omega, omega2)
+    return (1j * omega) * (1j * omega2) * np.trace(f @ pert, axis1=-2, axis2=-1)
 
 
 def convolve(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ETA, PhysicsContext
+from .core import ETA, PhysicsContext, frequency_pair
 from .mirrors import Mirror
 from .pressure import force_kernel
 from .response import MonochromaticOscillation
@@ -38,7 +38,7 @@ def delta_cout(model: Mirror, state: FieldState, omega, omega2) -> np.ndarray:
     elementwise over frequency arrays (shape ``... + (2, 2)``); raises at
     zero frequency where the covariance is singular.
     """
-    w1, w2 = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(omega2, dtype=float))
+    w1, w2 = frequency_pair(omega, omega2)
     s_w, s_w2, s_neg_w, s_neg_w2 = model.smatrix(np.array([w1, w2, -w1, -w2]))
     c_neg_w2, c_w = state.cfull(np.array([-w2, w1]))
     term1 = -1j * w2[..., None, None] * (s_w @ ETA - ETA @ s_neg_w2) @ c_neg_w2 @ s_w2
@@ -48,29 +48,30 @@ def delta_cout(model: Mirror, state: FieldState, omega, omega2) -> np.ndarray:
 
 def delta_cout_vacuum(
     model: Mirror,
-    omega: float,
-    omega2: float,
+    omega,
+    omega2,
     context: PhysicsContext = PhysicsContext(),
 ) -> np.ndarray:
     """Vacuum closed form (i hbar/2)(theta(w) - theta(-w')) F[w', w].
 
     Independent of the general route; the two must agree over the vacuum.
-    Exactly zero when the frequencies have opposite signs.
+    Exactly zero when the frequencies have opposite signs.  Elementwise over
+    frequency arrays, shape ``... + (2, 2)``.
     """
     sign_factor = np.heaviside(omega, 0.5) - np.heaviside(-omega2, 0.5)
-    if sign_factor == 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    return 0.5j * context.hbar * sign_factor * force_kernel(model, omega2, omega)
+    prefactor = np.multiply(0.5j * context.hbar, sign_factor)
+    return prefactor[..., None, None] * force_kernel(model, omega2, omega)
 
 
-def secular_hamiltonian_kernel(model: Mirror, omega: float, omega2: float) -> np.ndarray:
+def secular_hamiltonian_kernel(model: Mirror, omega, omega2) -> np.ndarray:
     """Coupling kernel w w' F[w, w'] paired with dq[-w - w'].
 
     Its trace contraction with input covariances gives the time-integrated
     coupling energy; the w w' prefactor zeroes the kernel whenever either
     frequency vanishes, and the swap rule follows the force kernel's.
+    Elementwise over frequency arrays, shape ``... + (2, 2)``.
     """
-    return omega * omega2 * force_kernel(model, omega, omega2)
+    return np.multiply(omega, omega2)[..., None, None] * force_kernel(model, omega, omega2)
 
 
 def oscillation_squeeze_lines(

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.integrate
 
 from vacmirror.numerics import NonConvergenceError, QuadratureConfig
-from vacmirror.pressure import alpha, beta
+from vacmirror.pressure import alpha, alpha_beta
 
 
 def chi_single_pole(omega, omega_c, hbar=1.0):
@@ -128,7 +128,7 @@ def trapezoid_cff(model, state, omega, lo, hi, n=200_001):
     """C_FF(w) by fixed trapezoid over the diagonal-state noise kernel."""
     wp = np.linspace(lo, hi, n)
     a2 = np.abs(alpha(model, wp, omega - wp)) ** 2
-    b2 = np.abs(beta(model, wp, omega - wp)) ** 2
+    b2 = np.abs(alpha_beta(model, wp, omega - wp)[1]) ** 2
     w1 = state.noise_weight(wp)
     w2 = state.noise_weight(omega - wp)
     vals = 2.0 * (

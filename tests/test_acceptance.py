@@ -97,8 +97,7 @@ def test_static_mirror_feels_no_mean_force():
     grid = FrequencyGrid.symmetric(50.0, 1001)
     vals = np.asarray(mean_force_integrand(m, VacuumState(), grid.omega))
     assert np.max(np.abs(vals)) <= 1e-12
-    for w in grid.omega:
-        assert np.max(np.abs(energy_exchange_kernel(m, float(w)))) <= 1e-12
+    assert np.max(np.abs(energy_exchange_kernel(m, grid.omega))) <= 1e-12
 
 
 def test_kernel_identity_suite():
@@ -107,11 +106,8 @@ def test_kernel_identity_suite():
     rng = np.random.default_rng(123)
     pairs = rng.uniform(-20.0, 20.0, (1000, 2))
     m = SinglePoleMirror(1.0)
-    worst = 0.0
-    for w1, w2 in pairs:
-        res_a, res_b = unitarity_identities(m, w1, w2)
-        worst = max(worst, res_a, res_b)
-    assert worst <= 1e-12
+    res_a, res_b = unitarity_identities(m, pairs[:, 0], pairs[:, 1])
+    assert max(res_a.max(), res_b.max()) <= 1e-12
     sp = SinglePoleMirror(1.0)
     om = np.linspace(0.0, 60.0, 601)
     broken = TabulatedMirror(om, sp.s(om), 1.3 * sp.r(om))
@@ -125,14 +121,13 @@ def test_frame_equivalence():
     m = SinglePoleMirror(1.0)
     vac = VacuumState()
     rng = np.random.default_rng(321)
-    pairs = rng.uniform(-10.0, 10.0, (1000, 2))
-    for w1, w2 in pairs:
-        lab = chi_kernel(m, vac, w1, w2)
-        lab_full = chi_kernel_symmetrized(m, vac, w1, w2)
-        com = chi_kernel_comoving(m, vac, w1, w2)
-        scale = max(abs(lab), 1.0)
-        assert abs(lab - com) <= 1e-12 * scale
-        assert abs(lab_full - com) <= 1e-12 * scale
+    w1, w2 = rng.uniform(-10.0, 10.0, (1000, 2)).T
+    lab = chi_kernel(m, vac, w1, w2)
+    lab_full = chi_kernel_symmetrized(m, vac, w1, w2)
+    com = chi_kernel_comoving(m, vac, w1, w2)
+    scale = np.maximum(np.abs(lab), 1.0)
+    assert np.all(np.abs(lab - com) <= 1e-12 * scale)
+    assert np.all(np.abs(lab_full - com) <= 1e-12 * scale)
 
 
 def test_susceptibility_is_causal():

@@ -89,12 +89,11 @@ def test_vacuum_noise_equals_commutator():
 def test_commutator_routes_agree():
     m = SinglePoleMirror(1.3)
     rng = np.random.default_rng(5)
-    pairs = rng.uniform(-8.0, 8.0, (1000, 2))
+    w1, w2 = rng.uniform(-8.0, 8.0, (1000, 2)).T
     for state in (VacuumState(), ThermalState(0.7)):
-        for w1, w2 in pairs:
-            a = commutator_kernel(m, state, w1, w2, route="noise")
-            b = commutator_kernel(m, state, w1, w2, route="response")
-            assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
+        a = commutator_kernel(m, state, w1, w2, route="noise")
+        b = commutator_kernel(m, state, w1, w2, route="response")
+        assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(np.abs(a), 1.0))
     with pytest.raises(ValueError, match="route"):
         commutator_kernel(m, VacuumState(), 1.0, 1.0, route="bogus")
 
