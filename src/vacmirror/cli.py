@@ -41,6 +41,14 @@ _FLOAT_KEYS = frozenset(
     {"omega_c", "temp", "temp_phi", "temp_psi", "hbar", "tol", "osc_freq", "osc_amp"}
 )
 
+# allowed values of the choice keys, for flags and config files alike
+_CHOICES: dict[str, tuple[str, ...]] = {
+    "model": ("single-pole", "perfect", "table"),
+    "state": ("vacuum", "thermal", "two-temperature"),
+    "format": ("csv", "json"),
+    "inject": ("cubic", "exponential"),
+}
+
 _COMMON_DEFAULTS: dict[str, object] = {
     "model": "single-pole",
     "omega_c": 1.0,
@@ -101,8 +109,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed + (None,):
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}; choose from {', '.join(allowed)}")
 
     def as_dict(self) -> dict[str, object]:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -146,11 +155,9 @@ def _build_model(cfg: RunConfig) -> Mirror:
         return SinglePoleMirror(cfg.omega_c)
     if cfg.model == "perfect":
         return PerfectMirror()
-    if cfg.model == "table":
-        if not cfg.file:
-            raise ValueError("--model table requires --file")
-        return TabulatedMirror.from_csv(cfg.file)
-    raise ValueError(f"unknown model {cfg.model!r}")
+    if not cfg.file:
+        raise ValueError("--model table requires --file")
+    return TabulatedMirror.from_csv(cfg.file)
 
 
 def _build_state(cfg: RunConfig) -> FieldState:
@@ -159,11 +166,9 @@ def _build_state(cfg: RunConfig) -> FieldState:
         return VacuumState(context)
     if cfg.state == "thermal":
         return ThermalState(cfg.temp, context)
-    if cfg.state == "two-temperature":
-        if cfg.temp_phi is None or cfg.temp_psi is None:
-            raise ValueError("two-temperature state requires --temp-phi and --temp-psi")
-        return TwoTemperatureState(cfg.temp_phi, cfg.temp_psi, context)
-    raise ValueError(f"unknown state {cfg.state!r}")
+    if cfg.temp_phi is None or cfg.temp_psi is None:
+        raise ValueError("two-temperature state requires --temp-phi and --temp-psi")
+    return TwoTemperatureState(cfg.temp_phi, cfg.temp_psi, context)
 
 
 def _parse_grid(cfg: RunConfig) -> FrequencyGrid:
@@ -383,18 +388,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"vacmirror {__version__}"
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--model", choices=["single-pole", "perfect", "table"], help="mirror model"
-    )
+    common.add_argument("--model", choices=_CHOICES["model"], help="mirror model")
     common.add_argument(
         "--omega-c", type=float, dest="omega_c", help="single-pole cutoff frequency"
     )
     common.add_argument("--file", help="CSV table for --model table")
-    common.add_argument(
-        "--state",
-        choices=["vacuum", "thermal", "two-temperature"],
-        help="input field state",
-    )
+    common.add_argument("--state", choices=_CHOICES["state"], help="input field state")
     common.add_argument("--temp", type=float, help="temperature for --state thermal")
     common.add_argument(
         "--temp-phi", type=float, dest="temp_phi", help="right-mover temperature"
@@ -410,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="quadrature tolerance; pass threshold for fdt/causality/validate",
     )
     common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=["csv", "json"], help="output format")
+    common.add_argument("--format", choices=_CHOICES["format"], help="output format")
     common.add_argument("--config", help="flat key = value config file; flags win")
 
     sub = parser.add_subparsers(dest="command")
@@ -423,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     causality.add_argument(
         "--inject",
-        choices=["cubic", "exponential"],
+        choices=_CHOICES["inject"],
         help="score an injected analytic spectrum instead of the model",
     )
     squeeze = sub.add_parser(

@@ -19,6 +19,10 @@ models satisfy four conditions on the real frequency axis:
 :class:`PerfectMirror` (s = 0, r = -1, not transparent) as its large-cutoff
 limit.  :class:`TabulatedMirror` interpolates sampled data and is the vehicle
 for deliberately broken models in tests.
+
+A model implements :meth:`Mirror.amplitudes`, the pair (s, r) from one
+evaluation, or both :meth:`Mirror.s` and :meth:`Mirror.r`; every consumer
+calls ``amplitudes`` once per frequency argument.
 """
 
 from __future__ import annotations
@@ -40,24 +44,29 @@ _CAUSALITY_TOL = 0.05
 class Mirror:
     """A frequency-dependent scattering matrix.
 
-    Subclasses implement :meth:`s` and :meth:`r` as vectorized maps from real
-    frequency to complex amplitude, and set :attr:`transparent` to declare
-    whether (s, r) -> (1, 0) at high frequency.  Instances are immutable and
-    safe to share between workers.
+    Subclasses implement :meth:`amplitudes`, a vectorized map from real
+    frequency to the complex pair (s, r), or both :meth:`s` and :meth:`r`,
+    and set :attr:`transparent` to declare whether (s, r) -> (1, 0) at high
+    frequency.  Instances are immutable and safe to share between workers.
     """
 
     transparent: bool = False
 
+    def amplitudes(self, omega):
+        """(s(w), r(w)); by default one :meth:`s` and one :meth:`r` call, for models overriding both."""
+        if type(self).s is Mirror.s or type(self).r is Mirror.r:
+            raise NotImplementedError(f"{type(self).__name__} implements neither amplitudes nor both s and r")
+        return self.s(omega), self.r(omega)
+
     def s(self, omega):
-        raise NotImplementedError
+        return self.amplitudes(omega)[0]
 
     def r(self, omega):
-        raise NotImplementedError
+        return self.amplitudes(omega)[1]
 
     def smatrix(self, omega) -> np.ndarray:
         """The symmetric matrix [[s, r], [r, s]], shape ``np.shape(omega) + (2, 2)``."""
-        s = self.s(omega)
-        r = self.r(omega)
+        s, r = self.amplitudes(omega)
         out = np.empty(np.shape(s) + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = s
         out[..., 0, 1] = out[..., 1, 0] = r
@@ -90,13 +99,10 @@ class SinglePoleMirror(Mirror):
         if not self.omega_c > 0:
             raise ValueError(f"cutoff frequency must be positive, got {self.omega_c}")
 
-    def s(self, omega):
+    def amplitudes(self, omega):
         omega = np.asarray(omega, dtype=float)
-        return omega / (omega + 1j * self.omega_c)
-
-    def r(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return -1j * self.omega_c / (omega + 1j * self.omega_c)
+        inv = 1.0 / (omega + 1j * self.omega_c)
+        return omega * inv, -1j * self.omega_c * inv
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,8 @@ class PerfectMirror(Mirror):
     bounded by the analysis frequency.
     """
 
-    def s(self, omega):
-        return np.zeros_like(np.asarray(omega, dtype=float), dtype=complex)
-
-    def r(self, omega):
-        return np.full_like(np.asarray(omega, dtype=float), -1.0, dtype=complex)
+    def amplitudes(self, omega):
+        return np.zeros(np.shape(omega), complex), np.full(np.shape(omega), -1.0, complex)
 
 
 class TabulatedMirror(Mirror):
@@ -147,10 +150,13 @@ class TabulatedMirror(Mirror):
         rv = np.asarray(r_samples, dtype=complex)
         if om.ndim != 1 or om.size < 4:
             raise ValueError("tabulated mirror needs at least 4 sample frequencies")
-        if om[0] < 0 or not np.all(np.diff(om) > 0):
-            raise ValueError("sample frequencies must be ascending and >= 0")
         if sv.shape != om.shape or rv.shape != om.shape:
             raise ValueError("sample arrays must match the frequency grid")
+        bad = np.flatnonzero(~(np.isfinite(om) & np.isfinite(sv) & np.isfinite(rv)))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]} (omega={om[bad[0]]:g}) is not finite")
+        if om[0] < 0 or not np.all(np.diff(om) > 0):
+            raise ValueError("sample frequencies must be ascending and >= 0")
         self.omega_grid = om
         self.s_samples = sv
         self.r_samples = rv
@@ -159,45 +165,40 @@ class TabulatedMirror(Mirror):
             # reflective regime
             transparent_hint = bool(abs(sv[-1] - 1.0) < 0.5 and abs(rv[-1]) < 0.5)
         self.transparent = bool(transparent_hint)
-        self._s_spline = CubicSpline(om, sv)
-        self._r_spline = CubicSpline(om, rv)
+        self._spline = CubicSpline(om, np.stack([sv, rv], axis=-1))
 
     @classmethod
     def from_csv(cls, path: str | Path, transparent_hint: bool | None = None) -> "TabulatedMirror":
-        """Load samples from a CSV file with header omega,re_s,im_s,re_r,im_r."""
+        """Load samples from a CSV file with header omega,re_s,im_s,re_r,im_r; errors name the file."""
         path = Path(path)
-        with path.open() as fh:
-            header = fh.readline().strip().lower().replace(" ", "")
-            expected = "omega,re_s,im_s,re_r,im_r"
-            if header != expected:
-                raise ValueError(f"{path}: expected header '{expected}', got '{header}'")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.shape[1] != 5:
-            raise ValueError(f"{path}: expected 5 columns, got {data.shape[1]}")
-        return cls(
-            omega_grid=data[:, 0],
-            s_samples=data[:, 1] + 1j * data[:, 2],
-            r_samples=data[:, 3] + 1j * data[:, 4],
-            transparent_hint=transparent_hint,
-        )
+        try:
+            with path.open() as fh:
+                header = fh.readline().strip().lower().replace(" ", "")
+                expected = "omega,re_s,im_s,re_r,im_r"
+                if header != expected:
+                    raise ValueError(f"expected header '{expected}', got '{header}'")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if data.shape[1] != 5:
+                raise ValueError(f"expected 5 columns, got {data.shape[1]}")
+            return cls(
+                omega_grid=data[:, 0],
+                s_samples=data[:, 1] + 1j * data[:, 2],
+                r_samples=data[:, 3] + 1j * data[:, 4],
+                transparent_hint=transparent_hint,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
-    def _eval(self, spline, omega):
+    def amplitudes(self, omega):
         omega = np.asarray(omega, dtype=float)
         mag = np.abs(omega)
-        if np.any(mag > self.omega_grid[-1]) or np.any(mag < self.omega_grid[0]):
-            bad = mag[(mag > self.omega_grid[-1]) | (mag < self.omega_grid[0])]
-            raise ValueError(
-                f"frequency {bad.flat[0]:g} outside tabulated range "
-                f"[{self.omega_grid[0]:g}, {self.omega_grid[-1]:g}]"
-            )
-        vals = np.asarray(spline(mag), dtype=complex)
-        return np.where(omega >= 0, vals, np.conj(vals))
-
-    def s(self, omega):
-        return self._eval(self._s_spline, omega)
-
-    def r(self, omega):
-        return self._eval(self._r_spline, omega)
+        lo, hi = self.omega_grid[0], self.omega_grid[-1]
+        outside = ~((mag >= lo) & (mag <= hi))
+        if outside.any():
+            raise ValueError(f"frequency {omega[outside].flat[0]:g} outside tabulated range [{lo:g}, {hi:g}]")
+        vals = np.asarray(self._spline(mag), dtype=complex)
+        vals = np.where((omega >= 0)[..., None], vals, np.conj(vals))
+        return vals[..., 0], vals[..., 1]
 
 
 @dataclass(frozen=True)
@@ -276,11 +277,8 @@ def validate_model(
         Violations are reported, never raised.
     """
     om = grid.omega
-    s = np.asarray(model.s(om), dtype=complex)
-    r = np.asarray(model.r(om), dtype=complex)
-
-    s_neg = np.asarray(model.s(-om), dtype=complex)
-    r_neg = np.asarray(model.r(-om), dtype=complex)
+    s, r = (np.asarray(a, dtype=complex) for a in model.amplitudes(om))
+    s_neg, r_neg = model.amplitudes(-om)
     reality = max(max_entry(s_neg - np.conj(s)), max_entry(r_neg - np.conj(r)))
 
     unitarity = max(
@@ -294,15 +292,15 @@ def validate_model(
     mats = model.smatrix(sub)
     symmetry = max(
         max_entry(mats - np.swapaxes(mats, -1, -2)),
-        max_entry(mats[:, 0, 0] - np.asarray(model.s(sub))),
-        max_entry(mats[:, 0, 1] - np.asarray(model.r(sub))),
+        max_entry(mats[:, 0, :] - np.stack(model.amplitudes(sub), axis=-1)),
     )
 
     (res_s, tail_s), (res_r, tail_r) = _dispersion_residual(om, s - 1.0), _dispersion_residual(om, r)
     causality = max(res_s, res_r)
 
     w_edge = max(abs(om[0]), abs(om[-1]))
-    transparency = max(abs(complex(model.s(w_edge)) - 1.0), abs(complex(model.r(w_edge))))
+    s_edge, r_edge = model.amplitudes(w_edge)
+    transparency = max(abs(complex(s_edge) - 1.0), abs(complex(r_edge)))
 
     checks = {
         "reality": reality <= tol,

@@ -35,9 +35,8 @@ from .states import FieldState
 
 
 def alpha_beta(model: Mirror, omega, omega2):
-    """(alpha, beta) at (w, w'), elementwise, from one s and one r call per argument."""
-    s1, r1 = model.s(omega), model.r(omega)
-    s2, r2 = model.s(omega2), model.r(omega2)
+    """(alpha, beta) at (w, w'), elementwise, from one amplitude call per argument."""
+    (s1, r1), (s2, r2) = model.amplitudes(omega), model.amplitudes(omega2)
     return 1.0 - s1 * s2 + r1 * r2, s1 * r2 - r1 * s2
 
 
@@ -46,7 +45,8 @@ def alpha(model: Mirror, omega, omega2):
 
     The susceptibility kernel needs alpha alone, so beta is not formed here.
     """
-    return 1.0 - model.s(omega) * model.s(omega2) + model.r(omega) * model.r(omega2)
+    (s1, r1), (s2, r2) = model.amplitudes(omega), model.amplitudes(omega2)
+    return 1.0 - s1 * s2 + r1 * r2
 
 
 def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:

@@ -142,6 +142,8 @@ def convolve(
     are returned.
     """
     w = np.asarray(omegas, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError(f"{what} at omega={float(w[~np.isfinite(w)][0])!r}: frequency is not finite")
     hbar = state.context.hbar
     decay = state.decay_scale()
     temp = decay or 0.0

@@ -178,7 +178,7 @@ def test_runs_are_deterministic(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_config_file_merging(tmp_path):
+def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("omega-c = 2.0\ngrid = -1:1:5\n# comment\n")
     out = tmp_path / "chi.csv"
@@ -193,6 +193,14 @@ def test_config_file_merging(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")
     assert main(["susceptibility", "--config", str(bad), "--out", str(out)]) == 2
+    # config values get the same choice checks as flags
+    never = tmp_path / "never.out"
+    for key, value in (("inject", "exponental"), ("model", "mirror"), ("state", "hot"), ("format", "xml")):
+        bad.write_text(f"{key} = {value}\n")
+        command = "causality" if key == "inject" else "susceptibility"
+        assert main([command, "--config", str(bad), "--out", str(never)]) == 2
+        assert f"unknown {key} {value!r}" in capsys.readouterr().err
+    assert not never.exists()
 
 
 def test_csv_and_json_agree(tmp_path):

@@ -152,6 +152,19 @@ def test_subdivision_limit_raises_naming_the_frequency():
         noise_spectrum(SinglePoleMirror(1.0), ThermalState(1.0), np.array([-1.0, 1.0]), cfg)
 
 
+@pytest.mark.parametrize("state", [VacuumState(), ThermalState(1.0)], ids=["vacuum", "thermal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "spectrum, what",
+    [(susceptibility, "susceptibility"), (noise_spectrum, "noise_spectrum"), (xi_spectrum, "xi_spectrum")],
+    ids=["chi", "cff", "xi"],
+)
+def test_non_finite_frequency_raises_naming_the_sample(spectrum, what, bad, state):
+    # folded spectra (chi, vacuum xi) integrate at |w|, so -inf is named as inf
+    with pytest.raises(ValueError, match=rf"^{what} at omega=-?{abs(bad)!r}: frequency is not finite"):
+        spectrum(SinglePoleMirror(1.0), state, np.array([bad, 1.0]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     omega_c=st.floats(1e-2, 1e4),

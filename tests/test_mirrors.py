@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from vacmirror import (
     TabulatedMirror,
     validate_model,
 )
+from vacmirror.cli import main
 from vacmirror.mirrors import Mirror
 
 
@@ -19,13 +22,10 @@ class AcausalMirror(Mirror):
     def __init__(self, omega_c):
         self.omega_c = omega_c
 
-    def s(self, omega):
+    def amplitudes(self, omega):
         omega = np.asarray(omega, dtype=float)
-        return omega / (omega - 1j * self.omega_c)
-
-    def r(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return 1j * self.omega_c / (omega - 1j * self.omega_c)
+        inv = 1.0 / (omega - 1j * self.omega_c)
+        return omega * inv, 1j * self.omega_c * inv
 
 
 def test_single_pole_hand_values():
@@ -70,8 +70,17 @@ def test_perfect_mirror_values():
 
 
 def test_base_mirror_is_abstract():
+    for method in (Mirror().s, Mirror().r, Mirror().amplitudes, Mirror().smatrix):
+        with pytest.raises(NotImplementedError):
+            method(1.0)
+
+    class OnlyS(Mirror):
+        def s(self, omega):
+            return np.ones_like(omega, dtype=complex)
+
+    # one side alone does not define the pair
     with pytest.raises(NotImplementedError):
-        Mirror().s(1.0)
+        OnlyS().r(1.0)
 
 
 def test_tabulated_matches_analytic_source():
@@ -98,6 +107,8 @@ def test_tabulated_rejects_out_of_range():
         tab.s(11.0)
     with pytest.raises(ValueError):
         tab.r(-10.5)
+    with pytest.raises(ValueError, match="frequency nan outside"):
+        tab.amplitudes(np.array([1.0, np.nan]))
 
 
 def test_tabulated_construction_validation():
@@ -137,6 +148,29 @@ def test_from_csv_rejects_bad_header(tmp_path):
     path.write_text("omega,s,r\n0,0,0\n1,0,0\n2,0,0\n3,0,0\n")
     with pytest.raises(ValueError, match="header"):
         TabulatedMirror.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "cell, nrows, message",
+    [
+        ((5, 3), 101, r"sample 5 \(omega=1\) is not finite"),
+        ((5, 0), 101, r"sample 5 \(omega=nan\) is not finite"),
+        (None, 2, "tabulated mirror needs at least 4 sample frequencies"),
+    ],
+    ids=["nan-value", "nan-omega", "two-rows"],
+)
+def test_from_csv_rejects_bad_samples_naming_the_file(tmp_path, capsys, cell, nrows, message):
+    m = SinglePoleMirror(1.0)
+    om = np.linspace(0.0, 20.0, 101)
+    rows = np.column_stack([om, m.s(om).real, m.s(om).imag, m.r(om).real, m.r(om).imag])
+    if cell:
+        rows[cell] = np.nan
+    path = tmp_path / "mirror.csv"
+    np.savetxt(path, rows[:nrows], delimiter=",", header="omega,re_s,im_s,re_r,im_r", comments="")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        TabulatedMirror.from_csv(path)
+    assert main(["validate", "--model", "table", "--file", str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_validate_single_pole_passes():
