@@ -128,14 +128,9 @@ def noise_spectrum(
 
 
 def _xi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
-    kernel = partial(commutator_kernel, model, state)
-
-    def compute(w):
-        return convolve(kernel, w, state, model, quad, "xi_spectrum")
-
-    values, abs_error, evaluations = (
-        fold(omega, compute, np.negative) if isinstance(state, VacuumState) else compute(omega)
-    )
+    args = (partial(commutator_kernel, model, state), omega, state, model, quad, "xi_spectrum")
+    folded = isinstance(state, VacuumState)
+    values, abs_error, evaluations = fold(np.negative, *args) if folded else convolve(*args)
     return _real(values, omega, "commutator spectrum"), abs_error, evaluations
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import FrequencyGrid, Spectrum, max_entry
 from .numerics import hilbert_transform
@@ -124,7 +123,8 @@ class TabulatedMirror(Mirror):
 
     Reality is enforced by construction: only nonnegative frequencies are
     stored and negative ones are served as complex conjugates.  Queries
-    outside the sampled range raise, rather than extrapolate.
+    outside the sampled range raise, rather than extrapolate.  scipy's
+    ``CubicSpline`` is imported only when a table is built.
 
     Parameters
     ----------
@@ -165,6 +165,7 @@ class TabulatedMirror(Mirror):
             # reflective regime
             transparent_hint = bool(abs(sv[-1] - 1.0) < 0.5 and abs(rv[-1]) < 0.5)
         self.transparent = bool(transparent_hint)
+        from scipy.interpolate import CubicSpline
         self._spline = CubicSpline(om, np.stack([sv, rv], axis=-1))
 
     @classmethod

@@ -119,6 +119,14 @@ def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
     return (1j * omega) * (1j * omega2) * np.trace(f @ pert, axis1=-2, axis2=-1)
 
 
+def _finite(omega, what: str) -> np.ndarray:
+    """``omega`` as a float array; a non-finite sample raises ValueError, named as passed."""
+    w = np.asarray(omega, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError(f"{what} at omega={float(w[~np.isfinite(w)][0])!r}: frequency is not finite")
+    return w
+
+
 def convolve(
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     omegas,
@@ -141,9 +149,7 @@ def convolve(
     :func:`integrate_batch`, whose (values, abs_error, evaluations) arrays
     are returned.
     """
-    w = np.asarray(omegas, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError(f"{what} at omega={float(w[~np.isfinite(w)][0])!r}: frequency is not finite")
+    w = _finite(omegas, what)
     hbar = state.context.hbar
     decay = state.decay_scale()
     temp = decay or 0.0
@@ -197,27 +203,26 @@ def convolve(
     return values, abs_error, evaluations
 
 
-def fold(omega, compute, reflect):
-    """Evaluate ``compute`` on the distinct |w| > 0 only, in one call.
+def fold(reflect, kernel, omegas, state: FieldState, model: Mirror, quad: QuadratureConfig, what: str):
+    """:func:`convolve` on the distinct |w| > 0 of ``omegas`` only, in one call.
 
-    ``compute(mags)`` returns (values, abs_error, evaluations) arrays; the
-    results are spread back over ``omega``, with ``reflect`` applied to the
-    values at w < 0 and exact zeros at w = 0, so a symmetry such as
-    chi(-w) = conj chi(w) holds bitwise.
+    The results are spread back over ``omegas``, with ``reflect`` applied to
+    the values at w < 0 and exact zeros at w = 0, so a symmetry such as
+    chi(-w) = conj chi(w) holds bitwise.  Frequencies are checked before
+    folding, so a non-finite one is named with its sign.
     """
-    w = np.asarray(omega, dtype=float)
+    w = _finite(omegas, what)
     mags, back = np.unique(np.abs(w), return_inverse=True)
     skip = int(mags.size > 0 and mags[0] == 0)  # w = 0 sorts first
     values, abs_error, evaluations = (
         np.concatenate([np.zeros(skip, part.dtype), part])[back].reshape(w.shape)
-        for part in compute(mags[skip:])
+        for part in convolve(kernel, mags[skip:], state, model, quad, what)
     )
     return np.where(w < 0, reflect(values), values), abs_error, evaluations
 
 
 def _chi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
-    kernel = partial(chi_kernel, model, state)
-    return fold(omega, lambda w: convolve(kernel, w, state, model, quad, "susceptibility"), np.conj)
+    return fold(np.conj, partial(chi_kernel, model, state), omega, state, model, quad, "susceptibility")
 
 
 def susceptibility(

@@ -160,8 +160,7 @@ def test_subdivision_limit_raises_naming_the_frequency():
     ids=["chi", "cff", "xi"],
 )
 def test_non_finite_frequency_raises_naming_the_sample(spectrum, what, bad, state):
-    # folded spectra (chi, vacuum xi) integrate at |w|, so -inf is named as inf
-    with pytest.raises(ValueError, match=rf"^{what} at omega=-?{abs(bad)!r}: frequency is not finite"):
+    with pytest.raises(ValueError, match=rf"^{what} at omega={bad!r}: frequency is not finite"):
         spectrum(SinglePoleMirror(1.0), state, np.array([bad, 1.0]))
 
 

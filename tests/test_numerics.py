@@ -169,6 +169,8 @@ def _drawn_grid(n, span, offset):
     offset=st.floats(-1.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# 2n - 1 = 4097 is padded to 8192, the largest power-of-two padding
+@example(n=2049, span=50.0, offset=-0.3, seed=1)
 def test_hilbert_matches_dense_reference(n, span, offset, seed):
     grid = _drawn_grid(n, span, offset)
     f = np.random.default_rng(seed).standard_normal(n)
@@ -222,6 +224,10 @@ def test_ift_gaussian_pair_real_and_even():
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=4001, span=200.0, offset=0.25, t_frac=1.0, t_center=0.2, nt=2, seed=0)
+# n + nt - 1 = 4097 is padded to 8192, the largest power-of-two padding
+@example(n=3586, span=200.0, offset=-0.4, t_frac=0.5, t_center=-0.3, nt=512, seed=2)
+# a span of one full window that rounds one ulp past it must not warn
+@example(n=310, span=125.0, offset=0.0, t_frac=1.0, t_center=0.453125, nt=2, seed=0)
 def test_ift_matches_dense_reference(n, span, offset, t_frac, t_center, nt, seed):
     grid = _drawn_grid(n, span, offset)
     rng = np.random.default_rng(seed)

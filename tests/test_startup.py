@@ -1,0 +1,47 @@
+"""The package and its CLI load on numpy alone; scipy is imported for tables only.
+
+Checked in a fresh interpreter, by the modules it has loaded, not by wall time.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import vacmirror
+
+_PROBE = """
+import json, sys
+import numpy as np
+import vacmirror, vacmirror.cli
+
+after_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+w = np.linspace(0.0, 4.0, 81)
+model = vacmirror.SinglePoleMirror(1.0)
+table = vacmirror.TabulatedMirror(w, *model.amplitudes(w))
+query = np.array([0.33, 1.71, 3.97])  # between the samples
+s_pos, r_pos = table.amplitudes(query)
+s_neg, r_neg = table.amplitudes(-query)
+print(json.dumps({
+    "after_import": after_import,
+    "interpolate_after_table": "scipy.interpolate" in sys.modules,
+    "finite": bool(np.isfinite([s_pos, r_pos]).all()),
+    "reality": bool(np.array_equal(s_neg, np.conj(s_pos)) and np.array_equal(r_neg, np.conj(r_pos))),
+    "near_model": float(np.max(np.abs(np.array([s_pos, r_pos]) - model.amplitudes(query)))),
+}))
+"""
+
+
+def test_import_loads_no_scipy_until_a_table_is_built():
+    src = str(Path(vacmirror.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["after_import"] == []
+    assert probe["interpolate_after_table"]
+    assert probe["finite"] and probe["reality"]
+    assert probe["near_model"] < 1e-4
