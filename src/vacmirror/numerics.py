@@ -112,7 +112,15 @@ _KRONROD = np.r_[_HALF_KRONROD, _HALF_KRONROD[-2::-1]]
 _GAUSS = np.r_[_HALF_GAUSS, _HALF_GAUSS[::-1]]  # at _NODES[1::2]
 
 # node values per integrand call, in elements: a call takes the nodes of one
-# or more whole intervals, for all samples or for a block of them
+# or more whole intervals, for all samples or for a block of them.  The
+# budget trades per-element cost against per-call overhead.  At 8190 complex
+# elements each temporary is ~128 KiB, glibc's default mmap threshold: a
+# standalone pressure.alpha call of that size takes 192 minor page faults
+# and ~65 ns per element, one of 4096 elements none and ~23 ns.  Yet halving
+# the budget doubles the calls, and in the benchmark process it lost end to
+# end (benchmark run_s medians, 4 pairs of 40 s runs on a 2-core VM:
+# vacuum-wideband 0.0281 -> 0.0314 s, thermal-spectra 0.0202 -> 0.0214 s),
+# so it stays at 8192.
 _CHUNK_ELEMENTS = 1 << 13
 # intervals split in one refinement round at most
 _MAX_SPLITS = 128
@@ -167,8 +175,9 @@ def integrate_batch(
 
     ``f(t, cols)`` takes a vector of nodes t and a slice ``cols`` of the
     samples and returns the values of those samples at those nodes, one row
-    per node; sample k belongs to frequency ``omegas[k]``.  All samples share one subdivision, which starts at ``points`` (kinks
-    shared by all samples), and every interval carries a G10-K21 value and
+    per node; sample k belongs to frequency ``omegas[k]``.  All samples
+    share one subdivision, which starts at ``points`` (kinks shared by all
+    samples), and every interval carries a G10-K21 value and
     a QUADPACK error estimate per sample.  Sample k has the target
     ``max(floor_k, rel_tol * |v_k|)``, with ``floor_k = min(abs_tol,
     1e-10 * scale_k)`` (``abs_tol`` alone where ``scale_k = 0``) and v_k the

@@ -2,12 +2,12 @@
 
 Everything here is derived independently of the library's integration
 routines: the single-pole forms are analytic antiderivatives of the vacuum
-kernel, :func:`thermal_chi_mp` and :func:`thermal_cff_mp` integrate the
-thermal kernels over the whole real line in 30-digit arithmetic, the
-trapezoid integrators resample the kernels at fixed high
-resolution, :func:`integrate` is a scalar adaptive quadrature (one
-QUADPACK call per integrand) against which the batched vector quadrature is
-compared sample by sample, and :func:`hilbert_dense` and
+kernel, also evaluated in 40-digit arithmetic, :func:`thermal_chi_mp` and
+:func:`thermal_cff_mp` integrate the thermal kernels over the whole real
+line in 30-digit arithmetic, the trapezoid integrators resample the kernels
+at fixed high resolution, :func:`integrate` is a scalar adaptive quadrature
+(one QUADPACK call per integrand) against which the batched vector
+quadrature is compared sample by sample, and :func:`hilbert_dense` and
 :func:`inverse_fourier_dense` evaluate the grid transforms as explicit
 matrix products, block by block, against which the FFT versions are
 compared.
@@ -62,6 +62,27 @@ def cff_vacuum(omega, omega_c, hbar=1.0):
     if w <= 0.0:
         return 0.0
     return 2.0 * hbar * xi_single_pole(w, omega_c, hbar)
+
+
+def chi_single_pole_mp(omega, omega_c, hbar=1.0):
+    """:func:`chi_single_pole` at w > 0 in 40-digit arithmetic.
+
+    The float form loses digits to cancellation at small w/omega_c, about
+    2e-9 relative at w/omega_c = 1e-3; the closed form itself is exact.
+    """
+    with mpmath.workdps(40):
+        w, oc, h = (mpmath.mpf(v) for v in (omega, omega_c, hbar))
+        log = mpmath.log((w + 1j * oc) / (1j * oc))
+        bracket = w - (2j * oc * (w + 1j * oc) / (w + 2j * oc)) * log
+        return complex((1j * h * oc / (2 * mpmath.pi)) * (1j * w - 2 * oc) * bracket)
+
+
+def cff_vacuum_mp(omega, omega_c, hbar=1.0):
+    """:func:`cff_vacuum` at w > 0 in 40-digit arithmetic, from the closed form of xi."""
+    with mpmath.workdps(40):
+        w, oc, h = (mpmath.mpf(v) for v in (omega, omega_c, hbar))
+        xi = (h * oc**2 / mpmath.pi) * ((w / 2) * mpmath.log1p(w**2 / oc**2) - w + oc * mpmath.atan(w / oc))
+        return float(2 * h * xi)
 
 
 def _thermal_mp(kernel, omega, omega_c, temp, hbar):

@@ -150,6 +150,24 @@ def test_fdt_check_thermal():
     assert rep.relative_deviation <= 1e-8
 
 
+def test_fdt_check_at_high_temperature():
+    # the thermal window spans 46 T/hbar = 4.6e6 here, against structure of
+    # width Omega = 1 at its inner edges
+    rep = fdt_check(SinglePoleMirror(1.0), ThermalState(1e5), FrequencyGrid.linear(-5.0, 5.0, 11))
+    assert rep.passes(1e-8)
+
+
+def test_thermal_noise_keeps_detailed_balance_at_high_temperature():
+    # the window is 4.6e7 wide: nodes near the kinks at 0 and w keep their
+    # digits only if placed from the nearer piece edge (placed from the far
+    # one, this quadrature stops converging near T = 1.2e5)
+    temp = 1e6
+    w = np.linspace(-5.0, 5.0, 11)
+    cff = noise_spectrum(SinglePoleMirror(1.0), ThermalState(temp), w)
+    boltzmann = np.exp(w[:5] / temp)
+    assert np.all(np.abs(cff[:5] / cff[:-6:-1] - boltzmann) <= 1e-8 * boltzmann)
+
+
 def test_fdt_report_carries_the_routes_error_budget():
     m, th = SinglePoleMirror(1.0), ThermalState(1.0)
     grid = FrequencyGrid.symmetric(3.0, 13)
