@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,84 +39,39 @@ from .states import FieldState, ThermalState, TwoTemperatureState, VacuumState
 
 _FMT = "%.17g"
 
-_FLOAT_KEYS = frozenset(
-    {"omega_c", "temp", "temp_phi", "temp_psi", "hbar", "tol", "osc_freq", "osc_amp"}
-)
+_Option = namedtuple("_Option", "type default choices help metavar", defaults=[None])
 
-# allowed values of the choice keys, for flags and config files alike
-_CHOICES: dict[str, tuple[str, ...]] = {
-    "model": ("single-pole", "perfect", "table"),
-    "state": ("vacuum", "thermal", "two-temperature"),
-    "format": ("csv", "json"),
-    "inject": ("cubic", "exponential"),
-}
-
-_COMMON_DEFAULTS: dict[str, object] = {
-    "model": "single-pole",
-    "omega_c": 1.0,
-    "file": None,
-    "state": "vacuum",
-    "temp": 1.0,
-    "temp_phi": None,
-    "temp_psi": None,
-    "hbar": 1.0,
-    "out": None,
-    "format": "csv",
-}
-
-# per-command grid spans and the meaning of --tol differ; see each command
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "validate": {**_COMMON_DEFAULTS, "grid": "-50:50:4001", "tol": 1e-10},
-    "susceptibility": {**_COMMON_DEFAULTS, "grid": "-5:5:201", "tol": 1e-10},
-    "noise": {**_COMMON_DEFAULTS, "grid": "-5:5:201", "tol": 1e-10},
-    "fdt": {**_COMMON_DEFAULTS, "grid": "-5:5:101", "tol": 1e-8},
-    "causality": {
-        **_COMMON_DEFAULTS,
-        "grid": "-200:200:16001",
-        "tol": 1e-3,
-        "inject": None,
-    },
-    "squeeze": {
-        **_COMMON_DEFAULTS,
-        "grid": "-5:5:201",
-        "tol": 1e-10,
-        "format": "json",
-        "osc_freq": 1.0,
-        "osc_amp": 1.0,
-    },
+# every option once: the parser, config-file keys, the checks and the resolved
+# config read this table; which command takes which option, and the defaults
+# that differ per command, are in _SUBCOMMANDS
+_OPTIONS: dict[str, _Option] = {
+    "model": _Option(str, "single-pole", ("single-pole", "perfect", "table"), "mirror model"),
+    "omega_c": _Option(float, 1.0, None, "single-pole cutoff frequency"),
+    "file": _Option(str, None, None, "CSV table for --model table"),
+    "state": _Option(str, "vacuum", ("vacuum", "thermal", "two-temperature"), "input field state"),
+    "temp": _Option(float, 1.0, None, "temperature for --state thermal"),
+    "temp_phi": _Option(float, None, None, "right-mover temperature"),
+    "temp_psi": _Option(float, None, None, "left-mover temperature"),
+    "hbar": _Option(float, 1.0, None, "value of hbar (default 1)"),
+    "grid": _Option(str, "-5:5:201", None, "frequency grid", "MIN:MAX:COUNT"),
+    "tol": _Option(
+        float, 1e-10, None, "quadrature tolerance; pass threshold for fdt/causality/validate"
+    ),
+    "out": _Option(str, None, None, "output path (default: stdout)"),
+    "format": _Option(str, "csv", ("csv", "json"), "output format"),
+    "inject": _Option(
+        str, None, ("cubic", "exponential"), "score an injected analytic spectrum instead of the model"
+    ),
+    "osc_freq": _Option(float, 1.0, None, "mirror oscillation frequency w0 (lines at +/- 2 w0)"),
+    "osc_amp": _Option(float, 1.0, None, "oscillation amplitude dq0"),
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters, embedded verbatim in every output."""
-
-    command: str
-    model: str
-    omega_c: float
-    file: str | None
-    state: str
-    temp: float
-    temp_phi: float | None
-    temp_psi: float | None
-    hbar: float
-    grid: str
-    tol: float
-    out: str | None
-    format: str
-    osc_freq: float | None = None
-    osc_amp: float | None = None
-    inject: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        for key, allowed in _CHOICES.items():
-            if getattr(self, key) not in allowed + (None,):
-                raise ValueError(f"unknown {key} {getattr(self, key)!r}; choose from {', '.join(allowed)}")
+class RunConfig(SimpleNamespace):
+    """The command and the resolved value of every option it takes, embedded in every output."""
 
     def as_dict(self) -> dict[str, object]:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -136,18 +93,27 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge per-command defaults, config file entries, then flags."""
-    defaults = dict(_DEFAULTS[args.command])
-    if getattr(args, "config", None):
+    """Merge per-command defaults, config file entries, then flags, and check the values."""
+    # the command's parser declared exactly the options the command takes
+    defaults = _SUBCOMMANDS[args.command].defaults
+    values = {k: defaults.get(k, opt.default) for k, opt in _OPTIONS.items() if hasattr(args, k)}
+    if args.config:
         for key, text in _load_config_file(args.config).items():
-            if key not in defaults:
+            if key not in values:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
-            defaults[key] = float(text) if key in _FLOAT_KEYS else text
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            defaults[key] = value
-    return RunConfig(command=args.command, **defaults)  # type: ignore[arg-type]
+            try:
+                values[key] = _OPTIONS[key].type(text)
+            except ValueError:
+                raise ValueError(f"{args.config}: {key} = {text!r} is not a number") from None
+    values.update({k: getattr(args, k) for k in values if getattr(args, k) is not None})
+    for key, value in values.items():
+        opt = _OPTIONS[key]
+        if value is not None and opt.choices and value not in opt.choices:
+            raise ValueError(f"unknown {key} {value!r}; choose from {', '.join(opt.choices)}")
+        # every float option is a scale of the physics or the numerics
+        if value is not None and opt.type is float and not 0 < value < np.inf:
+            raise ValueError(f"--{key.replace('_', '-')} must be positive and finite, got {value}")
+    return RunConfig(command=args.command, **values)
 
 
 def _build_model(cfg: RunConfig) -> Mirror:
@@ -338,10 +304,6 @@ def cmd_causality(cfg: RunConfig) -> int:
 def cmd_squeeze(cfg: RunConfig) -> int:
     if cfg.format != "json":
         raise ValueError("squeeze output is json only; use --format json")
-    if cfg.osc_freq is None or cfg.osc_freq <= 0:
-        raise ValueError("--osc-freq must be positive")
-    if cfg.osc_amp is None or cfg.osc_amp <= 0:
-        raise ValueError("--osc-amp must be positive")
     model = _build_model(cfg)
     state = _build_state(cfg)
     # lines sit at w + w' = +/- 2 w0 for a mirror oscillating at w0
@@ -369,13 +331,22 @@ def cmd_squeeze(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "susceptibility": cmd_susceptibility,
-    "noise": cmd_noise,
-    "fdt": cmd_fdt,
-    "causality": cmd_causality,
-    "squeeze": cmd_squeeze,
+_Subcommand = namedtuple("_Subcommand", "run help options defaults", defaults=[(), {}])
+
+# each command's function, help, the options only it takes, and its defaults
+# where they differ from _OPTIONS; grid spans and the meaning of --tol differ
+_SUBCOMMANDS: dict[str, _Subcommand] = {
+    "validate": _Subcommand(cmd_validate, "check model conditions", (), {"grid": "-50:50:4001"}),
+    "susceptibility": _Subcommand(cmd_susceptibility, "force susceptibility"),
+    "noise": _Subcommand(cmd_noise, "force noise spectrum"),
+    "fdt": _Subcommand(cmd_fdt, "fluctuation-dissipation check", (), {"grid": "-5:5:101", "tol": 1e-8}),
+    "causality": _Subcommand(
+        cmd_causality, "time-domain causality metrics", ("inject",),
+        {"grid": "-200:200:16001", "tol": 1e-3},
+    ),
+    "squeeze": _Subcommand(
+        cmd_squeeze, "output-covariance squeezing lines", ("osc_freq", "osc_amp"), {"format": "json"}
+    ),
 }
 
 
@@ -384,59 +355,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vacmirror",
         description="Radiation-pressure spectra of a scattering mirror.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"vacmirror {__version__}"
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=_CHOICES["model"], help="mirror model")
-    common.add_argument(
-        "--omega-c", type=float, dest="omega_c", help="single-pole cutoff frequency"
-    )
-    common.add_argument("--file", help="CSV table for --model table")
-    common.add_argument("--state", choices=_CHOICES["state"], help="input field state")
-    common.add_argument("--temp", type=float, help="temperature for --state thermal")
-    common.add_argument(
-        "--temp-phi", type=float, dest="temp_phi", help="right-mover temperature"
-    )
-    common.add_argument(
-        "--temp-psi", type=float, dest="temp_psi", help="left-mover temperature"
-    )
-    common.add_argument("--hbar", type=float, help="value of hbar (default 1)")
-    common.add_argument("--grid", metavar="MIN:MAX:COUNT", help="frequency grid")
-    common.add_argument(
-        "--tol",
-        type=float,
-        help="quadrature tolerance; pass threshold for fdt/causality/validate",
-    )
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--format", choices=_CHOICES["format"], help="output format")
-    common.add_argument("--config", help="flat key = value config file; flags win")
+    parser.add_argument("--version", action="version", version=f"vacmirror {__version__}")
 
-    sub = parser.add_subparsers(dest="command")
-    sub.add_parser("validate", parents=[common], help="check model conditions")
-    sub.add_parser("susceptibility", parents=[common], help="force susceptibility")
-    sub.add_parser("noise", parents=[common], help="force noise spectrum")
-    sub.add_parser("fdt", parents=[common], help="fluctuation-dissipation check")
-    causality = sub.add_parser(
-        "causality", parents=[common], help="time-domain causality metrics"
-    )
-    causality.add_argument(
-        "--inject",
-        choices=_CHOICES["inject"],
-        help="score an injected analytic spectrum instead of the model",
-    )
-    squeeze = sub.add_parser(
-        "squeeze", parents=[common], help="output-covariance squeezing lines"
-    )
-    squeeze.add_argument(
-        "--osc-freq",
-        type=float,
-        dest="osc_freq",
-        help="mirror oscillation frequency w0 (lines at +/- 2 w0)",
-    )
-    squeeze.add_argument(
-        "--osc-amp", type=float, dest="osc_amp", help="oscillation amplitude dq0"
-    )
+    def add(target: argparse.ArgumentParser, key: str) -> None:
+        opt = _OPTIONS[key]
+        flag = "--" + key.replace("_", "-")
+        target.add_argument(
+            flag, type=opt.type, choices=opt.choices, help=opt.help, metavar=opt.metavar
+        )
+
+    # every subparser copies the common options from one parent parser, which
+    # is cheaper than adding them to each
+    own = {key for sub in _SUBCOMMANDS.values() for key in sub.options}
+    common = argparse.ArgumentParser(add_help=False)
+    for key in _OPTIONS:
+        if key not in own:
+            add(common, key)
+    common.add_argument("--config", help="flat key = value config file; flags win")
+    commands = parser.add_subparsers(dest="command")
+    for name, sub in _SUBCOMMANDS.items():
+        command = commands.add_parser(name, parents=[common], help=sub.help)
+        for key in sub.options:
+            add(command, key)
     return parser
 
 
@@ -454,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _resolve(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _SUBCOMMANDS[cfg.command].run(cfg)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

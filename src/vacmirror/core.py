@@ -58,8 +58,8 @@ class PhysicsContext:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
 
 @dataclass(frozen=True)

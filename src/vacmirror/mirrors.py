@@ -95,8 +95,8 @@ class SinglePoleMirror(Mirror):
     transparent = True
 
     def __post_init__(self) -> None:
-        if not self.omega_c > 0:
-            raise ValueError(f"cutoff frequency must be positive, got {self.omega_c}")
+        if not 0 < self.omega_c < np.inf:
+            raise ValueError(f"cutoff frequency must be positive and finite, got {self.omega_c}")
 
     def amplitudes(self, omega):
         omega = np.asarray(omega, dtype=float)

@@ -75,12 +75,12 @@ class QuadratureConfig:
     window: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.window is not None and not self.window > 0:
-            raise ValueError("window must be positive when given")
+        if self.window is not None and not 0 < self.window < np.inf:
+            raise ValueError("window must be positive and finite when given")
 
 
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK qk21): the nonnegative

@@ -155,8 +155,8 @@ class ThermalState(FieldState):
     context: PhysicsContext = field(default_factory=PhysicsContext)
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     def cplus(self, omega) -> np.ndarray:
         mag = np.abs(_nonzero(omega, "thermal cplus"))
@@ -188,8 +188,8 @@ class TwoTemperatureState(FieldState):
     context: PhysicsContext = field(default_factory=PhysicsContext)
 
     def __post_init__(self) -> None:
-        if not (self.temp_phi > 0 and self.temp_psi > 0):
-            raise ValueError("both temperatures must be positive")
+        if not (0 < self.temp_phi < np.inf and 0 < self.temp_psi < np.inf):
+            raise ValueError("both temperatures must be positive and finite")
 
     def cplus(self, omega) -> np.ndarray:
         mag = np.abs(_nonzero(omega, "cplus"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vacmirror import SinglePoleMirror
-from vacmirror.cli import main
+from vacmirror.cli import _OPTIONS, _SUBCOMMANDS, _build_parser, _resolve, main
 
 
 def _read_csv_rows(path):
@@ -201,6 +201,79 @@ def test_config_file_merging(tmp_path, capsys):
         assert main([command, "--config", str(bad), "--out", str(never)]) == 2
         assert f"unknown {key} {value!r}" in capsys.readouterr().err
     assert not never.exists()
+    bad.write_text("omega-c = abc\n")
+    assert main(["susceptibility", "--config", str(bad), "--out", str(never)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "omega_c = 'abc'" in err
+    assert not never.exists()
+
+
+_COMMON = {
+    "model", "omega_c", "file", "state", "temp", "temp_phi", "temp_psi",
+    "hbar", "grid", "tol", "out", "format",
+}
+_OWN = {"causality": {"inject"}, "squeeze": {"osc_freq", "osc_amp"}}
+
+
+def _sample(key):
+    """A value for the option that differs from every command's default."""
+    if _OPTIONS[key].choices:
+        return _OPTIONS[key].choices[-1]
+    return {"grid": "-1:1:5", "file": "m.csv", "out": "x.out"}.get(key, "2.5")
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_flag_and_config_key_resolve_alike(tmp_path, command):
+    parser = _build_parser()
+    taken = set(vars(_resolve(parser.parse_args([command])))) - {"command"}
+    assert taken == _COMMON | _OWN.get(command, set())
+    cfg = tmp_path / "run.cfg"
+    for key in taken:
+        value = _sample(key)
+        by_flag = _resolve(parser.parse_args([command, f"--{key.replace('_', '-')}={value}"]))
+        cfg.write_text(f"{key.replace('_', '-')} = {value}\n")
+        by_file = _resolve(parser.parse_args([command, "--config", str(cfg)]))
+        assert by_flag.as_dict() == by_file.as_dict()
+        assert by_flag.as_dict()[key] == _OPTIONS[key].type(value)
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_option_of_another_command_is_rejected(tmp_path, capsys, command):
+    parser = _build_parser()
+    cfg = tmp_path / "run.cfg"
+    others = set(_OPTIONS) - _COMMON - _OWN.get(command, set())
+    assert others
+    for key in others:
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, f"--{key.replace('_', '-')}={_sample(key)}"])
+        cfg.write_text(f"{key} = {_sample(key)}\n")
+        with pytest.raises(ValueError, match=f"unknown config key '{key}' for {command}"):
+            _resolve(parser.parse_args([command, "--config", str(cfg)]))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["validate", "--tol", "nan"], "--tol"),
+        (["causality", "--inject", "exponential", "--tol", "nan"], "--tol"),
+        (["susceptibility", "--omega-c", "inf"], "--omega-c"),
+        (["susceptibility", "--temp", "inf", "--state", "thermal"], "--temp"),
+        (["susceptibility", "--hbar", "inf"], "--hbar"),
+        (["squeeze", "--osc-amp", "nan"], "--osc-amp"),
+        (["fdt", "--state", "two-temperature", "--temp-phi", "1", "--temp-psi", "nan"], "--temp-psi"),
+    ],
+)
+def test_non_finite_option_is_an_input_error(tmp_path, capsys, argv, option):
+    out = tmp_path / "never.out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {option} must be positive and finite" in capsys.readouterr().err
+    key, value = argv[-2].lstrip("-"), argv[-1]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main(argv[:-2] + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {option} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_and_json_agree(tmp_path):

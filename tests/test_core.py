@@ -5,8 +5,12 @@ from vacmirror import (
     ETA,
     FrequencyGrid,
     PhysicsContext,
+    QuadratureConfig,
+    SinglePoleMirror,
     SingularFrequencyError,
     Spectrum,
+    ThermalState,
+    TwoTemperatureState,
     dagger,
     max_entry,
 )
@@ -24,6 +28,27 @@ def test_physics_context_validates_hbar():
         PhysicsContext(hbar=0.0)
     with pytest.raises(ValueError):
         PhysicsContext(hbar=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: SinglePoleMirror(x),
+        lambda x: ThermalState(x),
+        lambda x: TwoTemperatureState(x, 1.0),
+        lambda x: TwoTemperatureState(1.0, x),
+        lambda x: PhysicsContext(hbar=x),
+        lambda x: QuadratureConfig(abs_tol=x),
+        lambda x: QuadratureConfig(rel_tol=x),
+        lambda x: QuadratureConfig(window=x),
+    ],
+    ids=["omega_c", "temperature", "temp_phi", "temp_psi", "hbar", "abs_tol", "rel_tol", "window"],
+)
+def test_constructors_reject_non_finite_parameters(build, bad):
+    build(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
 
 
 def test_symmetric_grid_is_bitwise_symmetric():
