@@ -8,6 +8,7 @@ and sampled spectra associated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,13 +32,22 @@ def max_entry(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
+def finite(omega, what: str = "kernel") -> np.ndarray:
+    """``omega`` as a float array; a non-finite sample raises ValueError, named as passed."""
+    w = np.asarray(omega, dtype=float)
+    # kernels are also called one scalar pair at a time, where .all() would dominate
+    if not (math.isfinite(w) if w.ndim == 0 else np.count_nonzero(np.isfinite(w)) == w.size):
+        raise ValueError(f"{what} at omega={float(w[~np.isfinite(w)][0])!r}: frequency is not finite")
+    return w
+
+
 def frequency_pair(omega, omega2) -> tuple[np.ndarray, np.ndarray]:
-    """The two arguments of a two-frequency kernel as float arrays of one shape.
+    """The two arguments of a two-frequency kernel as finite float arrays of one shape.
 
     Arguments of equal shape, scalars included, are not broadcast, which
     keeps the per-pair call cheap; ``np.array([w1, w2])`` then stacks them.
     """
-    w1, w2 = np.asarray(omega, dtype=float), np.asarray(omega2, dtype=float)
+    w1, w2 = finite(omega), finite(omega2)
     if w1.shape != w2.shape:
         w1, w2 = np.broadcast_arrays(w1, w2)
     return w1, w2

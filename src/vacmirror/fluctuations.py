@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import FrequencyGrid, Spectrum, dagger
+from .core import FrequencyGrid, Spectrum, dagger, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig
 from .pressure import alpha_beta, force_kernel
@@ -58,8 +58,7 @@ def cff_kernel(model: Mirror, state: FieldState, omega, omega2):
             np.abs(a) ** 2 * (w1[..., 0] * w2[..., 0] + w1[..., 1] * w2[..., 1])
             + np.abs(b) ** 2 * (w1[..., 0] * w2[..., 1] + w1[..., 1] * w2[..., 0])
         )
-    w1 = np.asarray(omega, dtype=float)
-    w2 = np.asarray(omega2, dtype=float)
+    w1, w2 = frequency_pair(omega, omega2)
     f = force_kernel(model, w1, w2)
     c_w2_t = np.swapaxes(state.cfull(w2), -1, -2)
     return 2.0 * w1**2 * w2**2 * np.trace(

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ETA, EYE2, FrequencyGrid, dagger
+from .core import ETA, EYE2, FrequencyGrid, dagger, finite
 from .mirrors import Mirror
 from .states import FieldState
 
 
 def alpha_beta(model: Mirror, omega, omega2):
     """(alpha, beta) at (w, w'), elementwise, from one amplitude call per argument."""
-    (s1, r1), (s2, r2) = model.amplitudes(omega), model.amplitudes(omega2)
+    (s1, r1), (s2, r2) = model.amplitudes(finite(omega)), model.amplitudes(finite(omega2))
     return 1.0 - s1 * s2 + r1 * r2, s1 * r2 - r1 * s2
 
 
@@ -45,7 +45,7 @@ def alpha(model: Mirror, omega, omega2):
 
     The susceptibility kernel needs alpha alone, so beta is not formed here.
     """
-    (s1, r1), (s2, r2) = model.amplitudes(omega), model.amplitudes(omega2)
+    (s1, r1), (s2, r2) = model.amplitudes(finite(omega)), model.amplitudes(finite(omega2))
     return 1.0 - s1 * s2 + r1 * r2
 
 
@@ -87,15 +87,13 @@ def mean_force_integrand(model: Mirror, state: FieldState, omega):
     weights; for isotropic states (vacuum, thermal) the two components are
     equal and the integrand is exactly zero pointwise.
     """
+    w = np.asarray(omega, dtype=float)
     if not state.diagonal:
-        w = np.asarray(omega, dtype=float)
         return w * w * np.trace(force_kernel(model, w, -w) @ state.cplus(w), axis1=-2, axis2=-1)
-    nw = state.noise_weight(omega)
+    nw = state.noise_weight(w)
     # v^2 cplus = v^2 (c - cminus); the cminus parts of the two components are
     # equal and cancel in the difference, so the noise weights serve directly
-    diff = nw[..., 0] - nw[..., 1]
-    a = alpha(model, omega, -np.asarray(omega, dtype=float))
-    return a * diff
+    return alpha(model, w, -w) * (nw[..., 0] - nw[..., 1])
 
 
 def mean_force(

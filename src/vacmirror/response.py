@@ -16,6 +16,8 @@ regular at zero frequency even though cplus alone diverges there.  For the
 vacuum, u(v) = hbar |v| / 2 makes the opposite-sign contributions cancel
 exactly, leaving the bounded support w' in [0, w]; the perfect-mirror limit
 of the resulting integral is the cubic law chi(w) = i hbar w^3 / (6 pi).
+Like every convolved kernel, chi[w', w - w'] is even about w' = w/2, so
+:func:`convolve` integrates the half of the support below w/2 and doubles it.
 
 The same response can be derived in the comoving frame by perturbing the
 input covariance instead of the S-matrix
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ETA, FrequencyGrid, Spectrum, frequency_pair
+from .core import ETA, FrequencyGrid, Spectrum, finite, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig, integrate_batch
 from .pressure import alpha, force_kernel
@@ -119,14 +121,6 @@ def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
     return (1j * omega) * (1j * omega2) * np.trace(f @ pert, axis1=-2, axis2=-1)
 
 
-def _finite(omega, what: str) -> np.ndarray:
-    """``omega`` as a float array; a non-finite sample raises ValueError, named as passed."""
-    w = np.asarray(omega, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError(f"{what} at omega={float(w[~np.isfinite(w)][0])!r}: frequency is not finite")
-    return w
-
-
 def convolve(
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     omegas,
@@ -137,28 +131,29 @@ def convolve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """integral dw'/(2 pi) kernel(w', w - w') at every w, in one vector quadrature.
 
-    The support is the state's, cut into pieces at the kinks 0 and w, so
-    the kinks line up across samples.  Vacuum weights vanish outside
-    [0, w], one piece; w <= 0 has empty support and gives exactly zero (chi
-    and xi are folded onto w > 0 first).  Other states use [lo - span, lo],
-    [lo, hi] and [hi, hi + span] with lo = min(0, w), hi = max(0, w) and
-    span the thermal window; ``quad.window`` widens the outer pieces to at
-    least [-W, W], and a state without a decay scale requires it.  Each
-    piece maps onto a unit interval of t by psi(t) = t^3 (10 - 15 t + 6 t^2),
-    which clusters nodes at both ends, where the mirror's structure of width
-    ~Omega sits at every w, so one subdivision fits all samples (Sidi 1993);
-    the error estimates are QUADPACK's on the transformed integrand.  The
-    natural scale hbar|w|^3 + T^2|w|/hbar + T^3/hbar^2 tightens ``abs_tol``
-    as in :func:`integrate_batch`, whose (values, abs_error, evaluations)
-    arrays are returned.
+    Every convolved kernel is symmetric under argument exchange, so the
+    integrand is even about w' = w/2: only the support below w/2 is
+    integrated, with doubled weight, and the kink at max(0, w) falls in the
+    mirror half.  Vacuum weights vanish outside [0, w], leaving [0, w/2];
+    w <= 0 has empty support and gives exactly zero (chi and xi are folded
+    onto w > 0 first).  Other states use [lo - reach, lo] and [lo, w/2],
+    cut at the kink lo = min(0, w) so kinks line up across samples; reach
+    is the larger of the thermal window and ``quad.window`` W (required
+    without a decay scale), so the doubled half covers [-W, W].  Pieces map
+    onto unit intervals of t by psi(t) = t^3 (10 - 15 t + 6 t^2), which
+    clusters nodes at both ends; the mirror's structure of width ~Omega
+    sits at the kink end at every w, so one subdivision fits all samples
+    (Sidi 1993).  The natural scale hbar|w|^3 + T^2|w|/hbar + T^3/hbar^2
+    tightens ``abs_tol`` in :func:`integrate_batch`, whose values, QUADPACK
+    error estimates of the doubled integrand and node counts are returned.
     """
-    w = _finite(omegas, what)
+    w = finite(omegas, what)
     hbar = state.context.hbar
     decay = state.decay_scale()
     temp = decay or 0.0
     scale = hbar * np.abs(w) ** 3 + (temp**2 * np.abs(w) + temp**3 / hbar) / hbar
     if isinstance(state, VacuumState):
-        edges = np.stack([np.zeros_like(w), np.maximum(w, 0.0)])
+        edges = np.stack([np.zeros_like(w), np.maximum(w, 0.0) / 2.0])
     else:
         if decay is None and quad.window is None:
             raise ValueError(
@@ -170,12 +165,9 @@ def convolve(
                 f"{what} over a thermal state needs a transparent model: the "
                 "integrand does not decay for a perfectly reflecting mirror"
             )
-        span = _THERMAL_DECADES * temp / hbar
-        lo, hi = np.minimum(0.0, w), np.maximum(0.0, w)
-        left, right = lo - span, hi + span
-        if quad.window is not None:
-            left, right = np.minimum(-quad.window, left), np.maximum(quad.window, right)
-        edges = np.stack([left, lo, hi, right])
+        reach = max(_THERMAL_DECADES * temp / hbar, quad.window or 0.0)
+        lo = np.minimum(0.0, w)
+        edges = np.stack([lo - reach, lo, w / 2.0])
     live = edges[-1] > edges[0]
     x, edges = w[live], edges[:, live]
     widths = np.diff(edges, axis=0)
@@ -191,11 +183,11 @@ def convolve(
         offset = np.where(up, -1.0, 1.0) * s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
         width = widths[:, cols][piece]
         wp = edges[:, cols][piece + up] + offset[:, None] * width
-        weight = (30.0 / (2.0 * np.pi) * s**2 * (1.0 - s) ** 2)[:, None] * width
+        weight = (30.0 / np.pi * s**2 * (1.0 - s) ** 2)[:, None] * width  # 2 psi'(s) / (2 pi)
         on = width > 0
         if on.all():
             return kernel(wp, x[cols] - wp) * weight
-        # an empty piece (the middle one at w = 0) adds nothing, and the
+        # an empty piece (the upper one at w = 0) adds nothing, and the
         # kernel may be singular there
         out = np.zeros(wp.shape, dtype=complex)
         out[on] = kernel(wp[on], (x[cols] - wp)[on]) * weight[on]
@@ -219,7 +211,7 @@ def fold(reflect, kernel, omegas, state: FieldState, model: Mirror, quad: Quadra
     chi(-w) = conj chi(w) holds bitwise.  Frequencies are checked before
     folding, so a non-finite one is named with its sign.
     """
-    w = _finite(omegas, what)
+    w = finite(omegas, what)
     mags, back = np.unique(np.abs(w), return_inverse=True)
     skip = int(mags.size > 0 and mags[0] == 0)  # w = 0 sorts first
     values, abs_error, evaluations = (

@@ -2,7 +2,8 @@
 
 An array call must reproduce the stacked scalar calls pair by pair, whatever
 the route's contraction, and a zero frequency must still raise where the
-route's covariance is singular.
+route's covariance is singular.  A non-finite frequency raises in every
+two-frequency route, naming it.
 """
 
 import numpy as np
@@ -118,3 +119,15 @@ def test_zero_frequency_still_raises(route, state):
         route(state, ws, 0.7)
     with pytest.raises(SingularFrequencyError):
         route(state, -0.9, ws)
+
+
+TWO_FREQUENCY_ROUTES = [p for p in ROUTES if p.id != "energy_exchange_kernel"]
+
+
+@pytest.mark.parametrize("route", TWO_FREQUENCY_ROUTES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_frequency_raises_naming_it(route, bad):
+    ws = np.array([1.5, bad, -2.0])
+    for pair in ((ws, 0.7), (-0.9, ws), (0.7, bad)):
+        with pytest.raises(ValueError, match=rf"^kernel at omega={bad!r}: frequency is not finite"):
+            route(*pair)

@@ -12,6 +12,7 @@ not by timing.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -165,6 +166,62 @@ def test_non_finite_frequency_raises_naming_the_sample(spectrum, what, bad, stat
         spectrum(SinglePoleMirror(1.0), state, np.array([bad, 1.0]))
 
 
+def _symmetry_states(kind, hbar, temp, temp2):
+    ctx = PhysicsContext(hbar)
+
+    def diagonal_rule(nu):
+        return hbar * np.eye(2) / (4.0 * abs(nu))
+
+    def correlated_rule(nu):
+        # complex cross-correlation with cplus(-w) = cplus(w)^T
+        corr = 0.1j * np.sign(nu)
+        return hbar * np.array([[1.0, corr], [-corr, 1.0]]) / (4.0 * abs(nu))
+
+    return {
+        "vacuum": lambda: VacuumState(ctx),
+        "thermal": lambda: ThermalState(temp, ctx),
+        "two-temperature": lambda: TwoTemperatureState(temp, temp2, ctx),
+        "custom diagonal": lambda: CustomState(diagonal_rule, ctx, diagonal=True),
+        "custom correlated": lambda: CustomState(correlated_rule, ctx),
+    }[kind]()
+
+
+_NONZERO = st.floats(-30.0, 30.0).filter(lambda v: abs(v) >= 1e-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["vacuum", "thermal", "two-temperature", "custom diagonal", "custom correlated"]),
+    omega_c=st.floats(0.1, 10.0),
+    hbar=st.floats(0.1, 10.0),
+    temp=st.floats(0.1, 10.0),
+    temp2=st.floats(0.1, 10.0),
+    pairs=st.lists(st.tuples(_NONZERO, _NONZERO), min_size=1, max_size=6),
+)
+def test_convolved_kernels_are_symmetric_under_argument_exchange(kind, omega_c, hbar, temp, temp2, pairs):
+    # convolve integrates only w' < w/2 and doubles it, which is exact
+    # because K(w', w - w') is even about w' = w/2
+    model = SinglePoleMirror(omega_c)
+    state = _symmetry_states(kind, hbar, temp, temp2)
+    a, b = np.array(pairs).T
+    # the general routes sum trace terms that can cancel to rounding, so
+    # differences are measured against the terms' size: with u(v) = v^2 tr
+    # cplus(v), chi and xi are O((|a| + |b|)(u(a) + u(b)) + u(a) u(b) / hbar)
+    # and C_FF is hbar times that
+    u_a, u_b = np.abs(state.chi_weight(np.array([a, b])))
+    size = (np.abs(a) + np.abs(b)) * (u_a + u_b) + u_a * u_b / hbar
+    kernels = {
+        "chi": (partial(chi_kernel, model, state), size),
+        "cff": (partial(cff_kernel, model, state), hbar * size),
+        "xi noise": (partial(commutator_kernel, model, state, route="noise"), size),
+        "xi response": (partial(commutator_kernel, model, state, route="response"), size),
+    }
+    for what, (kernel, scale) in kernels.items():
+        ab, ba = kernel(a, b), kernel(b, a)
+        bound = 1e-13 * np.maximum(np.maximum(np.abs(ab), np.abs(ba)), scale)
+        assert np.all(np.abs(ab - ba) <= bound), (what, ab, ba)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     omega_c=st.floats(1e-2, 1e4),
@@ -243,15 +300,18 @@ def test_thermal_noise_calls_its_kernel_once_per_batch_of_nodes(monkeypatch):
 @pytest.mark.parametrize(
     "spectrum, state, omega_c, grid, ceiling",
     [
-        (susceptibility_grid, VacuumState(), 2.0, FrequencyGrid.linear(-200.0, 200.0, 2001), 315),
-        (susceptibility_grid, VacuumState(), 1.0, FrequencyGrid.linear(-200.0, 200.0, 16001), 315),
-        (noise_spectrum_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 483),
+        (susceptibility_grid, VacuumState(), 2.0, FrequencyGrid.linear(-200.0, 200.0, 2001), 147),
+        (susceptibility_grid, VacuumState(), 1.0, FrequencyGrid.linear(-200.0, 200.0, 16001), 189),
+        (susceptibility_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 294),
+        (noise_spectrum_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 294),
     ],
-    ids=["vacuum-2001", "vacuum-16001", "thermal-noise"],
+    ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise"],
 )
 def test_shared_subdivision_stays_under_a_node_ceiling(spectrum, state, omega_c, grid, ceiling):
-    # a deterministic work bound: mapping each support piece affinely instead
-    # of clustering nodes at its edges takes 483, 567 and 609 nodes here
+    # a deterministic work bound: integrating the whole support instead of
+    # the half below w/2 takes 315, 315, 525 and 483 nodes here, and mapping
+    # each whole-support piece affinely instead of clustering nodes at its
+    # edges took 483, 567 and 609 (no thermal chi row then)
     spec = spectrum(SinglePoleMirror(omega_c), state, grid)
     assert spec.meta["evaluations"].max() <= ceiling
 

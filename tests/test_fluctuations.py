@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vacmirror import (
     CustomState,
     FrequencyGrid,
     PerfectMirror,
+    PhysicsContext,
     SinglePoleMirror,
     ThermalState,
+    TwoTemperatureState,
     VacuumState,
     cff_kernel,
     commutator_kernel,
@@ -155,6 +159,26 @@ def test_fdt_check_at_high_temperature():
     # width Omega = 1 at its inner edges
     rep = fdt_check(SinglePoleMirror(1.0), ThermalState(1e5), FrequencyGrid.linear(-5.0, 5.0, 11))
     assert rep.passes(1e-8)
+
+
+_LOG_DECADE = st.floats(-1.0, 1.0).map(lambda x: 10.0**x)  # log-uniform on [0.1, 10]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    two_temperature=st.booleans(),
+    omega_c=_LOG_DECADE,
+    hbar=_LOG_DECADE,
+    temp_phi=_LOG_DECADE,
+    temp_psi=_LOG_DECADE,
+)
+def test_fdt_holds_across_parameters(two_temperature, omega_c, hbar, temp_phi, temp_psi):
+    # the three routes convolve three different kernels, each over the half
+    # support below w/2
+    ctx = PhysicsContext(hbar)
+    state = TwoTemperatureState(temp_phi, temp_psi, ctx) if two_temperature else ThermalState(temp_phi, ctx)
+    rep = fdt_check(SinglePoleMirror(omega_c), state, FrequencyGrid.symmetric(5.0, 11))
+    assert rep.passes(1e-8), rep.relative_deviation
 
 
 def test_thermal_noise_keeps_detailed_balance_at_high_temperature():
