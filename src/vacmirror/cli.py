@@ -258,12 +258,8 @@ def cmd_fdt(cfg: RunConfig) -> int:
     grid = _parse_grid(cfg)
     report = fdt_check(model, state, grid, _quad(cfg))
     passed = report.passes(cfg.tol)
-    rows = [
-        (float(w), float(a), float(b), float(c))
-        for w, a, b, c in zip(
-            grid.omega, report.xi_commutator, report.xi_noise, report.xi_chi
-        )
-    ]
+    routes = zip(grid.omega, report.xi_commutator, report.xi_noise, report.xi_chi)
+    rows = [(float(w), float(a), float(b), float(c)) for w, a, b, c in routes]
     comments = [
         f"# max_deviation {_FMT % report.max_deviation}",
         f"# relative_deviation {_FMT % report.relative_deviation}",
@@ -350,7 +346,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names=tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vacmirror",
         description="Radiation-pressure spectra of a scattering mirror.",
@@ -372,10 +368,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if key not in own:
             add(common, key)
     common.add_argument("--config", help="flat key = value config file; flags win")
-    commands = parser.add_subparsers(dest="command")
-    for name, sub in _SUBCOMMANDS.items():
-        command = commands.add_parser(name, parents=[common], help=sub.help)
-        for key in sub.options:
+    # usage lists every command; the full parser keeps argparse's own
+    # metavar, which also names the argument in the unknown-command error
+    listed = None if len(names) == len(_SUBCOMMANDS) else "{" + ",".join(_SUBCOMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", metavar=listed)
+    for name in names:
+        command = commands.add_parser(name, parents=[common], help=_SUBCOMMANDS[name].help)
+        for key in _SUBCOMMANDS[name].options:
             add(command, key)
     return parser
 
@@ -387,7 +386,8 @@ def main(argv: list[str] | None = None) -> int:
         if tokens[k] == "--grid":
             tokens[k] = "--grid=" + tokens.pop(k + 1)
             break
-    parser = _build_parser()
+    # a known command needs only its own subparser, which is cheaper to build
+    parser = _build_parser(tokens[:1] if tokens[:1] and tokens[0] in _SUBCOMMANDS else _SUBCOMMANDS)
     args = parser.parse_args(tokens)
     if args.command is None:
         parser.print_help(sys.stderr)

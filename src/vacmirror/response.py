@@ -92,7 +92,9 @@ def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
     equals :func:`chi_kernel` wherever both are defined (w, w' != 0).
     Elementwise over frequency arrays; both argument orders are stacked.
     """
-    first = np.array(frequency_pair(omega, omega2))
+    # force_kernel checks both stacked arguments, in frequency_pair's order
+    w1, w2 = np.asarray(omega, dtype=float), np.asarray(omega2, dtype=float)
+    first = np.array([w1, w2] if w1.shape == w2.shape else np.broadcast_arrays(w1, w2))
     second = first[::-1]
     t12, t21 = force_kernel(model, first, second) @ _modulated(state.cfull, first, second)
     return omega * omega2 / 2.0 * np.trace(t12 + t21, axis1=-2, axis2=-1)
@@ -139,13 +141,14 @@ def convolve(
     onto w > 0 first).  Other states use [lo - reach, lo] and [lo, w/2],
     cut at the kink lo = min(0, w) so kinks line up across samples; reach
     is the larger of the thermal window and ``quad.window`` W (required
-    without a decay scale), so the doubled half covers [-W, W].  Pieces map
-    onto unit intervals of t by psi(t) = t^3 (10 - 15 t + 6 t^2), which
-    clusters nodes at both ends; the mirror's structure of width ~Omega
-    sits at the kink end at every w, so one subdivision fits all samples
-    (Sidi 1993).  The natural scale hbar|w|^3 + T^2|w|/hbar + T^3/hbar^2
-    tightens ``abs_tol`` in :func:`integrate_batch`, whose values, QUADPACK
-    error estimates of the doubled integrand and node counts are returned.
+    without a decay scale), so the doubled half covers [-W, W].  The
+    mirror's width-Omega structure sits at the kink (0 for the vacuum) and
+    the far ends (the decayed tail, or w/2) are smooth, so a node at u in
+    (0, 1) sits at kink +/- width * u^3 (Sidi 1993): one subdivision fits
+    all samples, at 105 nodes per vacuum chi sample on [-200, 200].  The
+    natural scale hbar|w|^3 + T^2|w|/hbar + T^3/hbar^2 tightens ``abs_tol``
+    in :func:`integrate_batch`, whose values, QUADPACK error estimates of
+    the doubled integrand and node counts are returned.
     """
     w = finite(omegas, what)
     hbar = state.context.hbar
@@ -153,7 +156,7 @@ def convolve(
     temp = decay or 0.0
     scale = hbar * np.abs(w) ** 3 + (temp**2 * np.abs(w) + temp**3 / hbar) / hbar
     if isinstance(state, VacuumState):
-        edges = np.stack([np.zeros_like(w), np.maximum(w, 0.0) / 2.0])
+        kink, spans = np.zeros_like(w), np.maximum(w, 0.0)[None] / 2.0
     else:
         if decay is None and quad.window is None:
             raise ValueError(
@@ -166,25 +169,22 @@ def convolve(
                 "integrand does not decay for a perfectly reflecting mirror"
             )
         reach = max(_THERMAL_DECADES * temp / hbar, quad.window or 0.0)
-        lo = np.minimum(0.0, w)
-        edges = np.stack([lo - reach, lo, w / 2.0])
-    live = edges[-1] > edges[0]
-    x, edges = w[live], edges[:, live]
-    widths = np.diff(edges, axis=0)
-    last = len(widths) - 1
+        kink = np.minimum(0.0, w)
+        spans = np.stack([np.full_like(w, -reach), w / 2.0 - kink])
+    live = spans.any(axis=0)
+    x, kink, spans = w[live], kink[live], spans[:, live]
+    last = len(spans) - 1
 
     def integrand(t: np.ndarray, cols: slice) -> np.ndarray:
         # nodes never sit on a piece edge, so each lies inside one piece; it
-        # is placed from its nearer edge, psi(1 - s) = 1 - psi(s), to keep its
-        # digits near a kink even across a wide thermal piece
+        # is placed from the kink along the piece's signed span, to keep its
+        # digits there even across a wide thermal piece
         piece = np.minimum(t.astype(int), last)
-        up = t - piece > 0.5
-        s = np.where(up, piece + 1 - t, t - piece)
-        offset = np.where(up, -1.0, 1.0) * s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-        width = widths[:, cols][piece]
-        wp = edges[:, cols][piece + up] + offset[:, None] * width
-        weight = (30.0 / np.pi * s**2 * (1.0 - s) ** 2)[:, None] * width  # 2 psi'(s) / (2 pi)
-        on = width > 0
+        u = (t - piece)[:, None]
+        span = spans[:, cols][piece]
+        wp = kink[cols] + span * u**3
+        weight = 3.0 / np.pi * u**2 * np.abs(span)  # 2 d(u^3)/du / (2 pi)
+        on = span != 0
         if on.all():
             return kernel(wp, x[cols] - wp) * weight
         # an empty piece (the upper one at w = 0) adds nothing, and the

@@ -9,6 +9,8 @@ two-frequency route, naming it.
 import numpy as np
 import pytest
 
+import vacmirror.core
+import vacmirror.pressure
 from vacmirror import (
     CustomState,
     SingularFrequencyError,
@@ -131,3 +133,24 @@ def test_non_finite_frequency_raises_naming_it(route, bad):
     for pair in ((ws, 0.7), (-0.9, ws), (0.7, bad)):
         with pytest.raises(ValueError, match=rf"^kernel at omega={bad!r}: frequency is not finite"):
             route(*pair)
+
+
+@pytest.mark.parametrize("state", STATES.values(), ids=STATES)
+def test_symmetrized_route_checks_its_frequencies_once(monkeypatch, state):
+    checked = []
+    check = vacmirror.core.finite
+
+    def counting(omega, what="kernel"):
+        checked.append(np.size(omega))
+        return check(omega, what)
+
+    for module in (vacmirror.core, vacmirror.pressure):
+        monkeypatch.setattr(module, "finite", counting)
+    ws = np.array([1.5, -0.4, 2.0])
+    chi_kernel_symmetrized(MODEL, state, ws, 0.7)
+    # only the force kernel's check of the stacked pairs (w, w') and (w', w)
+    assert checked == [2 * ws.size, 2 * ws.size]
+    # with both arguments bad, the first one's sample is named, as
+    # frequency_pair names it
+    with pytest.raises(ValueError, match=r"^kernel at omega=nan: frequency is not finite"):
+        chi_kernel_symmetrized(MODEL, state, np.array([1.0, np.nan]), np.array([np.inf, 1.0]))

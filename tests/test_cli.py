@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import vacmirror.cli
 from vacmirror import SinglePoleMirror
 from vacmirror.cli import _OPTIONS, _SUBCOMMANDS, _build_parser, _resolve, main
 
@@ -287,3 +288,27 @@ def test_csv_and_json_agree(tmp_path):
     data = doc["data"]
     for k, w in enumerate(data["omega"]):
         assert rows[w] == [data["re_chi"][k], data["im_chi"][k]]
+
+
+def _run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], [], ["--version"], ["bogus"], ["noise", "--grid=abc"], ["noise", "--bogus"], ["squeeze", "-x"]]
+    + [[command, "--help"] for command in _SUBCOMMANDS],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_parser_of_one_command_behaves_as_the_full_parser(monkeypatch, capsys, argv):
+    # main builds only the named command's subparser; help, usage, errors
+    # and exit codes must not show it
+    partial = _run(argv, capsys)
+    monkeypatch.setattr(vacmirror.cli, "_build_parser", lambda names=None: _build_parser())
+    assert partial == _run(argv, capsys)
+    assert partial[1] or partial[2]

@@ -300,19 +300,32 @@ def test_thermal_noise_calls_its_kernel_once_per_batch_of_nodes(monkeypatch):
 @pytest.mark.parametrize(
     "spectrum, state, omega_c, grid, ceiling",
     [
-        (susceptibility_grid, VacuumState(), 2.0, FrequencyGrid.linear(-200.0, 200.0, 2001), 147),
-        (susceptibility_grid, VacuumState(), 1.0, FrequencyGrid.linear(-200.0, 200.0, 16001), 189),
-        (susceptibility_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 294),
-        (noise_spectrum_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 294),
+        (susceptibility_grid, VacuumState(), 2.0, FrequencyGrid.linear(-200.0, 200.0, 2001), 105),
+        (susceptibility_grid, VacuumState(), 1.0, FrequencyGrid.linear(-200.0, 200.0, 16001), 147),
+        (susceptibility_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 252),
+        (noise_spectrum_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 252),
+        (noise_spectrum_grid, TwoTemperatureState(2.0, 0.5), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 294),
     ],
-    ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise"],
+    ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise", "two-temperature-noise"],
 )
 def test_shared_subdivision_stays_under_a_node_ceiling(spectrum, state, omega_c, grid, ceiling):
-    # a deterministic work bound: integrating the whole support instead of
-    # the half below w/2 takes 315, 315, 525 and 483 nodes here, and mapping
-    # each whole-support piece affinely instead of clustering nodes at its
-    # edges took 483, 567 and 609 (no thermal chi row then)
+    # a deterministic work bound: placing nodes from both piece edges by
+    # psi(t) = t^3 (10 - 15 t + 6 t^2) instead of from the kink took 147,
+    # 189, 294, 294 and 294 nodes here; integrating the whole support instead
+    # of the half below w/2 took 315, 315, 525 and 483, and mapping each
+    # whole-support piece affinely took 483, 567 and 609 (no thermal chi row
+    # then)
     spec = spectrum(SinglePoleMirror(omega_c), state, grid)
+    assert spec.meta["evaluations"].max() <= ceiling
+
+
+@pytest.mark.parametrize("temp, ceiling", [(1e3, 336), (1e5, 420), (1e6, 462), (1e8, 546)])
+def test_wide_thermal_window_stays_under_a_node_ceiling(temp, ceiling):
+    # the outer piece is 46 T/hbar wide; nodes placed from the kink keep
+    # their digits there at any width.  Placing them from the nearer of both
+    # piece edges took 420, 504, 546 and 672 nodes here
+    grid = FrequencyGrid.linear(-5.0, 5.0, 11)
+    spec = noise_spectrum_grid(SinglePoleMirror(1.0), ThermalState(temp), grid)
     assert spec.meta["evaluations"].max() <= ceiling
 
 
