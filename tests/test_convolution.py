@@ -297,6 +297,9 @@ def test_thermal_noise_calls_its_kernel_once_per_batch_of_nodes(monkeypatch):
     assert sum(calls) <= evaluations * 41
 
 
+_WIDE = [("1e3", 336), ("1e5", 420), ("1e6", 462), ("1e8", 546)]
+
+
 @pytest.mark.parametrize(
     "spectrum, state, omega_c, grid, ceiling",
     [
@@ -305,27 +308,24 @@ def test_thermal_noise_calls_its_kernel_once_per_batch_of_nodes(monkeypatch):
         (susceptibility_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 252),
         (noise_spectrum_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 252),
         (noise_spectrum_grid, TwoTemperatureState(2.0, 0.5), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 294),
+    ]
+    + [
+        (noise_spectrum_grid, ThermalState(float(t)), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), c)
+        for t, c in _WIDE
     ],
-    ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise", "two-temperature-noise"],
+    ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise", "two-temperature-noise"]
+    + [f"thermal-noise-T{t}" for t, _ in _WIDE],
 )
 def test_shared_subdivision_stays_under_a_node_ceiling(spectrum, state, omega_c, grid, ceiling):
-    # a deterministic work bound: placing nodes from both piece edges by
-    # psi(t) = t^3 (10 - 15 t + 6 t^2) instead of from the kink took 147,
-    # 189, 294, 294 and 294 nodes here; integrating the whole support instead
-    # of the half below w/2 took 315, 315, 525 and 483, and mapping each
+    # a deterministic work bound: placing nodes from the nearer of both piece
+    # edges by psi(t) = t^3 (10 - 15 t + 6 t^2) instead of from the kink took
+    # 147, 189, 294, 294 and 294 nodes here, and 420, 504, 546 and 672 in the
+    # wide thermal windows (46 T/hbar), where nodes placed from the kink keep
+    # their digits at any width; integrating the whole support instead of the
+    # half below w/2 took 315, 315, 525 and 483, and mapping each
     # whole-support piece affinely took 483, 567 and 609 (no thermal chi row
     # then)
     spec = spectrum(SinglePoleMirror(omega_c), state, grid)
-    assert spec.meta["evaluations"].max() <= ceiling
-
-
-@pytest.mark.parametrize("temp, ceiling", [(1e3, 336), (1e5, 420), (1e6, 462), (1e8, 546)])
-def test_wide_thermal_window_stays_under_a_node_ceiling(temp, ceiling):
-    # the outer piece is 46 T/hbar wide; nodes placed from the kink keep
-    # their digits there at any width.  Placing them from the nearer of both
-    # piece edges took 420, 504, 546 and 672 nodes here
-    grid = FrequencyGrid.linear(-5.0, 5.0, 11)
-    spec = noise_spectrum_grid(SinglePoleMirror(1.0), ThermalState(temp), grid)
     assert spec.meta["evaluations"].max() <= ceiling
 
 
