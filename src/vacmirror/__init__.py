@@ -29,6 +29,7 @@ from .fluctuations import (
     cff_kernel,
     commutator_kernel,
     fdt_check,
+    mean_force,
     noise_spectrum,
     noise_spectrum_grid,
     xi_spectrum,
@@ -53,7 +54,6 @@ from .pressure import (
     alpha_beta,
     energy_exchange_kernel,
     force_kernel,
-    mean_force,
     mean_force_integrand,
     unitarity_identities,
 )

@@ -26,6 +26,8 @@ and its convolution xi(w) ties noise to dissipation:
 
 :func:`fdt_check` evaluates all three routes independently on a grid and
 reports their maximum disagreement.
+
+The mean force, an integral of an even integrand, is the convolution at w = 0.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ import numpy as np
 from .core import FrequencyGrid, Spectrum, dagger, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig
-from .pressure import alpha_beta, force_kernel
+from .pressure import _force_kernel, alpha_beta, mean_force_integrand
 from .response import _chi, budgeted_spectrum, chi_kernel, convolve, fold
-from .states import FieldState, VacuumState
+from .states import FieldState
 
 
 def cff_kernel(model: Mirror, state: FieldState, omega, omega2):
@@ -59,7 +61,7 @@ def cff_kernel(model: Mirror, state: FieldState, omega, omega2):
             + np.abs(b) ** 2 * (w1[..., 0] * w2[..., 1] + w1[..., 1] * w2[..., 0])
         )
     w1, w2 = frequency_pair(omega, omega2)
-    f = force_kernel(model, w1, w2)
+    f = _force_kernel(model, w1, w2)
     c_w2_t = np.swapaxes(state.cfull(w2), -1, -2)
     return 2.0 * w1**2 * w2**2 * np.trace(
         f @ state.cfull(w1) @ dagger(f) @ c_w2_t, axis1=-2, axis2=-1
@@ -127,9 +129,9 @@ def noise_spectrum(
 
 
 def _xi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
-    args = (partial(commutator_kernel, model, state), omega, state, model, quad, "xi_spectrum")
-    folded = isinstance(state, VacuumState)
-    values, abs_error, evaluations = fold(np.negative, *args) if folded else convolve(*args)
+    # C_FF[a, b] = C_FF[b, a] for every state makes xi odd: xi(-w) = -xi(w)
+    kernel = partial(commutator_kernel, model, state)
+    values, abs_error, evaluations = fold(np.negative, kernel, omega, state, model, quad, "xi_spectrum")
     return _real(values, omega, "commutator spectrum"), abs_error, evaluations
 
 
@@ -142,9 +144,27 @@ def xi_spectrum(
     """Commutator spectrum xi(w): convolution of the commutator kernel.
 
     Real and odd in w; equals Im chi(w) when the fluctuation-dissipation
-    relation holds.  In the vacuum the oddness holds by construction.
+    relation holds.  The oddness holds by construction: only w > 0 is
+    integrated.
     """
     return _xi(model, state, omega, quad)[0][()]
+
+
+def mean_force(model: Mirror, state: FieldState, quad: QuadratureConfig = QuadratureConfig()):
+    """Mean force and its quadrature error: integral dw/(2 pi) of w^2 Tr[F(w, -w) cplus(w)].
+
+    The integrand is even in w, so this is :func:`convolve` at w = 0, with
+    the windows and error contract of every spectrum.  For diagonal states
+    its vacuum parts cancel, so it decays thermally for any mirror, the
+    perfect one included.  The force is exactly zero for isotropic states,
+    and positive toward the colder side for two-temperature states with the
+    hotter component incident from the left.
+    """
+    w = np.zeros(1)
+    values, abs_error, _ = convolve(
+        lambda a, b: mean_force_integrand(model, state, a), w, state, model, quad, "mean force"
+    )
+    return float(_real(values, w, "mean force")[0]), float(abs_error[0])
 
 
 def noise_spectrum_grid(

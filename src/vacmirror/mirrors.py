@@ -46,7 +46,8 @@ class Mirror:
     Subclasses implement :meth:`amplitudes`, a vectorized map from real
     frequency to the complex pair (s, r), or both :meth:`s` and :meth:`r`,
     and set :attr:`transparent` to declare whether (s, r) -> (1, 0) at high
-    frequency.  Instances are immutable and safe to share between workers.
+    frequency, which :func:`validate_model` scores.  Instances are immutable
+    and safe to share between workers.
     """
 
     transparent: bool = False
@@ -108,10 +109,9 @@ class SinglePoleMirror(Mirror):
 class PerfectMirror(Mirror):
     """Totally reflecting mirror: s = 0, r = -1 at every frequency.
 
-    Not transparent at high frequency, so operations whose integrands need
-    decay (mean force over a state, thermal susceptibility) refuse it; the
-    vacuum response and noise integrals stay finite because their support is
-    bounded by the analysis frequency.
+    Not transparent at high frequency, yet every convolution stays finite:
+    the vacuum response and noise have support bounded by the analysis
+    frequency, and thermal integrands decay with the occupancy.
     """
 
     def amplitudes(self, omega):
@@ -134,8 +134,8 @@ class TabulatedMirror(Mirror):
         Complex amplitudes at the sample frequencies.
     transparent_hint : bool, optional
         Declares whether the tabulated data approaches (s, r) = (1, 0) at its
-        upper end; consumed by operations that need integrand decay.  When
-        omitted, it is read off the last sample.
+        upper end, as :func:`validate_model` scores it.  When omitted, it is
+        read off the last sample.
     """
 
     def __init__(

@@ -29,15 +29,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ETA, EYE2, FrequencyGrid, dagger, finite
+from .core import ETA, EYE2, dagger, finite
 from .mirrors import Mirror
 from .states import FieldState
 
 
+def _alpha_beta(model: Mirror, w1: np.ndarray, w2: np.ndarray):
+    (s1, r1), (s2, r2) = model.amplitudes(w1), model.amplitudes(w2)
+    return 1.0 - s1 * s2 + r1 * r2, s1 * r2 - r1 * s2
+
+
 def alpha_beta(model: Mirror, omega, omega2):
     """(alpha, beta) at (w, w'), elementwise, from one amplitude call per argument."""
-    (s1, r1), (s2, r2) = model.amplitudes(finite(omega)), model.amplitudes(finite(omega2))
-    return 1.0 - s1 * s2 + r1 * r2, s1 * r2 - r1 * s2
+    return _alpha_beta(model, finite(omega), finite(omega2))
+
+
+def _force_kernel(model: Mirror, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """:func:`force_kernel` of frequencies already checked, as ``frequency_pair`` returns them."""
+    a, b = _alpha_beta(model, w1, w2)
+    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = a, b
+    out[..., 1, 0], out[..., 1, 1] = -b, -a
+    return out
 
 
 def alpha(model: Mirror, omega, omega2):
@@ -51,11 +64,7 @@ def alpha(model: Mirror, omega, omega2):
 
 def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
     """F[w, w'] = [[alpha, beta], [-beta, -alpha]], shape ``np.broadcast(w, w').shape + (2, 2)``."""
-    a, b = alpha_beta(model, omega, omega2)
-    out = np.empty(np.shape(a) + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1] = a, b
-    out[..., 1, 0], out[..., 1, 1] = -b, -a
-    return out
+    return _force_kernel(model, finite(omega), finite(omega2))
 
 
 def unitarity_identities(model: Mirror, omega, omega2) -> tuple[np.ndarray, np.ndarray]:
@@ -94,44 +103,3 @@ def mean_force_integrand(model: Mirror, state: FieldState, omega):
     # v^2 cplus = v^2 (c - cminus); the cminus parts of the two components are
     # equal and cancel in the difference, so the noise weights serve directly
     return alpha(model, w, -w) * (nw[..., 0] - nw[..., 1])
-
-
-def mean_force(
-    model: Mirror,
-    state: FieldState,
-    grid: FrequencyGrid,
-    allow_cutoff: bool = False,
-) -> float:
-    """Mean radiation pressure: integral of w^2 Tr[F(w,-w) cplus(w)] / 2 pi.
-
-    Parameters
-    ----------
-    model : Mirror
-    state : FieldState
-    grid : FrequencyGrid
-        Quadrature support; use a symmetric grid wide enough that the thermal
-        occupancy has decayed at the edges.
-    allow_cutoff : bool
-        A model that is not transparent makes the integrand non-decaying, so
-        the grid edge acts as a physical cutoff; require the caller to
-        acknowledge that instead of silently truncating.
-
-    Returns
-    -------
-    float
-        Net force; exactly zero (not merely small) for isotropic states,
-        positive toward the colder side for two-temperature states with the
-        hotter component incident from the left.
-    """
-    if not model.transparent and not allow_cutoff:
-        raise ValueError(
-            "model is not transparent at high frequency; the pressure integral "
-            "does not converge - pass allow_cutoff=True to integrate over the "
-            "grid span anyway"
-        )
-    vals = np.asarray(mean_force_integrand(model, state, grid.omega))
-    imag = float(np.max(np.abs(vals.imag))) if np.iscomplexobj(vals) else 0.0
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    if imag > 1e-10 * scale:
-        raise ValueError(f"mean-force integrand has spurious imaginary part {imag:.3e}")
-    return float(np.trapezoid(vals.real, grid.omega) / (2.0 * np.pi))

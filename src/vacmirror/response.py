@@ -36,7 +36,7 @@ import numpy as np
 from .core import ETA, FrequencyGrid, Spectrum, finite, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig, integrate_batch
-from .pressure import alpha, force_kernel
+from .pressure import _force_kernel, alpha
 from .states import FieldState, VacuumState
 
 # occupancy factor e^{-x} below double precision; sets thermal windows
@@ -78,7 +78,7 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
         a = alpha(model, omega, omega2)
         return 1j * a * (omega2 * state.chi_weight(omega) + omega * state.chi_weight(omega2))
     w1, w2 = frequency_pair(omega, omega2)
-    f = force_kernel(model, w1, w2)
+    f = _force_kernel(model, w1, w2)
     return w1 * w2 * np.trace(f @ _modulated(state.cplus, w1, w2), axis1=-2, axis2=-1)
 
 
@@ -92,12 +92,11 @@ def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
     equals :func:`chi_kernel` wherever both are defined (w, w' != 0).
     Elementwise over frequency arrays; both argument orders are stacked.
     """
-    # force_kernel checks both stacked arguments, in frequency_pair's order
-    w1, w2 = np.asarray(omega, dtype=float), np.asarray(omega2, dtype=float)
-    first = np.array([w1, w2] if w1.shape == w2.shape else np.broadcast_arrays(w1, w2))
+    w1, w2 = frequency_pair(omega, omega2)
+    first = np.array([w1, w2])
     second = first[::-1]
-    t12, t21 = force_kernel(model, first, second) @ _modulated(state.cfull, first, second)
-    return omega * omega2 / 2.0 * np.trace(t12 + t21, axis1=-2, axis2=-1)
+    t12, t21 = _force_kernel(model, first, second) @ _modulated(state.cfull, first, second)
+    return w1 * w2 / 2.0 * np.trace(t12 + t21, axis1=-2, axis2=-1)
 
 
 def comoving_covariance_perturbation(state: FieldState, omega, omega2) -> np.ndarray:
@@ -118,9 +117,10 @@ def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
     the commutator parts of the full covariance drop out of the trace.
     Elementwise over frequency arrays.
     """
-    pert = comoving_covariance_perturbation(state, omega, omega2)
-    f = force_kernel(model, omega, omega2)
-    return (1j * omega) * (1j * omega2) * np.trace(f @ pert, axis1=-2, axis2=-1)
+    w1, w2 = frequency_pair(omega, omega2)
+    pert = -_modulated(state.cfull, w1, w2)  # dC_in, as comoving_covariance_perturbation
+    f = _force_kernel(model, w1, w2)
+    return (1j * w1) * (1j * w2) * np.trace(f @ pert, axis1=-2, axis2=-1)
 
 
 def convolve(
@@ -141,14 +141,16 @@ def convolve(
     onto w > 0 first).  Other states use [lo - reach, lo] and [lo, w/2],
     cut at the kink lo = min(0, w) so kinks line up across samples; reach
     is the larger of the thermal window and ``quad.window`` W (required
-    without a decay scale), so the doubled half covers [-W, W].  The
-    mirror's width-Omega structure sits at the kink (0 for the vacuum) and
-    the far ends (the decayed tail, or w/2) are smooth, so a node at u in
-    (0, 1) sits at kink +/- width * u^3 (Sidi 1993): one subdivision fits
-    all samples, at 105 nodes per vacuum chi sample on [-200, 200].  The
-    natural scale hbar|w|^3 + T^2|w|/hbar + T^3/hbar^2 tightens ``abs_tol``
-    in :func:`integrate_batch`, whose values, QUADPACK error estimates of
-    the doubled integrand and node counts are returned.
+    without a decay scale), so the doubled half covers [-W, W].  At w = 0
+    only [-reach, 0] is left, doubled: the whole line for an even integrand
+    such as the mean force's.  The mirror's width-Omega structure sits at
+    the kink (0 for the vacuum) and the far ends (the decayed tail, or w/2)
+    are smooth, so a node at u in (0, 1) sits at kink +/- width * u^3 (Sidi
+    1993): one subdivision fits all samples, at 105 nodes per vacuum chi
+    sample on [-200, 200].  The natural scale hbar|w|^3 + T^2|w|/hbar +
+    T^3/hbar^2 tightens ``abs_tol`` in :func:`integrate_batch`, whose
+    values, QUADPACK error estimates of the doubled integrand and node
+    counts are returned.
     """
     w = finite(omegas, what)
     hbar = state.context.hbar
@@ -162,11 +164,6 @@ def convolve(
             raise ValueError(
                 f"{what} for a custom state has no known support bound; "
                 "set QuadratureConfig.window explicitly"
-            )
-        if decay is not None and not model.transparent:
-            raise ValueError(
-                f"{what} over a thermal state needs a transparent model: the "
-                "integrand does not decay for a perfectly reflecting mirror"
             )
         reach = max(_THERMAL_DECADES * temp / hbar, quad.window or 0.0)
         kink = np.minimum(0.0, w)
@@ -252,7 +249,8 @@ def susceptibility(
         If the adaptive quadrature cannot meet its tolerance; the message
         names the worst frequency.
     ValueError
-        For thermal states with a non-transparent model.
+        For a non-finite frequency, or a custom state without
+        ``quad.window``.
     """
     return _chi(model, state, omega, quad)[0][()]
 

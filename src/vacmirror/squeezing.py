@@ -60,7 +60,8 @@ def delta_cout_vacuum(
     """
     sign_factor = np.heaviside(omega, 0.5) - np.heaviside(-omega2, 0.5)
     prefactor = np.multiply(0.5j * context.hbar, sign_factor)
-    return prefactor[..., None, None] * force_kernel(model, omega2, omega)
+    # F[w', w] = F[w, w']^T bitwise: alpha is symmetric and beta flips sign exactly
+    return prefactor[..., None, None] * np.swapaxes(force_kernel(model, omega, omega2), -1, -2)
 
 
 def secular_hamiltonian_kernel(model: Mirror, omega, omega2) -> np.ndarray:

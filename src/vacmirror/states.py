@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EYE2, PhysicsContext, SingularFrequencyError, max_entry
+from .core import EYE2, PhysicsContext, SingularFrequencyError
 
 
 def _diag2(a, b=None) -> np.ndarray:
@@ -220,20 +220,20 @@ class CustomState(FieldState):
     Parameters
     ----------
     cplus_rule : callable
-        Map from one frequency to a 2x2 complex array; :meth:`cplus` applies
-        it to each frequency of an array.
+        Map from a frequency array to complex 2x2 matrices of shape
+        ``np.shape(nu) + (2, 2)``; :meth:`cplus` is one call of it.
     context : PhysicsContext
     diagonal : bool
         Declare the rule diagonal to enable the weight-based kernel forms.
     probe_frequencies : sequence of float
         Frequencies at which the state invariants (Hermiticity, positive
         semidefiniteness, cplus(-w) = cplus(w)^T) are verified at
-        construction; violations raise immediately.
+        construction, in one call of the rule; violations raise immediately.
     """
 
     def __init__(
         self,
-        cplus_rule: Callable[[float], np.ndarray],
+        cplus_rule: Callable[[np.ndarray], np.ndarray],
         context: PhysicsContext = PhysicsContext(),
         diagonal: bool = False,
         probe_frequencies: Sequence[float] = (0.1, 1.0, 3.0, 10.0),
@@ -241,26 +241,28 @@ class CustomState(FieldState):
         self.context = context
         self.diagonal = bool(diagonal)
         self._rule = cplus_rule
-        tol = 1e-10
-        for nu in probe_frequencies:
-            c = np.asarray(cplus_rule(float(nu)), dtype=complex)
-            c_neg = np.asarray(cplus_rule(float(-nu)), dtype=complex)
-            if c.shape != (2, 2):
-                raise ValueError(f"cplus rule must return 2x2 matrices, got {c.shape}")
-            scale = max(max_entry(c), 1e-300)
-            if max_entry(c - c.conj().T) > tol * scale:
-                raise ValueError(f"cplus({nu}) is not Hermitian")
-            if np.min(np.linalg.eigvalsh(c)) < -tol * scale:
-                raise ValueError(f"cplus({nu}) is not positive semidefinite")
-            if max_entry(c_neg - c.T) > tol * scale:
-                raise ValueError(f"cplus(-w) != cplus(w)^T at w = {nu}")
-            if self.diagonal and max_entry(c - np.diag(np.diag(c))) > tol * scale:
-                raise ValueError(f"cplus({nu}) declared diagonal but is not")
+        probes = np.asarray(probe_frequencies, dtype=float)
+        c, c_neg = self.cplus(np.array([probes, -probes]))
+        c_t = np.swapaxes(c, -1, -2)
+        residuals = {
+            "cplus({}) is not Hermitian": c - c_t.conj(),
+            "cplus({}) is not positive semidefinite": np.minimum(np.linalg.eigvalsh(c), 0.0)[..., None],
+            "cplus(-w) != cplus(w)^T at w = {}": c_neg - c_t,
+        }
+        if self.diagonal:
+            residuals["cplus({}) declared diagonal but is not"] = c * (1.0 - EYE2)
+        tol = 1e-10 * np.maximum(np.max(np.abs(c), axis=(-2, -1)), 1e-300)
+        for message, residual in residuals.items():
+            bad = np.max(np.abs(residual), axis=(-2, -1)) > tol
+            if bad.any():
+                raise ValueError(message.format(probes[np.argmax(bad)]))
 
     def cplus(self, omega) -> np.ndarray:
         nu = np.asarray(omega, dtype=float)
-        mats = [np.asarray(self._rule(float(v)), dtype=complex) for v in nu.ravel()]
-        return np.reshape(mats, nu.shape + (2, 2))
+        c = np.asarray(self._rule(nu), dtype=complex)
+        if c.shape != nu.shape + (2, 2):
+            raise ValueError(f"cplus rule must return 2x2 matrices, shape {nu.shape + (2, 2)}; got {c.shape}")
+        return c
 
     def chi_weight(self, nu):
         nu = np.asarray(nu, dtype=float)

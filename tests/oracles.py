@@ -2,7 +2,9 @@
 
 Everything here is derived independently of the library's integration
 routines: the single-pole forms are analytic antiderivatives of the vacuum
-kernel, also evaluated in 40-digit arithmetic, :func:`thermal_chi_mp` and
+kernel, also evaluated in 40-digit arithmetic, the mean forces are Binet's
+formula (single pole, 30 digits) and the Stefan-Boltzmann law (perfect
+mirror), :func:`thermal_chi_mp` and
 :func:`thermal_cff_mp` integrate the thermal kernels over the whole real
 line in 30-digit arithmetic, the trapezoid integrators resample the kernels
 at fixed high resolution, :func:`integrate` is a scalar adaptive quadrature
@@ -54,6 +56,48 @@ def xi_single_pole(omega, omega_c, hbar=1.0):
 def chi_cubic(omega, hbar=1.0):
     """Perfect-mirror limit i hbar w^3 / 6 pi."""
     return 1j * hbar * np.asarray(omega, dtype=float) ** 3 / (6.0 * np.pi)
+
+
+def _one_sided_force_single_pole(temp, omega_c, hbar):
+    z = mpmath.mpf(hbar) * omega_c / (2 * mpmath.pi * temp)
+    bracket = mpmath.log(z) - 1 / (2 * z) - mpmath.digamma(z)
+    return mpmath.mpf(hbar) * mpmath.mpf(omega_c) ** 2 / mpmath.pi * bracket / 2
+
+
+def mean_force_single_pole(temp_phi, temp_psi, omega_c, hbar=1.0):
+    """Two-temperature mean force on the single pole, by Binet's formula, in 30 digits.
+
+    int_0^inf t dt / ((t^2 + z^2)(e^{2 pi t} - 1)) = (ln z - 1/(2z) - psi(z)) / 2
+    (DLMF 5.9.16) with z = hbar Omega / (2 pi T) turns the integral of
+    2 |r|^2 (hbar |w| / 2)(nbar_phi - nbar_psi) / 2 pi into the difference
+    of the one-sided pressures (hbar Omega^2 / pi) B(z), B the bracket / 2.
+    """
+    with mpmath.workdps(30):
+        return float(
+            _one_sided_force_single_pole(temp_phi, omega_c, hbar)
+            - _one_sided_force_single_pole(temp_psi, omega_c, hbar)
+        )
+
+
+def one_sided_force_single_pole(temp, omega_c, hbar=1.0):
+    """The pressure of one side's thermal field alone, the scale the difference cancels from."""
+    with mpmath.workdps(30):
+        return float(_one_sided_force_single_pole(temp, omega_c, hbar))
+
+
+def mean_force_perfect(temp_phi, temp_psi, hbar=1.0):
+    """One-dimensional Stefan-Boltzmann pressure pi (T_phi^2 - T_psi^2) / (6 hbar)."""
+    return np.pi * (temp_phi**2 - temp_psi**2) / (6.0 * hbar)
+
+
+def chi_perfect_thermal(omega, temp, hbar=1.0):
+    """Thermal perfect-mirror susceptibility i (hbar w^3 / 6 pi + 2 pi w T^2 / 3 hbar).
+
+    With alpha = 2 the thermal part of the kernel integrates to
+    (2 i w / pi) int hbar |v| nbar(v) dv over the real line.
+    """
+    w = np.asarray(omega, dtype=float)
+    return 1j * (hbar * w**3 / (6.0 * np.pi) + 2.0 * np.pi * w * temp**2 / (3.0 * hbar))
 
 
 def cff_vacuum(omega, omega_c, hbar=1.0):

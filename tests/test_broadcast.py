@@ -38,8 +38,8 @@ MODEL = SinglePoleMirror(1.3)
 def _correlated_cplus(nu):
     # vacuum level, with a complex correlation between the two components
     # that keeps cplus Hermitian, positive and cplus(-w) = cplus(w)^T
-    corr = 0.4j * np.sign(nu)
-    return VacuumState().cplus(nu) @ np.array([[1.0, corr], [-corr, 1.0]])
+    corr = 0.4j * np.sign(nu)[..., None, None]
+    return VacuumState().cplus(nu) @ (np.eye(2) + corr * np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 STATES = {
@@ -130,13 +130,15 @@ TWO_FREQUENCY_ROUTES = [p for p in ROUTES if p.id != "energy_exchange_kernel"]
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_frequency_raises_naming_it(route, bad):
     ws = np.array([1.5, bad, -2.0])
-    for pair in ((ws, 0.7), (-0.9, ws), (0.7, bad)):
+    other = np.inf if np.isnan(bad) else np.nan
+    # with both arguments bad, the first one's sample is named
+    for pair in ((ws, 0.7), (-0.9, ws), (0.7, bad), (ws, other)):
         with pytest.raises(ValueError, match=rf"^kernel at omega={bad!r}: frequency is not finite"):
             route(*pair)
 
 
-@pytest.mark.parametrize("state", STATES.values(), ids=STATES)
-def test_symmetrized_route_checks_its_frequencies_once(monkeypatch, state):
+def _count_checks(monkeypatch):
+    """Sizes of the frequency arrays checked finite, in order."""
     checked = []
     check = vacmirror.core.finite
 
@@ -146,11 +148,35 @@ def test_symmetrized_route_checks_its_frequencies_once(monkeypatch, state):
 
     for module in (vacmirror.core, vacmirror.pressure):
         monkeypatch.setattr(module, "finite", counting)
+    return checked
+
+
+@pytest.mark.parametrize("state", STATES.values(), ids=STATES)
+def test_symmetrized_route_checks_its_frequencies_once(monkeypatch, state):
+    checked = _count_checks(monkeypatch)
     ws = np.array([1.5, -0.4, 2.0])
     chi_kernel_symmetrized(MODEL, state, ws, 0.7)
-    # only the force kernel's check of the stacked pairs (w, w') and (w', w)
-    assert checked == [2 * ws.size, 2 * ws.size]
+    # only frequency_pair's check of each argument, before the pairs are stacked
+    assert checked == [ws.size, 1]
     # with both arguments bad, the first one's sample is named, as
     # frequency_pair names it
     with pytest.raises(ValueError, match=r"^kernel at omega=nan: frequency is not finite"):
         chi_kernel_symmetrized(MODEL, state, np.array([1.0, np.nan]), np.array([np.inf, 1.0]))
+
+
+TRACE_ROUTES = [
+    pytest.param(STATE_ROUTES[name], state, id=f"{name}-{label}")
+    for name in ("chi_kernel_comoving", "delta_cout")
+    for label, state in STATES.items()
+] + [
+    pytest.param(STATE_ROUTES[name], STATES["correlated"], id=f"{name}-correlated")
+    for name in ("chi_kernel", "cff_kernel")
+]
+
+
+@pytest.mark.parametrize("route, state", TRACE_ROUTES)
+def test_trace_routes_check_their_frequencies_once(monkeypatch, route, state):
+    checked = _count_checks(monkeypatch)
+    ws = np.array([1.5, -0.4, 2.0])
+    route(state, ws, 0.7)
+    assert checked == [ws.size, 1]

@@ -78,6 +78,19 @@ def test_susceptibility_table_values(tmp_path):
     assert rows[-1.0][0] == re and rows[-1.0][1] == -im
 
 
+def test_susceptibility_perfect_mirror_in_thermal_state(tmp_path):
+    # the thermal occupancy bounds the integrand even without transparency
+    out = tmp_path / "chi.csv"
+    code = main([
+        "susceptibility", "--model", "perfect", "--state", "thermal", "--temp", "0.5",
+        "--grid", "-2:2:5", "--out", str(out),
+    ])
+    assert code == 0
+    re, im = _read_csv_rows(out)[2.0]
+    assert abs(re) < 1e-12
+    assert np.isclose(im, 8.0 / (6.0 * np.pi) + 2.0 * np.pi * 2.0 * 0.25 / 3.0, rtol=1e-10)
+
+
 def test_noise_thermal_balance_comments(tmp_path):
     out = tmp_path / "noise.csv"
     code = main([
@@ -209,11 +222,17 @@ def test_config_file_merging(tmp_path, capsys):
     assert not never.exists()
 
 
-_COMMON = {
-    "model", "omega_c", "file", "state", "temp", "temp_phi", "temp_psi",
-    "hbar", "grid", "tol", "out", "format",
+_COMMON = {"model", "omega_c", "file", "grid", "out", "format"}
+_STATE = {"state", "temp", "temp_phi", "temp_psi", "hbar"}
+# validate builds no state, and squeeze integrates nothing
+_TAKES = {
+    "validate": _COMMON | {"tol"},
+    "susceptibility": _COMMON | _STATE | {"tol"},
+    "noise": _COMMON | _STATE | {"tol"},
+    "fdt": _COMMON | _STATE | {"tol"},
+    "causality": _COMMON | _STATE | {"tol", "inject"},
+    "squeeze": _COMMON | _STATE | {"osc_freq", "osc_amp"},
 }
-_OWN = {"causality": {"inject"}, "squeeze": {"osc_freq", "osc_amp"}}
 
 
 def _sample(key):
@@ -227,7 +246,7 @@ def _sample(key):
 def test_flag_and_config_key_resolve_alike(tmp_path, command):
     parser = _build_parser()
     taken = set(vars(_resolve(parser.parse_args([command])))) - {"command"}
-    assert taken == _COMMON | _OWN.get(command, set())
+    assert taken == _TAKES[command]
     cfg = tmp_path / "run.cfg"
     for key in taken:
         value = _sample(key)
@@ -242,7 +261,7 @@ def test_flag_and_config_key_resolve_alike(tmp_path, command):
 def test_option_of_another_command_is_rejected(tmp_path, capsys, command):
     parser = _build_parser()
     cfg = tmp_path / "run.cfg"
-    others = set(_OPTIONS) - _COMMON - _OWN.get(command, set())
+    others = set(_OPTIONS) - _TAKES[command]
     assert others
     for key in others:
         with pytest.raises(SystemExit):

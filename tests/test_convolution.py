@@ -48,13 +48,13 @@ WINDOW = QuadratureConfig(window=10.0)
 
 
 def _vacuum_rule(nu):
-    return np.eye(2) / (4.0 * abs(nu))
+    return np.eye(2) / (4.0 * np.abs(nu)[..., None, None])
 
 
 def _correlated_rule(nu):
     # vacuum diagonal plus a real, symmetric, decaying cross-correlation
-    off = 0.3 * np.exp(-nu * nu)
-    return np.array([[1.0, off], [off, 1.0]]) / (4.0 * abs(nu))
+    off = 0.3 * np.exp(-nu * nu)[..., None, None]
+    return (np.eye(2) + off * (1.0 - np.eye(2))) / (4.0 * np.abs(nu)[..., None, None])
 
 
 def _scalar(kernel, state, omega, quad):
@@ -170,12 +170,12 @@ def _symmetry_states(kind, hbar, temp, temp2):
     ctx = PhysicsContext(hbar)
 
     def diagonal_rule(nu):
-        return hbar * np.eye(2) / (4.0 * abs(nu))
+        return hbar * np.eye(2) / (4.0 * np.abs(nu)[..., None, None])
 
     def correlated_rule(nu):
         # complex cross-correlation with cplus(-w) = cplus(w)^T
-        corr = 0.1j * np.sign(nu)
-        return hbar * np.array([[1.0, corr], [-corr, 1.0]]) / (4.0 * abs(nu))
+        corr = 0.1j * np.sign(nu)[..., None, None]
+        return hbar * (np.eye(2) + corr * np.array([[0.0, 1.0], [-1.0, 0.0]])) / (4.0 * np.abs(nu)[..., None, None])
 
     return {
         "vacuum": lambda: VacuumState(ctx),

@@ -19,6 +19,7 @@ from vacmirror import (
     chi_kernel_symmetrized,
     delta_smatrix,
     motional_force_spectrum,
+    noise_spectrum,
     susceptibility,
     susceptibility_grid,
 )
@@ -115,14 +116,21 @@ def test_susceptibility_thermal_against_trapezoid():
         assert abs(got - ref) <= 1e-8 * abs(ref)
 
 
-def test_susceptibility_thermal_refuses_perfect_mirror():
-    with pytest.raises(ValueError, match="transparent"):
-        susceptibility(PerfectMirror(), ThermalState(1.0), 1.0)
+@pytest.mark.parametrize("hbar, temp", [(1.0, 1.0), (1.0, 0.1), (1.0, 10.0), (0.5, 2.0)])
+def test_susceptibility_thermal_perfect_mirror_closed_form(hbar, temp):
+    # the weight form cancels the vacuum part outside [0, w], so the thermal
+    # integrand decays although the perfect mirror is not transparent
+    state = ThermalState(temp, PhysicsContext(hbar))
+    w = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+    ref = oracles.chi_perfect_thermal(w, temp, hbar)
+    assert np.all(np.abs(susceptibility(PerfectMirror(), state, w) - ref) <= 1e-10 * np.abs(ref))
+    cff = noise_spectrum(PerfectMirror(), state, np.r_[-w, w])
+    assert np.allclose(cff[: w.size] / cff[w.size:], np.exp(-hbar * w / temp), rtol=1e-10, atol=0.0)
 
 
 def test_susceptibility_custom_state_needs_window():
     hbar = PhysicsContext().hbar
-    rule = lambda nu: np.eye(2) * (hbar / (4.0 * abs(nu)))
+    rule = lambda nu: np.eye(2) * (hbar / (4.0 * np.abs(nu)[..., None, None]))
     st = CustomState(rule, diagonal=True)
     m = SinglePoleMirror(1.0)
     with pytest.raises(ValueError, match="window"):

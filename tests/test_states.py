@@ -126,9 +126,14 @@ def test_two_temperature_reduces_to_thermal():
     assert np.allclose(st.chi_weight(2.3), th.chi_weight(2.3))
 
 
+def _constant(matrix):
+    """An array rule returning the same 2x2 matrix at every frequency."""
+    return lambda nu: np.broadcast_to(np.asarray(matrix, dtype=complex), np.shape(nu) + (2, 2))
+
+
 def test_custom_state_reproduces_vacuum():
     hbar = PhysicsContext().hbar
-    rule = lambda nu: np.eye(2) * (hbar / (4.0 * abs(nu)))
+    rule = lambda nu: np.eye(2) * (hbar / (4.0 * np.abs(nu)[..., None, None]))
     st = CustomState(rule, diagonal=True)
     vac = VacuumState()
     nu = np.array([-2.0, 0.5, 3.0])
@@ -136,36 +141,50 @@ def test_custom_state_reproduces_vacuum():
     assert np.allclose(st.noise_weight(nu), vac.noise_weight(nu), atol=1e-15)
 
 
+def test_custom_state_calls_its_rule_once_per_array():
+    calls = []
+
+    def rule(nu):
+        calls.append(np.shape(nu))
+        return VacuumState().cplus(nu)
+
+    st = CustomState(rule, probe_frequencies=(0.5, 2.0, 7.0))
+    assert calls == [(2, 3)]  # every probe at both signs
+    nu = np.array([[-2.0, 0.5, 3.0], [1.0, 4.0, -0.1]])
+    assert np.array_equal(st.cplus(nu), VacuumState().cplus(nu))
+    assert calls[1:] == [(2, 3)]
+
+
 def test_custom_state_rejects_non_hermitian():
-    rule = lambda nu: np.array([[1.0, 1.0j], [1.0j, 1.0]])
     with pytest.raises(ValueError, match="Hermitian"):
-        CustomState(rule)
+        CustomState(_constant([[1.0, 1.0j], [1.0j, 1.0]]))
 
 
 def test_custom_state_rejects_indefinite():
-    rule = lambda nu: np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(ValueError, match="semidefinite"):
-        CustomState(rule)
+        CustomState(_constant(np.diag([1.0, -1.0])))
 
 
 def test_custom_state_rejects_broken_reflection_rule():
     # Hermitian and PSD at every probe, but cplus(-w) != cplus(w)^T
-    rule = lambda nu: np.eye(2) * (1.0 + np.tanh(nu))
-    with pytest.raises(ValueError):
+    rule = lambda nu: np.eye(2) * (1.0 + np.tanh(nu))[..., None, None]
+    with pytest.raises(ValueError, match=r"cplus\(-w\) != cplus\(w\)\^T at w = 0.1"):
         CustomState(rule)
 
 
 def test_custom_state_rejects_false_diagonal_claim():
-    rule = lambda nu: np.array([[2.0, 0.5], [0.5, 2.0]], dtype=complex)
+    rule = _constant([[2.0, 0.5], [0.5, 2.0]])
     with pytest.raises(ValueError, match="diagonal"):
         CustomState(rule, diagonal=True)
     CustomState(rule, diagonal=False)
 
 
 def test_custom_state_rejects_wrong_shape():
-    rule = lambda nu: np.eye(3)
     with pytest.raises(ValueError, match="2x2"):
-        CustomState(rule)
+        CustomState(lambda nu: np.broadcast_to(np.eye(3), np.shape(nu) + (3, 3)))
+    # a rule of one frequency at a time is not an array rule
+    with pytest.raises(ValueError, match=r"2x2 matrices, shape \(2, 4, 2, 2\); got \(2, 2\)"):
+        CustomState(lambda nu: np.eye(2))
 
 
 def test_context_scales_hbar():
