@@ -4,12 +4,12 @@ Three operations used throughout the package:
 
 * :func:`integrate_batch` integrates a vector of integrands, one per
   frequency sample, in one adaptive G10-K21 Gauss-Kronrod quadrature
-  (QUADPACK's rule and error estimate, Piessens et al. 1983).  Each round
-  of refinement evaluates the integrand on all nodes of all the intervals
-  it splits in a few vector calls.  Each sample keeps the error contract of
-  a scalar adaptive rule: its own estimate satisfies its own tolerance, and
-  the call reports that estimate and the node count, or a
-  :class:`NonConvergenceError` naming the worst frequency is raised.
+  (QUADPACK's rule and error estimate, Piessens et al. 1983), starting from
+  the halves of every piece; each refinement round evaluates all nodes of
+  the intervals it splits in a few vector calls.  Each sample keeps the
+  error contract of a scalar adaptive rule: its own estimate satisfies its
+  own tolerance, and the call reports that estimate and the node count, or
+  a :class:`NonConvergenceError` naming the worst frequency is raised.
 * :func:`hilbert_transform` computes the windowed principal-value transform
   (1/pi) P int f(w') / (w' - w) dw' on a uniform grid, excising a symmetric
   neighborhood of the singularity and restoring it with a derivative
@@ -63,7 +63,7 @@ class QuadratureConfig:
         The integral estimate must satisfy
         ``error <= max(abs_tol, rel_tol * |value|)``.
     max_subdivisions : int
-        Upper bound on adaptive interval splits.
+        Upper bound on the intervals, the starting halves included.
     window : float, optional
         Half-width W: convolutions over states without a known decay scale
         integrate over at least [-W, W].
@@ -111,16 +111,18 @@ _NODES = np.r_[_HALF_NODES, -_HALF_NODES[-2::-1]]
 _KRONROD = np.r_[_HALF_KRONROD, _HALF_KRONROD[-2::-1]]
 _GAUSS = np.r_[_HALF_GAUSS, _HALF_GAUSS[::-1]]  # at _NODES[1::2]
 
-# node values per integrand call, in elements: a call takes the nodes of one
-# or more whole intervals, for all samples or for a block of them.  The
-# budget trades per-element cost against per-call overhead.  At 8190 complex
-# elements each temporary is ~128 KiB, glibc's default mmap threshold: a
-# standalone pressure.alpha call of that size takes 192 minor page faults
-# and ~65 ns per element, one of 4096 elements none and ~23 ns.  Yet halving
-# the budget doubles the calls, and in the benchmark process it lost end to
-# end (benchmark run_s medians, 4 pairs of 40 s runs on a 2-core VM:
-# vacuum-wideband 0.0281 -> 0.0314 s, thermal-spectra 0.0202 -> 0.0214 s),
-# so it stays at 8192.
+# node values per integrand call, in elements: a call takes the nodes of one or
+# more whole intervals, for all samples or for a block of them.  The budget
+# trades per-element cost against per-call overhead.  At 8190 complex elements
+# each temporary is ~128 KiB, glibc's default mmap threshold: a standalone
+# pressure.alpha call of that size takes 192 minor page faults and ~65 ns per
+# element, one of 4096 elements none and ~23 ns.  Yet halving the budget
+# doubles the calls, and lost in the benchmark (run_s medians, 4 pairs of 40 s
+# runs, 2-core VM: vacuum-wideband 0.0281 -> 0.0314 s, thermal-spectra
+# 0.0202 -> 0.0214 s), so it stays at 8192.  Its passes fault ~0 times: it
+# frees an 8 MB array first, which raises glibc's dynamic trim and mmap
+# thresholds.  A one-shot `vacmirror causality` (16001 points) is not covered:
+# ~20,000 minor faults, 165-185 ms; ~1,370, 125-155 ms with both raised.
 _CHUNK_ELEMENTS = 1 << 13
 # intervals split in one refinement round at most
 _MAX_SPLITS = 128
@@ -176,18 +178,19 @@ def integrate_batch(
     ``f(t, cols)`` takes a vector of nodes t and a slice ``cols`` of the
     samples and returns the values of those samples at those nodes, one row
     per node; sample k belongs to frequency ``omegas[k]``.  All samples
-    share one subdivision, which starts at ``points`` (kinks shared by all
-    samples), and every interval carries a G10-K21 value and
-    a QUADPACK error estimate per sample.  Sample k has the target
-    ``max(floor_k, rel_tol * |v_k|)``, with ``floor_k = min(abs_tol,
-    1e-10 * scale_k)`` (``abs_tol`` alone where ``scale_k = 0``) and v_k the
-    running value.  Each refinement round splits the intervals whose errors,
-    in units of the targets and in the max norm over samples, are largest:
-    the worst one, and further ones while the errors left over exceed 1/8,
-    at most 128, as ``scipy.integrate.quad_vec`` picks them.  All 21 nodes
-    of all their halves are evaluated in a few calls of ``f``.  The rule
-    stops, after at least one round, once the scaled errors sum below 1/8,
-    so each sample's own estimate is at most 1/8 of its target.
+    share one subdivision, which starts from the halves of every piece
+    between ``points`` (kinks shared by all samples), and every interval
+    carries a G10-K21 value and a QUADPACK error estimate per sample.
+    Sample k has the target ``max(floor_k, rel_tol * |v_k|)``, with
+    ``floor_k = min(abs_tol, 1e-10 * scale_k)`` (``abs_tol`` alone where
+    ``scale_k = 0``) and v_k the running value.  Each refinement round
+    splits the intervals whose errors, in units of the targets and in the
+    max norm over samples, are largest: the worst one, and further ones
+    while the errors left over exceed 1/8, at most 128, as
+    ``scipy.integrate.quad_vec`` picks them.  All 21 nodes of all their
+    halves are evaluated in a few calls of ``f``.  The rule stops once the
+    scaled errors sum below 1/8, so each sample's own estimate is at most
+    1/8 of its target.
 
     Returns
     -------
@@ -199,18 +202,20 @@ def integrate_batch(
     Raises
     ------
     NonConvergenceError
-        If the subdivision reaches ``cfg.max_subdivisions`` intervals first,
-        a value is not finite, or an estimate exceeds its sample's target.
+        If more than ``cfg.max_subdivisions`` intervals are needed, a value
+        is not finite, or an estimate exceeds its sample's target.
         The message names the worst sample as ``omega=...``; the exception
         carries its estimate and error.
     """
     scale = np.asarray(scale, dtype=float)
     floor = np.where(scale > 0, np.minimum(cfg.abs_tol, 1e-10 * scale), cfg.abs_tol)
     edges = np.unique(np.clip([0.0, *points, length], 0.0, length))
+    # no estimate of a whole piece is trusted on its own: start from its halves
+    edges = np.unique(np.r_[edges, 0.5 * (edges[:-1] + edges[1:])])
     a, b = edges[:-1].copy(), edges[1:].copy()
     parts, errors = _gauss_kronrod(f, a, b, scale.size)
     evaluations = a.size * _NODES.size
-    rounds, converged, reason = 0, False, "maximum number of subdivisions reached"
+    converged, reason = False, "maximum number of subdivisions reached"
     while True:
         values = parts.sum(axis=0)
         target = np.maximum(floor, cfg.rel_tol * np.abs(values))
@@ -219,7 +224,7 @@ def integrate_batch(
         if not np.isfinite(total):
             reason = "non-finite values encountered"
             break
-        if rounds and total < 0.125:
+        if total < 0.125 and a.size <= cfg.max_subdivisions:
             converged = True
             break
         if a.size >= cfg.max_subdivisions:
@@ -235,7 +240,6 @@ def integrate_batch(
         parts[split], errors[split] = halves[: split.size], half_errors[: split.size]
         parts = np.concatenate([parts, halves[split.size:]])
         errors = np.concatenate([errors, half_errors[split.size:]])
-        rounds += 1
     abs_error = errors.sum(axis=0)
     excess = abs_error / target
     if converged and np.all(excess <= 1.0):

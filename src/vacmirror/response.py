@@ -146,7 +146,7 @@ def convolve(
     such as the mean force's.  The mirror's width-Omega structure sits at
     the kink (0 for the vacuum) and the far ends (the decayed tail, or w/2)
     are smooth, so a node at u in (0, 1) sits at kink +/- width * u^3 (Sidi
-    1993): one subdivision fits all samples, at 105 nodes per vacuum chi
+    1993): one subdivision fits all samples, at 84 nodes per vacuum chi
     sample on [-200, 200].  The natural scale hbar|w|^3 + T^2|w|/hbar +
     T^3/hbar^2 tightens ``abs_tol`` in :func:`integrate_batch`, whose
     values, QUADPACK error estimates of the doubled integrand and node
@@ -170,6 +170,7 @@ def convolve(
         spans = np.stack([np.full_like(w, -reach), w / 2.0 - kink])
     live = spans.any(axis=0)
     x, kink, spans = w[live], kink[live], spans[:, live]
+    spans = spans[spans.any(axis=1)]  # the upper piece at w = 0 is empty
     last = len(spans) - 1
 
     def integrand(t: np.ndarray, cols: slice) -> np.ndarray:

@@ -34,6 +34,7 @@ from vacmirror import (
     chi_kernel,
     cff_kernel,
     commutator_kernel,
+    mean_force,
     noise_spectrum,
     noise_spectrum_grid,
     susceptibility,
@@ -41,7 +42,7 @@ from vacmirror import (
     xi_spectrum,
 )
 import vacmirror.fluctuations
-from vacmirror.response import _THERMAL_DECADES, _chi
+from vacmirror.response import _THERMAL_DECADES, _chi, convolve
 
 QUAD = QuadratureConfig()
 WINDOW = QuadratureConfig(window=10.0)
@@ -297,36 +298,67 @@ def test_thermal_noise_calls_its_kernel_once_per_batch_of_nodes(monkeypatch):
     assert sum(calls) <= evaluations * 41
 
 
-_WIDE = [("1e3", 336), ("1e5", 420), ("1e6", 462), ("1e8", 546)]
+def _nodes(spectrum):
+    return lambda model, state, grid: spectrum(model, state, grid).meta["evaluations"]
+
+
+def _fdt_xi_nodes(model, state, grid):
+    # at fdt's tolerance the vacuum xi converges on the starting halves
+    quad = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
+    return vacmirror.fluctuations._xi(model, state, grid.omega, quad)[2]
+
+
+def _mean_force_nodes(model, state, grid):
+    # mean_force returns no node count: read the one of its convolution
+    counts = []
+
+    def counting(*args):
+        out = convolve(*args)
+        counts.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vacmirror.fluctuations, "convolve", counting)
+        mean_force(model, state)
+    return counts[0]
+
+
+_WIDE = [("1e3", 294), ("1e5", 378), ("1e6", 420), ("1e8", 504)]
+_MEAN = [((2.0, 0.5), 168), ((1e3, 1.0), 252), ((1e5, 1e4), 336)]
 
 
 @pytest.mark.parametrize(
-    "spectrum, state, omega_c, grid, ceiling",
+    "nodes, state, omega_c, grid, ceiling",
     [
-        (susceptibility_grid, VacuumState(), 2.0, FrequencyGrid.linear(-200.0, 200.0, 2001), 105),
-        (susceptibility_grid, VacuumState(), 1.0, FrequencyGrid.linear(-200.0, 200.0, 16001), 147),
-        (susceptibility_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 252),
-        (noise_spectrum_grid, ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 252),
-        (noise_spectrum_grid, TwoTemperatureState(2.0, 0.5), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 294),
+        (_nodes(susceptibility_grid), VacuumState(), 2.0, FrequencyGrid.linear(-200.0, 200.0, 2001), 84),
+        (_nodes(susceptibility_grid), VacuumState(), 1.0, FrequencyGrid.linear(-200.0, 200.0, 16001), 126),
+        (_nodes(susceptibility_grid), ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 210),
+        (_nodes(noise_spectrum_grid), ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 210),
+        (_nodes(noise_spectrum_grid), TwoTemperatureState(2.0, 0.5), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 252),
+        (_fdt_xi_nodes, VacuumState(), 10.0, FrequencyGrid.linear(-5.0, 5.0, 41), 42),
     ]
     + [
-        (noise_spectrum_grid, ThermalState(float(t)), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), c)
+        (_nodes(noise_spectrum_grid), ThermalState(float(t)), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), c)
         for t, c in _WIDE
-    ],
-    ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise", "two-temperature-noise"]
-    + [f"thermal-noise-T{t}" for t, _ in _WIDE],
+    ]
+    + [(_mean_force_nodes, TwoTemperatureState(*temps), 1.0, None, c) for temps, c in _MEAN],
+    ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise", "two-temperature-noise", "vacuum-xi-fdt"]
+    + [f"thermal-noise-T{t}" for t, _ in _WIDE]
+    + [f"mean-force-{t_phi:g}-{t_psi:g}" for (t_phi, t_psi), _ in _MEAN],
 )
-def test_shared_subdivision_stays_under_a_node_ceiling(spectrum, state, omega_c, grid, ceiling):
-    # a deterministic work bound: placing nodes from the nearer of both piece
-    # edges by psi(t) = t^3 (10 - 15 t + 6 t^2) instead of from the kink took
-    # 147, 189, 294, 294 and 294 nodes here, and 420, 504, 546 and 672 in the
-    # wide thermal windows (46 T/hbar), where nodes placed from the kink keep
-    # their digits at any width; integrating the whole support instead of the
-    # half below w/2 took 315, 315, 525 and 483, and mapping each
+def test_shared_subdivision_stays_under_a_node_ceiling(nodes, state, omega_c, grid, ceiling):
+    # a deterministic work bound: starting from whole pieces, with the stop
+    # test only after one refinement round, took 105, 147, 252, 252, 294 and
+    # 63 nodes here, 336, 420, 462 and 546 in the wide thermal windows and
+    # 210, 294 and 378 for the mean force; placing nodes from the nearer of
+    # both piece edges by psi(t) = t^3 (10 - 15 t + 6 t^2) instead of from
+    # the kink took 147, 189, 294, 294 and 294, and 420, 504, 546 and 672 in
+    # the wide thermal windows (46 T/hbar), where nodes placed from the kink
+    # keep their digits at any width; integrating the whole support instead
+    # of the half below w/2 took 315, 315, 525 and 483, and mapping each
     # whole-support piece affinely took 483, 567 and 609 (no thermal chi row
     # then)
-    spec = spectrum(SinglePoleMirror(omega_c), state, grid)
-    assert spec.meta["evaluations"].max() <= ceiling
+    assert np.max(nodes(SinglePoleMirror(omega_c), state, grid)) <= ceiling
 
 
 def test_grid_quadrature_memory_is_linear_in_grid_size():

@@ -101,6 +101,29 @@ def test_integrate_batch_keeps_each_sample_contract():
     assert min(sizes) >= 21
 
 
+def test_integrate_batch_starts_from_the_halves_of_every_piece():
+    # the pieces [0, 1] and [1, 3] enter as their halves, which also count
+    # against max_subdivisions; a constant converges there in one call
+    calls = []
+
+    def f(t, cols):
+        calls.append(t)
+        return np.ones((t.size, 1))
+
+    def run(cap):
+        cfg = QuadratureConfig(max_subdivisions=cap)
+        return integrate_batch(f, 3.0, np.ones(1), np.ones(1), cfg, "test", points=(1.0,))
+
+    values, _, evaluations = run(4)
+    edges = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], (centre[:, None] + half[:, None] * _NODES).ravel())
+    assert np.isclose(values[0], 3.0, rtol=1e-15) and evaluations[0] == 4 * 21
+    with pytest.raises(NonConvergenceError, match=r"test at omega=1\.0: .*maximum number of subdivisions"):
+        run(3)
+
+
 def test_integrate_batch_names_the_sample_that_fails():
     def f(t, cols):
         out = np.ones((t.size, 3))
