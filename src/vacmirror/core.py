@@ -16,6 +16,8 @@ import numpy as np
 
 ETA = np.diag([1.0, -1.0])
 EYE2 = np.eye(2)
+ETA_COLS = np.array([1.0, -1.0], dtype=complex)  # x @ ETA == x * ETA_COLS, bitwise
+ETA_ROWS = ETA_COLS[:, None]  # ETA @ x == x * ETA_ROWS, bitwise
 
 
 class SingularFrequencyError(ValueError):
@@ -24,7 +26,7 @@ class SingularFrequencyError(ValueError):
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose acting on the last two axes."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    return m.mT.conj()
 
 
 def max_entry(m: np.ndarray) -> float:

@@ -54,18 +54,16 @@ def cff_kernel(model: Mirror, state: FieldState, omega, omega2):
     """
     if state.diagonal:
         a, b = alpha_beta(model, omega, omega2)
-        w1 = state.noise_weight(omega)
-        w2 = state.noise_weight(omega2)
+        w1, w2 = state.noise_weight(omega), state.noise_weight(omega2)
         return 2.0 * (
             np.abs(a) ** 2 * (w1[..., 0] * w2[..., 0] + w1[..., 1] * w2[..., 1])
             + np.abs(b) ** 2 * (w1[..., 0] * w2[..., 1] + w1[..., 1] * w2[..., 0])
         )
     w1, w2 = frequency_pair(omega, omega2)
     f = _force_kernel(model, w1, w2)
-    c_w2_t = np.swapaxes(state.cfull(w2), -1, -2)
-    return 2.0 * w1**2 * w2**2 * np.trace(
-        f @ state.cfull(w1) @ dagger(f) @ c_w2_t, axis1=-2, axis2=-1
-    )
+    c = state.cfull(np.array([w1, w2]))
+    t = f @ c[0] @ dagger(f) @ c[1].mT
+    return 2.0 * w1**2 * w2**2 * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def commutator_kernel(
@@ -81,18 +79,14 @@ def commutator_kernel(
     states); route="response" antisymmetrizes the susceptibility kernel.  The
     two must agree for the built-in states.
     """
+    if route not in ("noise", "response"):
+        raise ValueError(f"unknown route {route!r}")
+    w1, w2 = frequency_pair(omega, omega2)
     if route == "noise":
-        hbar = state.context.hbar
-        return (
-            cff_kernel(model, state, omega, omega2)
-            - cff_kernel(model, state, -omega2, -omega)
-        ) / (2.0 * hbar)
-    if route == "response":
-        return (
-            chi_kernel(model, state, omega, omega2)
-            - chi_kernel(model, state, -omega, -omega2)
-        ) / 2.0j
-    raise ValueError(f"unknown route {route!r}")
+        c = cff_kernel(model, state, np.array([w1, -w2]), np.array([w2, -w1]))
+        return (c[0] - c[1]) / (2.0 * state.context.hbar)
+    x = chi_kernel(model, state, np.array([w1, -w1]), np.array([w2, -w2]))
+    return (x[0] - x[1]) / 2.0j
 
 
 def _real(values: np.ndarray, omega, what: str) -> np.ndarray:

@@ -21,8 +21,8 @@ limit.  :class:`TabulatedMirror` interpolates sampled data and is the vehicle
 for deliberately broken models in tests.
 
 A model implements :meth:`Mirror.amplitudes`, the pair (s, r) from one
-evaluation, or both :meth:`Mirror.s` and :meth:`Mirror.r`; every consumer
-calls ``amplitudes`` once per frequency argument.
+evaluation, or both :meth:`Mirror.s` and :meth:`Mirror.r`; every kernel
+calls ``amplitudes`` once per call, on all of its frequencies stacked.
 """
 
 from __future__ import annotations

@@ -29,19 +29,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ETA, EYE2, dagger, finite
+from .core import ETA_COLS, ETA_ROWS, EYE2, dagger, finite, frequency_pair
 from .mirrors import Mirror
 from .states import FieldState
 
 
 def _alpha_beta(model: Mirror, w1: np.ndarray, w2: np.ndarray):
-    (s1, r1), (s2, r2) = model.amplitudes(w1), model.amplitudes(w2)
-    return 1.0 - s1 * s2 + r1 * r2, s1 * r2 - r1 * s2
+    s, r = model.amplitudes(np.array([w1, w2]))
+    return 1.0 - s[0] * s[1] + r[0] * r[1], s[0] * r[1] - r[0] * s[1]
 
 
 def alpha_beta(model: Mirror, omega, omega2):
-    """(alpha, beta) at (w, w'), elementwise, from one amplitude call per argument."""
-    return _alpha_beta(model, finite(omega), finite(omega2))
+    """(alpha, beta) at (w, w'), elementwise, from one amplitude call on both arguments."""
+    return _alpha_beta(model, *frequency_pair(omega, omega2))
 
 
 def _force_kernel(model: Mirror, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -58,34 +58,35 @@ def alpha(model: Mirror, omega, omega2):
 
     The susceptibility kernel needs alpha alone, so beta is not formed here.
     """
-    (s1, r1), (s2, r2) = model.amplitudes(finite(omega)), model.amplitudes(finite(omega2))
-    return 1.0 - s1 * s2 + r1 * r2
+    s, r = model.amplitudes(np.array(frequency_pair(omega, omega2)))
+    return 1.0 - s[0] * s[1] + r[0] * r[1]
 
 
 def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
     """F[w, w'] = [[alpha, beta], [-beta, -alpha]], shape ``np.broadcast(w, w').shape + (2, 2)``."""
-    return _force_kernel(model, finite(omega), finite(omega2))
+    return _force_kernel(model, *frequency_pair(omega, omega2))
 
 
 def unitarity_identities(model: Mirror, omega, omega2) -> tuple[np.ndarray, np.ndarray]:
     """Max-entry residuals of the two product identities, one per (w, w') pair.
 
-    Elementwise over frequency arrays: each residual is the largest absolute
-    entry of its pair's 2x2 identity.  Both vanish identically for unitary
-    models; a non-unitary model (for example a tabulated mirror with
-    rescaled reflection) yields nonzero residuals, which is how tests detect
-    the broken symmetry.
+    Both identities read P Q - (P eta + eta Q), for (P, Q) = (F, F^dagger)
+    and (F^dagger, F), evaluated stacked; each residual is the largest
+    absolute entry of its pair's 2x2 identity.  Both vanish identically for
+    unitary models; a non-unitary model (a tabulated mirror with rescaled
+    reflection, say) yields nonzero residuals, which is how tests detect it.
     """
     f = force_kernel(model, omega, omega2)
-    fd = dagger(f)
-    res_a = np.max(np.abs(f @ fd - (f @ ETA + ETA @ fd)), axis=(-2, -1))
-    res_b = np.max(np.abs(fd @ f - (ETA @ f + fd @ ETA)), axis=(-2, -1))
-    return res_a, res_b
+    p = np.array([f, dagger(f)])
+    res = np.abs(p @ p[::-1] - (p * ETA_COLS + ETA_ROWS * p[::-1])).max(axis=(-2, -1))
+    return res[0], res[1]
 
 
 def energy_exchange_kernel(model: Mirror, omega) -> np.ndarray:
     """G(w, -w) = I - S(-w) S(w); zero for unitary, real models, elementwise over arrays."""
-    return EYE2 - model.smatrix(-omega) @ model.smatrix(omega)
+    w = finite(omega)
+    s = model.smatrix(np.array([-w, w]))
+    return EYE2 - s[0] @ s[1]
 
 
 def mean_force_integrand(model: Mirror, state: FieldState, omega):

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ETA, FrequencyGrid, Spectrum, finite, frequency_pair
+from .core import ETA_COLS, ETA_ROWS, FrequencyGrid, Spectrum, finite, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig, integrate_batch
 from .pressure import _force_kernel, alpha
@@ -49,8 +49,8 @@ def _modulated(cov, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     ``cov`` is a covariance spectrum (``cplus`` or ``cfull`` of a state),
     evaluated once on the stacked frequencies; ``w1`` and ``w2`` share a shape.
     """
-    c_w, c_neg_w2 = cov(np.array([w1, -w2]))
-    return 1j * (w1[..., None, None] * c_w @ ETA + w2[..., None, None] * ETA @ c_neg_w2)
+    c = cov(np.array([w1, -w2]))  # c(w), c(-w')
+    return 1j * (w1[..., None, None] * c[0] * ETA_COLS + w2[..., None, None] * c[1] * ETA_ROWS)
 
 
 def delta_smatrix(model: Mirror, omega, omega2) -> np.ndarray:
@@ -62,8 +62,8 @@ def delta_smatrix(model: Mirror, omega, omega2) -> np.ndarray:
     over frequency arrays, shape ``... + (2, 2)``.
     """
     w1, w2 = frequency_pair(omega, omega2)
-    s_w, s_w2 = model.smatrix(np.array([w1, w2]))
-    return 1j * w2[..., None, None] * (s_w @ ETA - ETA @ s_w2)
+    s = model.smatrix(np.array([w1, w2]))
+    return 1j * w2[..., None, None] * (s[0] * ETA_COLS - ETA_ROWS * s[1])
 
 
 def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
@@ -78,8 +78,8 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
         a = alpha(model, omega, omega2)
         return 1j * a * (omega2 * state.chi_weight(omega) + omega * state.chi_weight(omega2))
     w1, w2 = frequency_pair(omega, omega2)
-    f = _force_kernel(model, w1, w2)
-    return w1 * w2 * np.trace(f @ _modulated(state.cplus, w1, w2), axis1=-2, axis2=-1)
+    t = _force_kernel(model, w1, w2) @ _modulated(state.cplus, w1, w2)
+    return w1 * w2 * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
@@ -94,9 +94,10 @@ def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
     """
     w1, w2 = frequency_pair(omega, omega2)
     first = np.array([w1, w2])
-    second = first[::-1]
-    t12, t21 = _force_kernel(model, first, second) @ _modulated(state.cfull, first, second)
-    return w1 * w2 / 2.0 * np.trace(t12 + t21, axis1=-2, axis2=-1)
+    f = _force_kernel(model, w1, w2)
+    t = np.array([f, f.mT]) @ _modulated(state.cfull, first, first[::-1])  # F[w', w] = F[w, w']^T
+    t = t[0] + t[1]
+    return w1 * w2 / 2.0 * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def comoving_covariance_perturbation(state: FieldState, omega, omega2) -> np.ndarray:
@@ -119,8 +120,8 @@ def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
     """
     w1, w2 = frequency_pair(omega, omega2)
     pert = -_modulated(state.cfull, w1, w2)  # dC_in, as comoving_covariance_perturbation
-    f = _force_kernel(model, w1, w2)
-    return (1j * w1) * (1j * w2) * np.trace(f @ pert, axis1=-2, axis2=-1)
+    t = _force_kernel(model, w1, w2) @ pert
+    return (1j * w1) * (1j * w2) * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def convolve(

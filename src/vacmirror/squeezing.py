@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ETA, PhysicsContext, frequency_pair
+from .core import ETA_COLS, ETA_ROWS, PhysicsContext, frequency_pair
 from .mirrors import Mirror
 from .pressure import force_kernel
 from .response import MonochromaticOscillation
@@ -39,11 +39,12 @@ def delta_cout(model: Mirror, state: FieldState, omega, omega2) -> np.ndarray:
     zero frequency where the covariance is singular.
     """
     w1, w2 = frequency_pair(omega, omega2)
-    s_w, s_w2, s_neg_w, s_neg_w2 = model.smatrix(np.array([w1, w2, -w1, -w2]))
-    c_neg_w2, c_w = state.cfull(np.array([-w2, w1]))
-    term1 = -1j * w2[..., None, None] * (s_w @ ETA - ETA @ s_neg_w2) @ c_neg_w2 @ s_w2
-    term2 = -1j * w1[..., None, None] * s_w @ c_w @ (ETA @ s_w2 - s_neg_w @ ETA)
-    return term1 + term2
+    s = model.smatrix(np.array([w1, w2, -w1, -w2]))
+    s_w, s_w2, s_neg_w, s_neg_w2 = s[0], s[1], s[2], s[3]
+    left = -1j * np.array([w2, w1])[..., None, None] * np.array([s_w * ETA_COLS - ETA_ROWS * s_neg_w2, s_w])
+    right = np.array([s_w2, ETA_ROWS * s_w2 - s_neg_w * ETA_COLS])
+    t = left @ state.cfull(np.array([-w2, w1])) @ right  # both terms, stacked
+    return t[0] + t[1]
 
 
 def delta_cout_vacuum(

@@ -75,8 +75,9 @@ class FieldState:
         return _diag2(self.context.hbar / (4.0 * _nonzero(omega, "cminus")))
 
     def cfull(self, omega) -> np.ndarray:
-        """Full covariance c = cplus + cminus."""
-        return self.cplus(omega) + self.cminus(omega)
+        """Full covariance c = cplus + cminus: cplus with hbar/(4 w) added on the diagonal."""
+        nu = _nonzero(omega, "cfull")
+        return self.cplus(nu) + _diag2(self.context.hbar / (4.0 * nu))
 
     def chi_weight(self, nu):
         """u(v) = v^2 tr cplus(v), vectorized, finite and even in v."""

@@ -3,7 +3,8 @@
 An array call must reproduce the stacked scalar calls pair by pair, whatever
 the route's contraction, and a zero frequency must still raise where the
 route's covariance is singular.  A non-finite frequency raises in every
-two-frequency route, naming it.
+route, naming it.  Each call evaluates the mirror's amplitudes at most once
+and the state's covariance at most once, on all of its frequencies stacked.
 """
 
 import numpy as np
@@ -68,8 +69,11 @@ MODEL_ROUTES = {
     "secular_hamiltonian_kernel": lambda a, b: secular_hamiltonian_kernel(MODEL, a, b),
     "force_kernel": lambda a, b: force_kernel(MODEL, a, b),
     "unitarity_identities": lambda a, b: np.stack(unitarity_identities(MODEL, a, b), axis=-1),
-    # one frequency argument: the pair's sum
-    "energy_exchange_kernel": lambda a, b: energy_exchange_kernel(MODEL, a + b),
+    # one frequency argument: the pair's two frequencies, stacked on the
+    # axis before the matrix axes
+    "energy_exchange_kernel": lambda a, b: np.moveaxis(
+        energy_exchange_kernel(MODEL, np.array(np.broadcast_arrays(a, b))), 0, -3
+    ),
 }
 
 ROUTES = [
@@ -123,10 +127,7 @@ def test_zero_frequency_still_raises(route, state):
         route(state, -0.9, ws)
 
 
-TWO_FREQUENCY_ROUTES = [p for p in ROUTES if p.id != "energy_exchange_kernel"]
-
-
-@pytest.mark.parametrize("route", TWO_FREQUENCY_ROUTES)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_frequency_raises_naming_it(route, bad):
     ws = np.array([1.5, bad, -2.0])
@@ -180,3 +181,46 @@ def test_trace_routes_check_their_frequencies_once(monkeypatch, route, state):
     ws = np.array([1.5, -0.4, 2.0])
     route(state, ws, 0.7)
     assert checked == [ws.size, 1]
+
+
+def _count_calls(monkeypatch, cls, *names):
+    """Frequency arrays passed to the methods ``names`` of ``cls``, outermost calls only.
+
+    A call made from inside another counted one, such as cfull's cplus
+    call, is part of it and not counted again.
+    """
+    calls, depth = [], [0]
+    for name in names:
+        method = getattr(cls, name)
+
+        def counting(self, omega, method=method):
+            if not depth[0]:
+                calls.append(omega)
+            depth[0] += 1
+            try:
+                return method(self, omega)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+COUNTED = [
+    pytest.param(route, state, id=f"{name}-{label}")
+    for name, route in STATE_ROUTES.items()
+    for label, state in STATES.items()
+] + [pytest.param(lambda st, a, b, r=route: r(a, b), None, id=name) for name, route in MODEL_ROUTES.items()]
+
+
+@pytest.mark.parametrize("route, state", COUNTED)
+def test_one_amplitude_and_one_covariance_call_per_route_call(monkeypatch, route, state):
+    amplitude_calls = _count_calls(monkeypatch, type(MODEL), "amplitudes")
+    # the correlated state's rule calls the vacuum's cplus, not its own class's
+    covariance_calls = _count_calls(monkeypatch, type(state), "cplus", "cfull") if state else []
+    for pair in ((1.7, -0.6), (np.array([1.5, -0.4, 2.0]), 0.7)):
+        amplitude_calls.clear()
+        covariance_calls.clear()
+        route(state, *pair)
+        assert len(amplitude_calls) <= 1
+        assert len(covariance_calls) <= 1

@@ -14,10 +14,24 @@ from vacmirror import (
     dagger,
     max_entry,
 )
+from vacmirror.core import ETA_COLS, ETA_ROWS
 
 
 def test_eta_squares_to_identity():
     assert np.array_equal(ETA @ ETA, np.eye(2))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (4, 5)], ids=["scalar", "stack", "grid"])
+def test_sign_vectors_and_dagger_match_the_matrix_forms_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    x = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    for got, want in (
+        (x * ETA_COLS, x @ ETA),
+        (x * ETA_ROWS, ETA @ x),
+        (dagger(x), np.conj(np.swapaxes(x, -1, -2))),
+    ):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
     assert np.array_equal(ETA, np.diag([1.0, -1.0]))
 
 
