@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__
 from .causality import causality_report
-from .core import FrequencyGrid, PhysicsContext, Spectrum
-from .fluctuations import fdt_check, noise_spectrum, xi_spectrum
+from .core import FrequencyGrid, PhysicsContext, Spectrum, sign_closure
+from .fluctuations import fdt_check, noise_spectrum
+from .fluctuations import xi_spectrum  # noqa: F401  (called by no command; perfbench/tracing.py rebinds it)
 from .mirrors import (
     Mirror,
     PerfectMirror,
@@ -169,17 +170,16 @@ def _header(cfg: RunConfig) -> list[str]:
 def _write_table(
     cfg: RunConfig,
     columns: list[str],
-    rows: list[tuple[float, ...]],
+    table: np.ndarray,
     comments: list[str] | None = None,
 ) -> None:
+    """Write the named columns of a 2-D float array, one row per line."""
     if cfg.format == "json":
-        data = {
-            name: [row[k] for row in rows] for k, name in enumerate(columns)
-        }
-        _write_json(cfg, {"data": data, "comments": comments or []})
+        _write_json(cfg, {"data": dict(zip(columns, table.T.tolist())), "comments": comments or []})
         return
+    row = ",".join([_FMT] * len(columns))
     lines = _header(cfg) + (comments or []) + [",".join(columns)]
-    lines += [",".join(_FMT % v for v in row) for row in rows]
+    lines += [row % tuple(values) for values in table.tolist()]
     _emit(cfg, "\n".join(lines) + "\n")
 
 
@@ -219,11 +219,8 @@ def cmd_susceptibility(cfg: RunConfig) -> int:
     state = _build_state(cfg)
     grid = _parse_grid(cfg)
     spectrum = susceptibility_grid(model, state, grid, _quad(cfg))
-    rows = [
-        (float(w), float(v.real), float(v.imag))
-        for w, v in zip(spectrum.omega, spectrum.values)
-    ]
-    _write_table(cfg, ["omega", "re_chi", "im_chi"], rows)
+    table = np.column_stack([spectrum.omega, spectrum.values.real, spectrum.values.imag])
+    _write_table(cfg, ["omega", "re_chi", "im_chi"], table)
     return 0
 
 
@@ -231,24 +228,19 @@ def cmd_noise(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     state = _build_state(cfg)
     grid = _parse_grid(cfg)
-    quad = _quad(cfg)
-    cff = noise_spectrum(model, state, grid.omega, quad)
-    xiff = xi_spectrum(model, state, grid.omega, quad)
-    rows = [(float(w), float(c), float(x)) for w, c, x in zip(grid.omega, cff, xiff)]
+    # one noise convolution at w and -w gives xi(w) = (C(w) - C(-w)) / (2 hbar)
+    closed, at, mirror = sign_closure(grid.omega)
+    noise = noise_spectrum(model, state, closed, _quad(cfg))
+    cff, xiff = noise[at], (noise[at] - noise[mirror]) / (2.0 * cfg.hbar)
     comments = []
     if cfg.state == "thermal":
         # detailed balance: C(-w)/C(w) should follow the Boltzmann factor
-        table = {row[0]: row[1] for row in rows}
-        for w in sorted(table):
-            if w <= 0 or -w not in table or table[w] == 0.0:
-                continue
-            ratio = table[-w] / table[w]
-            boltzmann = float(np.exp(-cfg.hbar * w / cfg.temp))
-            comments.append(
-                f"# balance omega={_FMT % w} ratio={_FMT % ratio} "
-                f"boltzmann={_FMT % boltzmann}"
-            )
-    _write_table(cfg, ["omega", "cff", "xiff"], rows, comments)
+        on_grid = set(grid.omega.tolist())
+        for w, c, c_minus in zip(grid.omega.tolist(), cff.tolist(), noise[mirror].tolist()):
+            if w > 0 and -w in on_grid and c != 0.0:
+                ratio, factor = c_minus / c, float(np.exp(-cfg.hbar * w / cfg.temp))
+                comments.append(f"# balance omega={_FMT % w} ratio={_FMT % ratio} boltzmann={_FMT % factor}")
+    _write_table(cfg, ["omega", "cff", "xiff"], np.column_stack([grid.omega, cff, xiff]), comments)
     return 0
 
 
@@ -258,8 +250,7 @@ def cmd_fdt(cfg: RunConfig) -> int:
     grid = _parse_grid(cfg)
     report = fdt_check(model, state, grid, _quad(cfg))
     passed = report.passes(cfg.tol)
-    routes = zip(grid.omega, report.xi_commutator, report.xi_noise, report.xi_chi)
-    rows = [(float(w), float(a), float(b), float(c)) for w, a, b, c in routes]
+    table = np.column_stack([grid.omega, report.xi_commutator, report.xi_noise, report.xi_chi])
     comments = [
         f"# max_deviation {_FMT % report.max_deviation}",
         f"# relative_deviation {_FMT % report.relative_deviation}",
@@ -272,7 +263,7 @@ def cmd_fdt(cfg: RunConfig) -> int:
             "# note max_deviation lies within error_budget: the routes agree to "
             "within their quadrature errors, and a smaller violation would not show"
         )
-    _write_table(cfg, ["omega", "xi_commutator", "xi_noise", "xi_chi"], rows, comments)
+    _write_table(cfg, ["omega", "xi_commutator", "xi_noise", "xi_chi"], table, comments)
     return 0 if passed else 1
 
 

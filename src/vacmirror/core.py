@@ -55,6 +55,20 @@ def frequency_pair(omega, omega2) -> tuple[np.ndarray, np.ndarray]:
     return w1, w2
 
 
+def sign_closure(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted ``closed`` holding +/-w for each w, with ``closed[at] == omega == -closed[mirror]``.
+
+    Built from the distinct |w|, it holds no -0.0, and a sign-symmetric grid
+    is its own closure, bitwise.
+    """
+    w = finite(omega, "sign closure")
+    mags, back = np.unique(np.abs(w), return_inverse=True)
+    positive = mags[int(mags.size > 0 and mags[0] == 0) :]  # w = 0 sorts first
+    plus, minus = positive.size + back, mags.size - 1 - back
+    at, mirror = np.where(w < 0, minus, plus), np.where(w < 0, plus, minus)
+    return np.concatenate([-positive[::-1], mags]), at.reshape(w.shape), mirror.reshape(w.shape)
+
+
 @dataclass(frozen=True)
 class PhysicsContext:
     """Physical constants for a computation.

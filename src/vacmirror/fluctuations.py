@@ -175,6 +175,11 @@ def noise_spectrum_grid(
 class FdtReport:
     """Three-route commutator spectra on a grid and their disagreement.
 
+    Routes (a) and (b) integrate the same noise kernel at the same nodes, (a)
+    antisymmetrized before the integral and (b) after, so they agree to
+    rounding whether or not the relation holds; the substantive check is
+    route (c), from the susceptibility kernel, against either of them.
+
     Attributes
     ----------
     grid : FrequencyGrid

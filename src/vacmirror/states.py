@@ -20,6 +20,11 @@ Both weights absorb the w^2 prefactors of the force kernels, so integrands
 built from them are regular at zero frequency and, for the vacuum, vanish
 identically outside bounded support instead of through catastrophic
 cancellation.
+
+A thermal component with occupancy nbar = 1/(e^{hbar|v|/T} - 1) has one closed
+form per weight, by 1 + 2 nbar = coth y and nbar + 1 = 1/(1 - e^-z):
+u(v) = (hbar|v|/2)(1 + 2 nbar) = T y coth y with y = hbar|v|/2T, and
+W(v) = (hbar|v|/2)(nbar + theta(v)) = (T/2) z/(1 - e^-z) with z = hbar v/T.
 """
 
 from __future__ import annotations
@@ -45,13 +50,6 @@ def _nonzero(omega, what: str) -> np.ndarray:
     if np.count_nonzero(nu) < nu.size:
         raise SingularFrequencyError(f"{what} diverges at omega = 0")
     return nu
-
-
-def _occupancy(x):
-    """Bose occupancy 1/(e^x - 1) for x > 0, safe against overflow."""
-    x = np.asarray(x, dtype=float)
-    safe = np.where((x > 0.0) & (x < 700.0), x, 1.0)
-    return np.where(x < 700.0, 1.0 / np.expm1(safe), 0.0) * np.where(x > 0.0, 1.0, np.nan)
 
 
 class FieldState:
@@ -122,23 +120,18 @@ class VacuumState(FieldState):
 
 
 def _thermal_chi_weight(nu, temperature: float, hbar: float):
-    """u(v) = (hbar|v|/2)(1 + 2 nbar), with the equipartition limit u(0) = T."""
-    nu = np.asarray(nu, dtype=float)
-    base = hbar * np.abs(nu) / 2.0
-    x = hbar * np.abs(np.where(nu == 0.0, 1.0, nu)) / temperature
-    return np.where(nu == 0.0, temperature, base * (1.0 + 2.0 * _occupancy(x)))
+    """u(v) = T y coth y = (hbar|v|/2)(1 + 2 nbar), y = hbar|v|/2T; u(0) = T exactly."""
+    y = np.abs(np.asarray(nu, dtype=float)) * (hbar / (2.0 * temperature))
+    return temperature * np.divide(y, np.tanh(y), out=np.ones_like(y), where=y != 0)
 
 
 def _thermal_noise_weight(nu, temperature: float, hbar: float):
-    """w(v) = (hbar|v|/2)(nbar + theta(v)), continuous with w(0) = T/2."""
-    nu = np.asarray(nu, dtype=float)
-    base = hbar * np.abs(nu) / 2.0
-    x = hbar * np.abs(np.where(nu == 0.0, 1.0, nu)) / temperature
-    return np.where(
-        nu == 0.0,
-        temperature / 2.0,
-        base * (_occupancy(x) + np.heaviside(nu, 0.5)),
-    )
+    """W(v) = (T/2) z / (1 - e^-z) = (hbar|v|/2)(nbar + theta(v)), z = hbar v/T; W(0) = T/2 exactly."""
+    z = np.asarray(nu, dtype=float) * (hbar / temperature)
+    # below z ~ -709 the denominator overflows: z / -inf is the decayed occupancy, an exact +0
+    with np.errstate(over="ignore"):
+        denominator = -np.expm1(-z)
+    return temperature / 2.0 * np.divide(z, denominator, out=np.ones_like(z), where=z != 0)
 
 
 @dataclass(frozen=True)
@@ -160,10 +153,9 @@ class ThermalState(FieldState):
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     def cplus(self, omega) -> np.ndarray:
-        mag = np.abs(_nonzero(omega, "thermal cplus"))
-        hbar = self.context.hbar
-        nbar = _occupancy(hbar * mag / self.temperature)
-        return _diag2(hbar / (4.0 * mag) * (1.0 + 2.0 * nbar))
+        nu = _nonzero(omega, "thermal cplus")
+        # u / (2 v^2), divided twice so that v^2 cannot overflow or underflow
+        return _diag2(_thermal_chi_weight(nu, self.temperature, self.context.hbar) / nu / (2.0 * nu))
 
     def chi_weight(self, nu):
         return _thermal_chi_weight(nu, self.temperature, self.context.hbar)
@@ -193,12 +185,10 @@ class TwoTemperatureState(FieldState):
             raise ValueError("both temperatures must be positive and finite")
 
     def cplus(self, omega) -> np.ndarray:
-        mag = np.abs(_nonzero(omega, "cplus"))
-        hbar = self.context.hbar
-        pref = hbar / (4.0 * mag)
+        nu = _nonzero(omega, "cplus")
         return _diag2(
-            pref * (1.0 + 2.0 * _occupancy(hbar * mag / self.temp_phi)),
-            pref * (1.0 + 2.0 * _occupancy(hbar * mag / self.temp_psi)),
+            _thermal_chi_weight(nu, self.temp_phi, self.context.hbar) / nu / (2.0 * nu),
+            _thermal_chi_weight(nu, self.temp_psi, self.context.hbar) / nu / (2.0 * nu),
         )
 
     def chi_weight(self, nu):

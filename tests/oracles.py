@@ -4,7 +4,8 @@ Everything here is derived independently of the library's integration
 routines: the single-pole forms are analytic antiderivatives of the vacuum
 kernel, also evaluated in 40-digit arithmetic, the mean forces are Binet's
 formula (single pole, 30 digits) and the Stefan-Boltzmann law (perfect
-mirror), :func:`thermal_chi_mp` and
+mirror), :func:`bose_weights_mp` evaluates the thermal weights from the
+Bose occupancy in 30-digit arithmetic, :func:`thermal_chi_mp` and
 :func:`thermal_cff_mp` integrate the thermal kernels over the whole real
 line in 30-digit arithmetic, the trapezoid integrators resample the kernels
 at fixed high resolution, :func:`integrate` is a scalar adaptive quadrature
@@ -127,6 +128,20 @@ def cff_vacuum_mp(omega, omega_c, hbar=1.0):
         w, oc, h = (mpmath.mpf(v) for v in (omega, omega_c, hbar))
         xi = (h * oc**2 / mpmath.pi) * ((w / 2) * mpmath.log1p(w**2 / oc**2) - w + oc * mpmath.atan(w / oc))
         return float(2 * h * xi)
+
+
+def bose_weights_mp(nu, temp, hbar=1.0):
+    """Thermal weights (u(v), W(v)) at v != 0 from the Bose occupancy, 30 digits.
+
+    u(v) = (hbar|v|/2)(1 + 2 nbar) and W(v) = (hbar|v|/2)(nbar + theta(v)),
+    nbar = 1/(e^{hbar|v|/T} - 1): the textbook forms, not the closed forms
+    the library evaluates.
+    """
+    with mpmath.workdps(30):
+        v, t, h = (mpmath.mpf(x) for x in (nu, temp, hbar))
+        base = h * abs(v) / 2
+        nbar = 1 / mpmath.expm1(h * abs(v) / t)
+        return base * (1 + 2 * nbar), base * (nbar + (1 if v > 0 else 0))
 
 
 def _thermal_mp(kernel, omega, omega_c, temp, hbar):

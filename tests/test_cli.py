@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 import vacmirror.cli
-from vacmirror import SinglePoleMirror
+import vacmirror.fluctuations
+import vacmirror.response
+from vacmirror import (
+    QuadratureConfig,
+    SinglePoleMirror,
+    ThermalState,
+    TwoTemperatureState,
+    VacuumState,
+    noise_spectrum,
+    xi_spectrum,
+)
 from vacmirror.cli import _OPTIONS, _SUBCOMMANDS, _build_parser, _resolve, main
 
 
@@ -103,6 +113,50 @@ def test_noise_thermal_balance_comments(tmp_path):
     for line in balance:
         fields = dict(part.split("=") for part in line.split()[2:])
         assert np.isclose(float(fields["ratio"]), float(fields["boltzmann"]), rtol=1e-8)
+
+
+_NOISE_STATES = {
+    "vacuum": ([], VacuumState()),
+    "thermal": (["--state", "thermal", "--temp", "1.0"], ThermalState(1.0)),
+    "two-temperature": (
+        ["--state", "two-temperature", "--temp-phi", "2", "--temp-psi", "0.5"],
+        TwoTemperatureState(2.0, 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", ["-2:2:9", "0:4:9", "-1:3:9"])
+@pytest.mark.parametrize("state", list(_NOISE_STATES))
+def test_noise_command_reads_xi_off_its_noise_spectrum(tmp_path, state, grid):
+    flags, field_state = _NOISE_STATES[state]
+    out = tmp_path / "noise.json"
+    assert main(["noise", *flags, f"--grid={grid}", "--format", "json", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())["data"]
+    omega, cff, xiff = (np.array(data[key]) for key in ("omega", "cff", "xiff"))
+    model, quad = SinglePoleMirror(1.0), QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+    xi = xi_spectrum(model, field_state, omega, quad)
+    assert np.max(np.abs(xiff - xi)) <= 1e-12 * np.max(np.abs(xi))
+    if np.array_equal(omega, -omega[::-1]):
+        assert np.array_equal(xiff, -xiff[::-1])
+        assert xiff[omega == 0.0] == 0.0
+        assert np.array_equal(cff, noise_spectrum(model, field_state, omega, quad))
+
+
+def test_noise_command_runs_one_convolution(tmp_path, monkeypatch):
+    calls = []
+    convolve = vacmirror.response.convolve
+
+    def counting(kernel, omegas, *args):
+        calls.append(np.size(omegas))
+        return convolve(kernel, omegas, *args)
+
+    # the noise spectrum convolves directly, xi_spectrum through response.fold
+    monkeypatch.setattr(vacmirror.fluctuations, "convolve", counting)
+    monkeypatch.setattr(vacmirror.response, "convolve", counting)
+    argv = ["noise", "--state", "thermal", "--grid=-1:3:9", "--out", str(tmp_path / "noise.csv")]
+    assert main(argv) == 0
+    # once, on the 13 frequencies +/-w of the 9 grid points
+    assert calls == [13]
 
 
 def test_fdt_passes_for_vacuum(tmp_path):

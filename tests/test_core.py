@@ -14,7 +14,7 @@ from vacmirror import (
     dagger,
     max_entry,
 )
-from vacmirror.core import ETA_COLS, ETA_ROWS
+from vacmirror.core import ETA_COLS, ETA_ROWS, sign_closure
 
 
 def test_eta_squares_to_identity():
@@ -72,6 +72,30 @@ def test_symmetric_grid_is_bitwise_symmetric():
     assert om[50] == 0.0
     assert np.array_equal(om, -om[::-1])
     assert np.isclose(grid.spacing, 0.1)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        FrequencyGrid.linear(-2.0, 2.0, 9).omega,
+        np.linspace(0.0, 4.0, 9),
+        np.linspace(-1.0, 3.0, 9),
+        np.array([-0.0, 1.5, -3.0, 1.5]),
+        np.array([[2.0, -2.0], [0.5, 0.0]]),
+        np.array(0.7),
+    ],
+    ids=["symmetric", "from-zero", "lopsided", "signed-zero-and-repeats", "2d", "scalar"],
+)
+def test_sign_closure_holds_both_signs_of_every_frequency(omega):
+    closed, at, mirror = sign_closure(omega)
+    assert np.array_equal(closed[at], omega) and np.array_equal(closed[mirror], -omega)
+    assert np.all(np.diff(closed) > 0) and np.array_equal(closed, -closed[::-1])
+    assert not np.any(np.signbit(closed[closed == 0.0]))
+    if omega.ndim == 1 and np.array_equal(omega, -omega[::-1]):
+        assert closed.tobytes() == omega.tobytes()
+        assert np.array_equal(mirror, at[::-1])
+    with pytest.raises(ValueError, match="not finite"):
+        sign_closure(np.append(omega, np.nan))
 
 
 def test_spacing_is_exact_from_the_span():

@@ -1,8 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from vacmirror import (
     CustomState,
     PhysicsContext,
@@ -64,7 +68,7 @@ def test_thermal_weights_continuous_at_zero():
     T = 1.3
     th = ThermalState(T)
     assert th.chi_weight(0.0) == T
-    assert np.allclose(th.noise_weight(0.0), T / 2.0)
+    assert np.all(th.noise_weight(0.0) == T / 2.0)
     # classical plateau: the limit is approached quadratically
     assert abs(th.chi_weight(1e-6) - T) < 1e-11
     assert abs(th.noise_weight(1e-6)[0] - T / 2.0) < 1e-6
@@ -90,12 +94,67 @@ def test_vacuum_noise_weight_is_one_sided():
 
 def test_large_argument_guard_avoids_overflow():
     th = ThermalState(1.0)
+    x = np.array([700.0, 709.5, 710.0, 1e4, 1e300])  # hbar|v|/T
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = th.chi_weight(np.array([1e4]))
         c = th.cplus(1e4)
+        u_both = th.chi_weight(np.array([x, -x]))
+        w_up, w_down = th.noise_weight(np.array([x, -x]))[..., 0]
+        c_both = th.cplus(np.array([x, -x]))
     assert np.isclose(u[0], 5e3)
     assert np.allclose(c, VacuumState().cplus(1e4))
+    for values in (u_both, w_up, w_down, c_both):
+        assert np.all(np.isfinite(values))
+    # the occupancy has decayed: W(-v) >= 0, exactly 0 once e^{hbar|v|/T} overflows
+    assert np.all(w_down >= 0.0)
+    assert np.all(w_down[x >= 710.0] == 0.0)
+    assert np.allclose(w_up, x / 2.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(u_both, x / 2.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(c_both, VacuumState().cplus(np.array([x, -x])), rtol=1e-15, atol=0.0)
+
+
+_POWER_OF_TWO = st.integers(-20, 20).map(lambda k: 2.0**k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_x=st.floats(-10.0, math.log10(700.0)),
+    temp=_POWER_OF_TWO,
+    hbar=_POWER_OF_TWO,
+    psi_ratio=st.integers(-6, 6).map(lambda k: 2.0**k),
+    two_temperature=st.booleans(),
+)
+def test_thermal_weights_match_the_bose_forms(log_x, temp, hbar, psi_ratio, two_temperature):
+    # W(-v) ~ z e^-z turns a rounding of z = hbar v/T into a relative error
+    # z times larger, so T and hbar are powers of two: z is then exact, and
+    # only the weights' own error shows
+    ctx = PhysicsContext(hbar)
+    if two_temperature:
+        temps = (temp, temp * psi_ratio)
+        state = TwoTemperatureState(*temps, ctx)
+    else:
+        temps = (temp, temp)
+        state = ThermalState(temp, ctx)
+    v = 10.0**log_x * temp / hbar  # hbar v/T log-uniform in [1e-10, 700]
+    u = state.chi_weight(np.array([v, -v]))
+    w = state.noise_weight(np.array([v, -v]))  # [sign, component]
+    # below the smallest normal double, only the absolute error counts
+    tiny = np.finfo(float).tiny
+    refs = [[oracles.bose_weights_mp(f, t, hbar) for f in (v, -v)] for t in temps]
+    assert u[0] == u[1]
+    u_ref = float((refs[0][0][0] + refs[1][0][0]) / 2)
+    assert abs(u[0] - u_ref) <= 2e-15 * u_ref
+    for c, t in enumerate(temps):
+        for k in range(2):
+            w_ref = float(refs[c][k][1])
+            assert abs(w[k, c] - w_ref) <= 2e-15 * w_ref + tiny, (c, k, w[k, c], w_ref)
+        # the universal commutator part, and detailed balance at the
+        # component's own temperature
+        assert abs(w[0, c] - w[1, c] - hbar * v / 2.0) <= 4e-15 * w[0, c]
+        assert abs(w[1, c] - math.exp(-hbar * v / t) * w[0, c]) <= 5e-15 * w[1, c] + tiny
+    # u(v) = W(v) + W(-v), averaged over the components
+    assert abs(u[0] - np.mean(w[0] + w[1])) <= 5e-15 * u[0]
 
 
 def test_temperature_validation():
