@@ -19,7 +19,6 @@ would pick up an O(1/W) offset from the truncated tails.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,10 +178,7 @@ def causality_report(spectrum: Spectrum, mode: str = "auto") -> CausalityReport:
     # once-subtracted dispersion relation anchored at w = 0
     safe = np.where(om == 0.0, 1.0, om)
     m = _fill_zero(om, np.where(om == 0.0, 0.0, a.imag / safe))
-    # the tail warning is silenced because its bound is reported
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        transformed = hilbert_transform(Spectrum(spectrum.grid, m.astype(complex)))
+    transformed = hilbert_transform(Spectrum(spectrum.grid, m.astype(complex)))
     predicted = om * transformed.values.real
     anchored = a.real - a.real[mid]
     band = np.abs(om) <= _INTERIOR_FRAC * w_max

@@ -235,9 +235,8 @@ def cmd_noise(cfg: RunConfig) -> int:
     comments = []
     if cfg.state == "thermal":
         # detailed balance: C(-w)/C(w) should follow the Boltzmann factor
-        on_grid = set(grid.omega.tolist())
         for w, c, c_minus in zip(grid.omega.tolist(), cff.tolist(), noise[mirror].tolist()):
-            if w > 0 and -w in on_grid and c != 0.0:
+            if w > 0 and c != 0.0:
                 ratio, factor = c_minus / c, float(np.exp(-cfg.hbar * w / cfg.temp))
                 comments.append(f"# balance omega={_FMT % w} ratio={_FMT % ratio} boltzmann={_FMT % factor}")
     _write_table(cfg, ["omega", "cff", "xiff"], np.column_stack([grid.omega, cff, xiff]), comments)

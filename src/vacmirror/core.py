@@ -149,9 +149,6 @@ class FrequencyGrid:
     def size(self) -> int:
         return int(self.omega.size)
 
-    def __len__(self) -> int:
-        return self.omega.size
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -164,7 +161,7 @@ class Spectrum:
     values : numpy.ndarray
         Complex samples, same length as the grid.
     meta : dict
-        Free-form diagnostics (error bounds, warnings) attached by producers.
+        Free-form diagnostics (error bounds, node counts) attached by producers.
     """
 
     grid: FrequencyGrid

@@ -102,7 +102,7 @@ def _real(values: np.ndarray, omega, what: str) -> np.ndarray:
 
 def _noise(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
     kernel = partial(cff_kernel, model, state)
-    values, abs_error, evaluations = convolve(kernel, omega, state, model, quad, "noise_spectrum")
+    values, abs_error, evaluations = convolve(kernel, omega, state, quad, "noise_spectrum")
     return _real(values, omega, "noise spectrum"), abs_error, evaluations
 
 
@@ -125,7 +125,7 @@ def noise_spectrum(
 def _xi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
     # C_FF[a, b] = C_FF[b, a] for every state makes xi odd: xi(-w) = -xi(w)
     kernel = partial(commutator_kernel, model, state)
-    values, abs_error, evaluations = fold(np.negative, kernel, omega, state, model, quad, "xi_spectrum")
+    values, abs_error, evaluations = fold(np.negative, kernel, omega, state, quad, "xi_spectrum")
     return _real(values, omega, "commutator spectrum"), abs_error, evaluations
 
 
@@ -156,7 +156,7 @@ def mean_force(model: Mirror, state: FieldState, quad: QuadratureConfig = Quadra
     """
     w = np.zeros(1)
     values, abs_error, _ = convolve(
-        lambda a, b: mean_force_integrand(model, state, a), w, state, model, quad, "mean force"
+        lambda a, b: mean_force_integrand(model, state, a), w, state, quad, "mean force"
     )
     return float(_real(values, w, "mean force")[0]), float(abs_error[0])
 

@@ -27,7 +27,6 @@ calls ``amplitudes`` once per call, on all of its frequencies stacked.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,14 +235,11 @@ def _dispersion_residual(omega: np.ndarray, values: np.ndarray) -> tuple[float, 
     for the mirror amplitudes), keeping window truncation negligible; its
     edge asymptote is subtracted first so that a frequency-independent offset
     (a delta response in time, causal) does not register as a violation.
-    The tail warning is silenced because its bound is returned instead.
     """
     grid = FrequencyGrid(omega)
     re = np.real(values)
     re = re - (re[0] + re[-1]) / 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        h = hilbert_transform(Spectrum(grid, re.astype(complex)))
+    h = hilbert_transform(Spectrum(grid, re.astype(complex)))
     im_pred = -np.real(h.values)
     im_true = np.imag(values)
     n = omega.size

@@ -25,15 +25,12 @@ are ``numpy.fft``, zero-padded to the next power of two.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .core import FrequencyGrid, Spectrum
-
-_TINY = 1e-300
 
 
 class NonConvergenceError(RuntimeError):
@@ -202,8 +199,8 @@ def integrate_batch(
     Raises
     ------
     NonConvergenceError
-        If more than ``cfg.max_subdivisions`` intervals are needed, a value
-        is not finite, or an estimate exceeds its sample's target.
+        If more than ``cfg.max_subdivisions`` intervals are needed or a
+        value is not finite.
         The message names the worst sample as ``omega=...``; the exception
         carries its estimate and error.
     """
@@ -241,12 +238,9 @@ def integrate_batch(
         parts = np.concatenate([parts, halves[split.size:]])
         errors = np.concatenate([errors, half_errors[split.size:]])
     abs_error = errors.sum(axis=0)
-    excess = abs_error / target
-    if converged and np.all(excess <= 1.0):
-        return values, abs_error, np.full(values.shape, evaluations)
     if converged:
-        reason = "error estimate exceeds tolerance"
-    k = int(np.argmax(excess))  # a NaN counts as the largest
+        return values, abs_error, np.full(values.shape, evaluations)
+    k = int(np.argmax(abs_error / target))  # a NaN counts as the largest
     raise NonConvergenceError(
         f"{what} at omega={float(omegas[k])!r}: quadrature did not converge: {reason}",
         best=complex(values[k]),
@@ -274,11 +268,9 @@ def hilbert_transform(spectrum: Spectrum) -> Spectrum:
     Returns
     -------
     Spectrum
-        Real-valued transform with ``meta["tail_bound"]`` set to an estimate
-        of the neglected out-of-window contribution, assuming the input decays
-        at least like 1/|w| beyond the grid.  A ``meta["warning"]`` entry is
-        added (and a RuntimeWarning emitted) when that bound exceeds 1e-3 of
-        the transform's peak magnitude.
+        Real-valued transform; ``meta`` holds only ``"tail_bound"``, an
+        estimate of the neglected out-of-window contribution, assuming the
+        input decays at least like 1/|w| beyond the grid.
 
     Notes
     -----
@@ -300,16 +292,7 @@ def hilbert_transform(spectrum: Spectrum) -> Spectrum:
     # Tail estimate: if |f| ~ A/|w'| beyond the window, the out-of-window
     # contribution at interior samples is bounded by ~(2 ln 2 / pi) * |f_edge|.
     tail = (abs(f[0]) + abs(f[-1])) * (2.0 * np.log(2.0) / np.pi)
-    meta: dict = {"tail_bound": tail}
-    threshold = 1e-3 * max(np.max(np.abs(out)), _TINY)
-    if tail > threshold:
-        msg = (
-            f"hilbert_transform: estimated out-of-window tail {tail:.3e} exceeds "
-            f"{threshold:.3e}; widen the grid span"
-        )
-        meta["warning"] = msg
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return Spectrum(spectrum.grid, out.astype(complex), meta)
+    return Spectrum(spectrum.grid, out.astype(complex), {"tail_bound": tail})
 
 
 def _chirp(c: float, n: int) -> np.ndarray:
@@ -355,13 +338,9 @@ def inverse_fourier_to_time(spectrum: Spectrum, t: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``t`` is not one-dimensional and uniform to 1e-12 of max |t|.
-
-    Warns
-    -----
-    RuntimeWarning
-        When the requested time span exceeds the alias-free window 2*pi/dw
-        implied by the grid spacing (by more than a relative 1e-12).
+        If ``t`` is not one-dimensional and uniform to 1e-12 of max |t|, or
+        spans more than the alias-free window 2*pi/dw (by a relative 1e-12),
+        past which the sum is a periodic image of f(t), not f(t).
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
@@ -376,11 +355,9 @@ def inverse_fourier_to_time(spectrum: Spectrum, t: np.ndarray) -> np.ndarray:
     span = abs(t[-1] - t[0])
     # a span of exactly one window may round a few ulps past it
     if span > 2.0 * np.pi / dw * (1.0 + 1e-12):
-        warnings.warn(
+        raise ValueError(
             f"inverse_fourier_to_time: time span {span:.3g} exceeds the alias-free "
-            f"window {2.0 * np.pi / dw:.3g} for grid spacing {dw:.3g}",
-            RuntimeWarning,
-            stacklevel=2,
+            f"window {2.0 * np.pi / dw:.3g} for grid spacing {dw:.3g}"
         )
     # t_i w_k = t_i w_0 + t_0 k dw + i k dt dw on the two grids
     n = spectrum.grid.size

@@ -128,7 +128,6 @@ def convolve(
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     omegas,
     state: FieldState,
-    model: Mirror,
     quad: QuadratureConfig,
     what: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,7 +201,7 @@ def convolve(
     return values, abs_error, evaluations
 
 
-def fold(reflect, kernel, omegas, state: FieldState, model: Mirror, quad: QuadratureConfig, what: str):
+def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, what: str):
     """:func:`convolve` on the distinct |w| > 0 of ``omegas`` only, in one call.
 
     The results are spread back over ``omegas``, with ``reflect`` applied to
@@ -215,13 +214,13 @@ def fold(reflect, kernel, omegas, state: FieldState, model: Mirror, quad: Quadra
     skip = int(mags.size > 0 and mags[0] == 0)  # w = 0 sorts first
     values, abs_error, evaluations = (
         np.concatenate([np.zeros(skip, part.dtype), part])[back].reshape(w.shape)
-        for part in convolve(kernel, mags[skip:], state, model, quad, what)
+        for part in convolve(kernel, mags[skip:], state, quad, what)
     )
     return np.where(w < 0, reflect(values), values), abs_error, evaluations
 
 
 def _chi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
-    return fold(np.conj, partial(chi_kernel, model, state), omega, state, model, quad, "susceptibility")
+    return fold(np.conj, partial(chi_kernel, model, state), omega, state, quad, "susceptibility")
 
 
 def susceptibility(

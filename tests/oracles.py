@@ -13,7 +13,9 @@ at fixed high resolution, :func:`integrate` is a scalar adaptive quadrature
 quadrature is compared sample by sample, and :func:`hilbert_dense` and
 :func:`inverse_fourier_dense` evaluate the grid transforms as explicit
 matrix products, block by block, against which the FFT versions are
-compared.
+compared.  :func:`xi_from_squeezing` integrates the squared output
+perturbation of the general squeezing route with a fixed Gauss-Legendre
+rule.
 """
 
 import warnings
@@ -25,6 +27,7 @@ import scipy.integrate
 
 from vacmirror.numerics import NonConvergenceError, QuadratureConfig
 from vacmirror.pressure import alpha, alpha_beta
+from vacmirror.squeezing import delta_cout
 
 
 def chi_single_pole(omega, omega_c, hbar=1.0):
@@ -99,6 +102,21 @@ def chi_perfect_thermal(omega, temp, hbar=1.0):
     """
     w = np.asarray(omega, dtype=float)
     return 1j * (hbar * w**3 / (6.0 * np.pi) + 2.0 * np.pi * w * temp**2 / (3.0 * hbar))
+
+
+def xi_from_squeezing(model, state, omega, nodes=200):
+    """(1 / 2 pi hbar) int_0^w dw' w' (w - w') ||dC_out[w', w - w']||_F^2 for w > 0.
+
+    Over the vacuum this is Im chi(w): the dissipation read off the
+    squeezing of the output field.  ``nodes``-point Gauss-Legendre rule on
+    [0, w]; ``delta_cout`` is the general route through the state's full
+    covariance and the S-matrices.
+    """
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    wp = 0.5 * omega * (x + 1.0)
+    norm2 = np.sum(np.abs(delta_cout(model, state, wp, omega - wp)) ** 2, axis=(-2, -1))
+    integral = 0.5 * omega * np.sum(weights * wp * (omega - wp) * norm2)
+    return float(integral / (2.0 * np.pi * state.context.hbar))
 
 
 def cff_vacuum(omega, omega_c, hbar=1.0):

@@ -3,7 +3,8 @@
 One test per contracted behavior, at the contracted tolerance: closed-form
 spectra, convergence to the reflective limit, fluctuation-dissipation
 consistency, algebraic kernel identities, causality metrics, squeezing
-support rules, and bit-level CLI determinism.
+support rules, dissipation as the squeezing of the output, the radiation
+reaction force in the time domain, and bit-level CLI determinism.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from vacmirror import (
     SinglePoleMirror,
     Spectrum,
     TabulatedMirror,
+    TabulatedSpectrum,
     VacuumState,
     causality_report,
     chi_kernel,
@@ -24,7 +26,9 @@ from vacmirror import (
     delta_cout_vacuum,
     energy_exchange_kernel,
     fdt_check,
+    inverse_fourier_to_time,
     mean_force_integrand,
+    motional_force_spectrum,
     noise_spectrum,
     oscillation_line_strength,
     oscillation_squeeze_lines,
@@ -166,6 +170,47 @@ def test_squeezing_support_rule():
         strengths.append(st[2.0 * w0 * scale])
     assert strengths[0] > strengths[1] > strengths[2] > 0.0
     assert strengths[2] < 0.02 * strengths[0]
+
+
+def test_dissipation_is_the_squeezing_of_the_output():
+    # over the vacuum the damping Im chi(w) equals the squeezing the motion
+    # puts on the output field, (1/2 pi hbar) int_0^w dw' w' (w - w') ||dC_out||_F^2
+    vac = VacuumState()
+    for model in (SinglePoleMirror(1.0), PerfectMirror()):
+        for w in (0.5, 2.0, 7.0):
+            xi = susceptibility(model, vac, w).imag
+            assert abs(oracles.xi_from_squeezing(model, vac, w) - xi) <= 1e-13 * xi
+
+
+def test_radiation_reaction_force_in_the_time_domain():
+    # q(t) = exp(-t^2/2): the perfect mirror feels hbar q'''(t) / 6 pi, and the
+    # single pole approaches it as Omega grows, the leading correction being
+    # -hbar q''''(t) / 12 pi Omega; what remains falls as Omega^-2
+    grid = FrequencyGrid.symmetric(12.0, 1201)
+    traj = TabulatedSpectrum(grid, np.sqrt(2.0 * np.pi) * np.exp(-grid.omega**2 / 2.0))
+    t = np.linspace(-4.0, 4.0, 161)
+    q = np.exp(-t**2 / 2.0)
+    q3, q4 = (3.0 * t - t**3) * q, (t**4 - 6.0 * t**2 + 3.0) * q
+    vac = VacuumState()
+    hbar = vac.context.hbar
+
+    def force(model):
+        return inverse_fourier_to_time(motional_force_spectrum(model, vac, traj, grid), t)
+
+    limit = hbar * q3 / (6.0 * np.pi)
+    perfect = force(PerfectMirror())
+    peak = np.max(np.abs(perfect))
+    assert np.max(np.abs(perfect.real - limit)) <= 1e-14 * peak
+    assert np.max(np.abs(perfect.imag)) <= 1e-14 * peak
+    plain, corrected = [], []
+    for omega_c in (10.0, 100.0, 1000.0):
+        f = force(SinglePoleMirror(omega_c))
+        plain.append(np.max(np.abs(f - limit)) / peak)
+        corrected.append(np.max(np.abs(f - limit + hbar * q4 / (12.0 * np.pi * omega_c))) / peak)
+    plain, corrected = np.array(plain), np.array(corrected)
+    assert np.all(corrected < 0.2 * plain)
+    assert np.allclose(plain[:-1] / plain[1:], 10.0, rtol=0.05)
+    assert np.allclose(corrected[:-1] / corrected[1:], 100.0, rtol=0.05)
 
 
 def test_cli_runs_are_bit_identical(tmp_path):

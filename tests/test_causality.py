@@ -83,3 +83,7 @@ def test_grid_requirements():
     small = Spectrum(FrequencyGrid.symmetric(5.0, 65), np.ones(65, dtype=complex))
     with pytest.raises(ValueError, match="samples"):
         causality_report(small)
+    # symmetric with an even count: no sample at w = 0 to anchor the dispersion relation
+    even = Spectrum(FrequencyGrid(np.linspace(-5.0, 5.0, 200)), np.ones(200, dtype=complex))
+    with pytest.raises(ValueError, match="zero frequency"):
+        causality_report(even)

@@ -101,15 +101,17 @@ def test_susceptibility_perfect_mirror_in_thermal_state(tmp_path):
     assert np.isclose(im, 8.0 / (6.0 * np.pi) + 2.0 * np.pi * 2.0 * 0.25 / 3.0, rtol=1e-10)
 
 
-def test_noise_thermal_balance_comments(tmp_path):
+# one comment per w > 0, whether or not -w is a grid point
+@pytest.mark.parametrize("grid, count", [("-2:2:9", 4), ("0:4:9", 8), ("-1:3:9", 6)])
+def test_noise_thermal_balance_comments(tmp_path, grid, count):
     out = tmp_path / "noise.csv"
     code = main([
         "noise", "--state", "thermal", "--temp", "1.0",
-        "--grid", "-2:2:9", "--out", str(out),
+        "--grid", grid, "--out", str(out),
     ])
     assert code == 0
     balance = [l for l in out.read_text().splitlines() if l.startswith("# balance")]
-    assert len(balance) == 4
+    assert len(balance) == count
     for line in balance:
         fields = dict(part.split("=") for part in line.split()[2:])
         assert np.isclose(float(fields["ratio"]), float(fields["boltzmann"]), rtol=1e-8)
@@ -225,6 +227,30 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
     assert main(["squeeze", "--format", "csv"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["susceptibility", "--config", "{missing}"], None, "cannot read config file {missing}"),
+        (["susceptibility", "--config", "{cfg}"], "omega-c 2.0\n",
+         "config line is not 'key = value': 'omega-c 2.0'"),
+        (["susceptibility", "--model", "table"], None, "--model table requires --file"),
+        (["noise", "--state", "two-temperature", "--temp-phi", "2"], None,
+         "two-temperature state requires --temp-phi and --temp-psi"),
+        (["susceptibility", "--grid=1:2:x"], None, "grid must be MIN:MAX:COUNT, got '1:2:x'"),
+    ],
+    ids=["unreadable-config", "config-line-without-equals", "table-without-file",
+         "one-temperature", "non-integer-count"],
+)
+def test_input_error_exits_name_the_bad_input(tmp_path, capsys, argv, config, message):
+    paths = {"missing": tmp_path / "missing.cfg", "cfg": tmp_path / "run.cfg"}
+    if config is not None:
+        paths["cfg"].write_text(config)
+    out = tmp_path / "never.out"
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 2
+    assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_for_non_convergence(tmp_path, capsys):

@@ -115,6 +115,8 @@ def test_linear_grid_dispatches_to_symmetric():
     assert np.array_equal(grid.omega, -grid.omega[::-1])
     plain = FrequencyGrid.linear(0.0, 1.0, 5)
     assert np.allclose(plain.omega, [0.0, 0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(ValueError, match="at least two frequencies"):
+        FrequencyGrid.linear(0.0, 1.0, 1)
 
 
 def test_grid_rejects_nonuniform_or_unsorted():

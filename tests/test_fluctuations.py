@@ -22,6 +22,7 @@ from vacmirror import (
     susceptibility_grid,
     xi_spectrum,
 )
+from vacmirror.fluctuations import _real
 
 
 def test_noise_kernel_hand_value():
@@ -88,6 +89,13 @@ def test_vacuum_noise_equals_commutator():
         c = noise_spectrum(m, vac, w)
         x = xi_spectrum(m, vac, w)
         assert abs(c - 2.0 * hbar * x) <= 1e-10 * abs(c)
+
+
+def test_real_part_raises_on_an_imaginary_residue_naming_its_frequency():
+    values = np.array([1.0 + 0.0j, 2.0 + 1e-12j, 1.0 + 0.5j])
+    assert np.array_equal(_real(values[:2], [1.0, 2.0], "noise"), [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"noise at w=3 has imaginary residue 5\.000e-01"):
+        _real(values, [1.0, 2.0, 3.0], "noise")
 
 
 def test_commutator_routes_agree():

@@ -118,6 +118,8 @@ def test_tabulated_construction_validation():
         TabulatedMirror(np.array([-1.0, 0.0, 1.0, 2.0]), np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):
         TabulatedMirror(np.array([0.0, 2.0, 1.0, 3.0]), np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="sample arrays must match the frequency grid"):
+        TabulatedMirror(np.arange(5.0), np.zeros(4), np.zeros(5))
 
 
 def test_tabulated_transparency_detection():
@@ -147,6 +149,13 @@ def test_from_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad_header.csv"
     path.write_text("omega,s,r\n0,0,0\n1,0,0\n2,0,0\n3,0,0\n")
     with pytest.raises(ValueError, match="header"):
+        TabulatedMirror.from_csv(path)
+
+
+def test_from_csv_rejects_four_columns(tmp_path):
+    path = tmp_path / "four_columns.csv"
+    path.write_text("omega,re_s,im_s,re_r,im_r\n" + "".join(f"{w},1,0,0\n" for w in range(5)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 5 columns, got 4"):
         TabulatedMirror.from_csv(path)
 
 

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from vacmirror import (
     MonochromaticOscillation,
+    PerfectMirror,
+    PhysicsContext,
     SinglePoleMirror,
     SingularFrequencyError,
     ThermalState,
     VacuumState,
     chi_kernel,
+    susceptibility,
     delta_cout,
     delta_cout_vacuum,
     force_kernel,
@@ -117,3 +123,20 @@ def test_line_strength_vanishes_for_slow_drive():
     # the strength falls off linearly: segment length ~ w0, kernel bounded
     assert strengths[-1] < 2e-3 * strengths[0]
     assert np.isclose(strengths[3] / strengths[2], 0.1, rtol=0.02)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_omega_c=st.floats(-2.0, 2.0),
+    log_hbar=st.floats(-3.0, 3.0),
+    log_ratio=st.floats(-2.0, np.log10(50.0)),
+    perfect=st.booleans(),
+)
+def test_dissipation_is_the_squeezing_of_the_output(log_omega_c, log_hbar, log_ratio, perfect):
+    # vacuum: Im chi(w) = (1/2 pi hbar) int_0^w dw' w' (w - w') ||dC_out[w', w - w']||_F^2
+    omega_c = 10.0**log_omega_c
+    model = PerfectMirror() if perfect else SinglePoleMirror(omega_c)
+    vac = VacuumState(PhysicsContext(hbar=10.0**log_hbar))
+    w = omega_c * 10.0**log_ratio
+    xi = susceptibility(model, vac, w).imag
+    assert abs(oracles.xi_from_squeezing(model, vac, w) - xi) <= 1e-13 * xi
