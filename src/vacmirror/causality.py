@@ -101,7 +101,7 @@ def _subtract_plateau(om: np.ndarray, values: np.ndarray, frac: float) -> tuple[
     """Fit Re values ~ mu + c/|w| on the band edges and remove mu."""
     n = om.size
     k = max(3, int(round(frac * n)))
-    sel = np.r_[0:k, n - k:n]
+    sel = np.concatenate([np.arange(k), np.arange(n - k, n)])
     x = np.abs(om[sel])
     basis = np.column_stack([np.ones_like(x), 1.0 / x])
     coef, *_ = np.linalg.lstsq(basis, values[sel].real, rcond=None)

@@ -12,6 +12,7 @@ non-convergence (the message names the failing frequency).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -342,7 +343,11 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
 }
 
 
-def _build_parser(names=tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
+# parse_args leaves the parser as it found it (no append actions, mutable
+# defaults or set_defaults), so one parser per command list serves every call
+# in a process; help is still wrapped to the terminal width at print time
+@functools.cache
+def _build_parser(names: tuple[str, ...] = tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vacmirror",
         description="Radiation-pressure spectra of a scattering mirror.",
@@ -381,7 +386,8 @@ def main(argv: list[str] | None = None) -> int:
             tokens[k] = "--grid=" + tokens.pop(k + 1)
             break
     # a known command needs only its own subparser, which is cheaper to build
-    parser = _build_parser(tokens[:1] if tokens[:1] and tokens[0] in _SUBCOMMANDS else _SUBCOMMANDS)
+    known = bool(tokens) and tokens[0] in _SUBCOMMANDS
+    parser = _build_parser(tuple(tokens[:1]) if known else tuple(_SUBCOMMANDS))
     args = parser.parse_args(tokens)
     if args.command is None:
         parser.print_help(sys.stderr)

@@ -145,20 +145,22 @@ def xi_spectrum(
 
 
 def mean_force(model: Mirror, state: FieldState, quad: QuadratureConfig = QuadratureConfig()):
-    """Mean force and its quadrature error: integral dw/(2 pi) of w^2 Tr[F(w, -w) cplus(w)].
+    """Mean force, its quadrature error and node count.
 
-    The integrand is even in w, so this is :func:`convolve` at w = 0, with
-    the windows and error contract of every spectrum.  For diagonal states
-    its vacuum parts cancel, so it decays thermally for any mirror, the
-    perfect one included.  The force is exactly zero for isotropic states,
-    and positive toward the colder side for two-temperature states with the
-    hotter component incident from the left.
+    The force is integral dw/(2 pi) of w^2 Tr[F(w, -w) cplus(w)].  The
+    integrand is even in w, so this is :func:`convolve` at w = 0, with the
+    windows and error contract of every spectrum, and the node count is
+    that convolution's.  For diagonal states its vacuum parts cancel, so it
+    decays thermally for any mirror, the perfect one included.  The force
+    is exactly zero for isotropic states, and positive toward the colder
+    side for two-temperature states with the hotter component incident from
+    the left.
     """
     w = np.zeros(1)
-    values, abs_error, _ = convolve(
+    values, abs_error, evaluations = convolve(
         lambda a, b: mean_force_integrand(model, state, a), w, state, quad, "mean force"
     )
-    return float(_real(values, w, "mean force")[0]), float(abs_error[0])
+    return float(_real(values, w, "mean force")[0]), float(abs_error[0]), int(evaluations[0])
 
 
 def noise_spectrum_grid(

@@ -208,7 +208,7 @@ def integrate_batch(
     floor = np.where(scale > 0, np.minimum(cfg.abs_tol, 1e-10 * scale), cfg.abs_tol)
     edges = np.unique(np.clip([0.0, *points, length], 0.0, length))
     # no estimate of a whole piece is trusted on its own: start from its halves
-    edges = np.unique(np.r_[edges, 0.5 * (edges[:-1] + edges[1:])])
+    edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     a, b = edges[:-1].copy(), edges[1:].copy()
     parts, errors = _gauss_kronrod(f, a, b, scale.size)
     evaluations = a.size * _NODES.size
@@ -228,12 +228,16 @@ def integrate_batch(
             break
         order = np.argsort(-scaled, kind="stable")[:_MAX_SPLITS]
         before = np.cumsum(scaled[order]) - scaled[order]
-        split = order[np.r_[True, before[1:] <= total - 0.125]]
+        keep = before <= total - 0.125
+        keep[0] = True
+        split = order[keep]
         mid, right = 0.5 * (a[split] + b[split]), b[split]
-        halves, half_errors = _gauss_kronrod(f, np.r_[a[split], mid], np.r_[mid, right], scale.size)
+        halves, half_errors = _gauss_kronrod(
+            f, np.concatenate([a[split], mid]), np.concatenate([mid, right]), scale.size
+        )
         evaluations += 2 * split.size * _NODES.size
         b[split] = mid
-        a, b = np.r_[a, mid], np.r_[b, right]
+        a, b = np.concatenate([a, mid]), np.concatenate([b, right])
         parts[split], errors[split] = halves[: split.size], half_errors[: split.size]
         parts = np.concatenate([parts, halves[split.size:]])
         errors = np.concatenate([errors, half_errors[split.size:]])
@@ -284,7 +288,7 @@ def hilbert_transform(spectrum: Spectrum) -> Spectrum:
     inv = 1.0 / np.arange(1, n)
     kernel = np.zeros(size)
     kernel[1:n], kernel[size - n + 1:] = -inv, inv[::-1]
-    trapezoid = np.r_[0.5 * f[0], f[1:-1], 0.5 * f[-1]]
+    trapezoid = np.concatenate([[0.5 * f[0]], f[1:-1], [0.5 * f[-1]]])
     pv = np.fft.irfft(np.fft.rfft(trapezoid, size) * np.fft.rfft(kernel), size)[:n]
     zero, edge = np.pad(f, 1), np.pad(f, 1, mode="edge")
     out = (pv - 0.5 * (zero[2:] - zero[:-2]) + (edge[2:] - edge[:-2])) / np.pi
@@ -361,6 +365,6 @@ def inverse_fourier_to_time(spectrum: Spectrum, t: np.ndarray) -> np.ndarray:
         )
     # t_i w_k = t_i w_0 + t_0 k dw + i k dt dw on the two grids
     n = spectrum.grid.size
-    x = np.r_[0.5, np.ones(n - 2), 0.5] * dw / (2.0 * np.pi) * spectrum.values
+    x = np.concatenate([[0.5], np.ones(n - 2), [0.5]]) * dw / (2.0 * np.pi) * spectrum.values
     x = x * np.exp(-1j * t[0] * dw * np.arange(n))
     return np.exp(-1j * t * spectrum.omega[0]) * _chirp_z(x, dt * dw / (2.0 * np.pi), nt)

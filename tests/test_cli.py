@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -411,3 +412,43 @@ def test_parser_of_one_command_behaves_as_the_full_parser(monkeypatch, capsys, a
     monkeypatch.setattr(vacmirror.cli, "_build_parser", lambda names=None: _build_parser())
     assert partial == _run(argv, capsys)
     assert partial[1] or partial[2]
+
+
+def test_cached_parser_keeps_calls_independent(tmp_path, monkeypatch, capsys):
+    # main builds each command's parser once per process; no call, not even
+    # a failing one, may leave anything in it for the next
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("temp = 2\n")
+    base = ["noise", "--state", "thermal", "--grid=-1:1:3"]
+    first = _run(base, capsys)
+    with_temp = _run(base + ["--temp", "3"], capsys)
+    with_config = _run(base + ["--config", str(cfg)], capsys)
+    assert first[0] == with_temp[0] == with_config[0] == 0
+    assert len({first[1], with_temp[1], with_config[1]}) == 3
+    assert _run(["noise", "--bogus"], capsys)[0] == 2
+    assert _run(["noise", "--grid=abc"], capsys)[0] == 2
+    assert _run(base, capsys) == first
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert _run(base, capsys) == first
+    assert built == []
+
+
+def test_cached_parser_wraps_help_to_the_terminal_width(monkeypatch, capsys):
+    # argparse reads COLUMNS when it formats, not when it builds the parser
+    lines = []
+    for columns in ("60", "200", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = _run(["noise", "--help"], capsys)
+        assert code == 0
+        lines.append(out.splitlines())
+    assert lines[0] == lines[2]
+    assert len(lines[0]) > len(lines[1])
+    assert max(map(len, lines[0])) < max(map(len, lines[1]))

@@ -225,3 +225,27 @@ def test_noise_spectrum_grid_wraps_values():
     assert spec.values.shape == grid.omega.shape
     assert np.all(spec.values[grid.omega <= 0] == 0.0)
     assert spec.meta["label"] == "noise-spectrum"
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    omega_c=_log_uniform(1e-2, 1e2),
+    hbar=_log_uniform(1e-3, 1e3),
+    x=st.lists(st.tuples(_log_uniform(1e-2, 50.0), st.sampled_from([-1.0, 1.0])), min_size=1, max_size=4),
+)
+def test_vacuum_spectra_follow_the_scaling_law(omega_c, hbar, x):
+    # the single pole has one scale: chi(w; Omega, hbar) = hbar Omega^3 chi(w/Omega; 1, 1)
+    # and C_FF(w; Omega, hbar) = hbar^2 Omega^3 C_FF(w/Omega; 1, 1), zero for w <= 0
+    u = np.array([size * sign for size, sign in x])
+    w = u * omega_c
+    model, unit, vac = SinglePoleMirror(omega_c), SinglePoleMirror(1.0), VacuumState()
+    state = VacuumState(PhysicsContext(hbar))
+    chi_ref = hbar * omega_c**3 * susceptibility(unit, vac, u)
+    assert np.all(np.abs(susceptibility(model, state, w) - chi_ref) <= 1e-13 * np.abs(chi_ref))
+    cff, cff_ref = noise_spectrum(model, state, w), hbar**2 * omega_c**3 * noise_spectrum(unit, vac, u)
+    assert np.all(cff[w <= 0] == 0.0) and np.all(cff_ref[w <= 0] == 0.0)
+    assert np.all(np.abs(cff - cff_ref) <= 1e-13 * cff_ref)

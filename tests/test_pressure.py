@@ -24,7 +24,7 @@ from vacmirror import (
     mean_force_integrand,
     unitarity_identities,
 )
-from vacmirror.core import ETA
+from vacmirror.core import ETA, dagger
 
 
 def _non_unitary_table():
@@ -144,6 +144,23 @@ def test_unitarity_identities_hold_for_unitary_models():
         assert max(res_a.max(), res_b.max()) <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(log_omega_c=st.floats(-2.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_kernel_identities_hold_at_any_cutoff(log_omega_c, seed):
+    # the acceptance suite's 1e-12 at Omega = 1, here over four decades of
+    # Omega and 64 pairs in +/- 50 Omega per draw
+    omega_c = 10.0**log_omega_c
+    m = SinglePoleMirror(omega_c)
+    w1, w2 = np.random.default_rng(seed).uniform(-50.0 * omega_c, 50.0 * omega_c, (2, 64))
+    res_a, res_b = unitarity_identities(m, w1, w2)
+    assert max(res_a.max(), res_b.max()) <= 1e-12
+    assert np.max(np.abs(energy_exchange_kernel(m, np.concatenate([w1, w2])))) <= 1e-12
+    f, swapped = force_kernel(m, w1, w2), force_kernel(m, w2, w1)
+    assert np.max(np.abs(f.mT - swapped)) <= 1e-12
+    assert np.max(np.abs(ETA @ f @ ETA - swapped)) <= 1e-12
+    assert np.max(np.abs(dagger(f) - force_kernel(m, -w2, -w1))) <= 1e-12
+
+
 def test_unitarity_identities_flag_broken_model():
     tab = _non_unitary_table()
     res_a, res_b = unitarity_identities(tab, 0.5, 1.5)
@@ -164,16 +181,16 @@ def test_mean_force_zero_for_isotropic_states():
     for state in (VacuumState(), ThermalState(2.0)):
         vals = np.asarray(mean_force_integrand(m, state, grid.omega))
         assert np.all(vals == 0.0)
-        assert mean_force(m, state) == (0.0, 0.0)
+        assert mean_force(m, state)[:2] == (0.0, 0.0)
 
 
 def test_mean_force_pushes_toward_colder_side():
     m = SinglePoleMirror(1.0)
     hot_left = TwoTemperatureState(2.0, 0.5)
     hot_right = TwoTemperatureState(0.5, 2.0)
-    f, err = mean_force(m, hot_left)
+    f, err, nodes = mean_force(m, hot_left)
     assert f > 0.0
-    assert mean_force(m, hot_right) == (-f, err)
+    assert mean_force(m, hot_right) == (-f, err, nodes)
 
 
 def test_mean_force_routes_agree():
@@ -207,7 +224,7 @@ def test_mean_force_routes_agree():
 def test_mean_force_single_pole_matches_binet(log_phi, log_psi, log_omega_c, log_hbar):
     temp_phi, temp_psi, omega_c, hbar = 10.0 ** np.array([log_phi, log_psi, log_omega_c, log_hbar])
     state = TwoTemperatureState(temp_phi, temp_psi, PhysicsContext(hbar))
-    got, err = mean_force(SinglePoleMirror(omega_c), state)
+    got, err, _ = mean_force(SinglePoleMirror(omega_c), state)
     ref = oracles.mean_force_single_pole(temp_phi, temp_psi, omega_c, hbar)
     # at T_phi ~ T_psi the force cancels between the two sides' pressures,
     # each known to rounding, so the larger of them sets the scale
@@ -229,7 +246,7 @@ def test_mean_force_perfect_mirror_is_stefan_boltzmann(temp_phi, temp_psi, hbar)
     # the vacuum parts cancel in the integrand, which then decays thermally
     # although the perfect mirror is not transparent
     state = TwoTemperatureState(temp_phi, temp_psi, PhysicsContext(hbar))
-    got, err = mean_force(PerfectMirror(), state)
+    got, err, _ = mean_force(PerfectMirror(), state)
     ref = oracles.mean_force_perfect(temp_phi, temp_psi, hbar)
     assert abs(got - ref) <= 1e-10 * abs(ref)
     assert abs(got - ref) <= err + 4 * np.spacing(abs(ref))
