@@ -18,7 +18,6 @@ from .causality import CausalityReport, causality_report
 from .core import (
     ETA,
     FrequencyGrid,
-    PhysicsContext,
     SingularFrequencyError,
     Spectrum,
     dagger,
@@ -95,7 +94,6 @@ __all__ = [
     "MonochromaticOscillation",
     "NonConvergenceError",
     "PerfectMirror",
-    "PhysicsContext",
     "QuadratureConfig",
     "SingularFrequencyError",
     "SinglePoleMirror",

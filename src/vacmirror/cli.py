@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .causality import causality_report
-from .core import FrequencyGrid, PhysicsContext, Spectrum, sign_closure
+from .core import FrequencyGrid, Spectrum, sign_closure
 from .fluctuations import fdt_check, noise_spectrum
 from .fluctuations import xi_spectrum  # noqa: F401  (called by no command; perfbench/tracing.py rebinds it)
 from .mirrors import (
@@ -115,6 +115,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         # every float option is a scale of the physics or the numerics
         if value is not None and opt.type is float and not 0 < value < np.inf:
             raise ValueError(f"--{key.replace('_', '-')} must be positive and finite, got {value}")
+    if "grid" in values:
+        _parse_grid(values["grid"])  # squeeze reads no grid, yet rejects a malformed one
     return RunConfig(command=args.command, **values)
 
 
@@ -129,24 +131,23 @@ def _build_model(cfg: RunConfig) -> Mirror:
 
 
 def _build_state(cfg: RunConfig) -> FieldState:
-    context = PhysicsContext(hbar=cfg.hbar)
     if cfg.state == "vacuum":
-        return VacuumState(context)
+        return VacuumState(cfg.hbar)
     if cfg.state == "thermal":
-        return ThermalState(cfg.temp, context)
+        return ThermalState(cfg.temp, cfg.hbar)
     if cfg.temp_phi is None or cfg.temp_psi is None:
         raise ValueError("two-temperature state requires --temp-phi and --temp-psi")
-    return TwoTemperatureState(cfg.temp_phi, cfg.temp_psi, context)
+    return TwoTemperatureState(cfg.temp_phi, cfg.temp_psi, cfg.hbar)
 
 
-def _parse_grid(cfg: RunConfig) -> FrequencyGrid:
-    parts = cfg.grid.split(":")
+def _parse_grid(text: str) -> FrequencyGrid:
+    parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be MIN:MAX:COUNT, got {cfg.grid!r}")
+        raise ValueError(f"grid must be MIN:MAX:COUNT, got {text!r}")
     try:
         w_min, w_max, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise ValueError(f"grid must be MIN:MAX:COUNT, got {cfg.grid!r}") from None
+        raise ValueError(f"grid must be MIN:MAX:COUNT, got {text!r}") from None
     return FrequencyGrid.linear(w_min, w_max, count)
 
 
@@ -203,7 +204,7 @@ def _write_json(cfg: RunConfig, payload: dict[str, object]) -> None:
 
 def cmd_validate(cfg: RunConfig) -> int:
     model = _build_model(cfg)
-    grid = _parse_grid(cfg)
+    grid = _parse_grid(cfg.grid)
     report = validate_model(model, grid, tol=cfg.tol)
     fields: dict[str, object] = {
         name: getattr(report, name)
@@ -218,7 +219,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_susceptibility(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     state = _build_state(cfg)
-    grid = _parse_grid(cfg)
+    grid = _parse_grid(cfg.grid)
     spectrum = susceptibility_grid(model, state, grid, _quad(cfg))
     table = np.column_stack([spectrum.omega, spectrum.values.real, spectrum.values.imag])
     _write_table(cfg, ["omega", "re_chi", "im_chi"], table)
@@ -228,7 +229,7 @@ def cmd_susceptibility(cfg: RunConfig) -> int:
 def cmd_noise(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     state = _build_state(cfg)
-    grid = _parse_grid(cfg)
+    grid = _parse_grid(cfg.grid)
     # one noise convolution at w and -w gives xi(w) = (C(w) - C(-w)) / (2 hbar)
     closed, at, mirror = sign_closure(grid.omega)
     noise = noise_spectrum(model, state, closed, _quad(cfg))
@@ -247,7 +248,7 @@ def cmd_noise(cfg: RunConfig) -> int:
 def cmd_fdt(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     state = _build_state(cfg)
-    grid = _parse_grid(cfg)
+    grid = _parse_grid(cfg.grid)
     report = fdt_check(model, state, grid, _quad(cfg))
     passed = report.passes(cfg.tol)
     table = np.column_stack([grid.omega, report.xi_commutator, report.xi_noise, report.xi_chi])
@@ -268,7 +269,7 @@ def cmd_fdt(cfg: RunConfig) -> int:
 
 
 def cmd_causality(cfg: RunConfig) -> int:
-    grid = _parse_grid(cfg)
+    grid = _parse_grid(cfg.grid)
     om = grid.omega
     if cfg.inject == "cubic":
         values = 1j * cfg.hbar * om**3 / (6.0 * np.pi)
@@ -379,12 +380,13 @@ def _build_parser(names: tuple[str, ...] = tuple(_SUBCOMMANDS)) -> argparse.Argu
 
 
 def main(argv: list[str] | None = None) -> int:
-    tokens = list(sys.argv[1:] if argv is None else argv)
-    # join "--grid -5:5:11" so the leading '-' is not mistaken for a flag
-    for k in range(len(tokens) - 1):
-        if tokens[k] == "--grid":
-            tokens[k] = "--grid=" + tokens.pop(k + 1)
-            break
+    # join every "--grid -5:5:11" so the leading '-' is not mistaken for a flag
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] == "--grid":
+            tokens[-1] = "--grid=" + token
+        else:
+            tokens.append(token)
     # a known command needs only its own subparser, which is cheaper to build
     known = bool(tokens) and tokens[0] in _SUBCOMMANDS
     parser = _build_parser(tuple(tokens[:1]) if known else tuple(_SUBCOMMANDS))

@@ -1,9 +1,10 @@
-"""Shared value types: physics context, frequency grids, sampled spectra.
+"""Shared value types: frequency grids and sampled spectra.
 
 Everything downstream works on the two-component doublet of counterpropagating
 field amplitudes, so the two-by-two identity and the propagation metric
 eta = diag(1, -1) live here, together with small containers that keep grids
-and sampled spectra associated.
+and sampled spectra associated.  The one physical constant, hbar, is a
+field of each input state (:class:`vacmirror.states.FieldState`).
 """
 
 from __future__ import annotations
@@ -67,25 +68,6 @@ def sign_closure(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     plus, minus = positive.size + back, mags.size - 1 - back
     at, mirror = np.where(w < 0, minus, plus), np.where(w < 0, plus, minus)
     return np.concatenate([-positive[::-1], mags]), at.reshape(w.shape), mirror.reshape(w.shape)
-
-
-@dataclass(frozen=True)
-class PhysicsContext:
-    """Physical constants for a computation.
-
-    Parameters
-    ----------
-    hbar : float
-        Reduced Planck constant in the unit system of the caller.  The field
-        propagation speed is fixed to 1, so frequencies and wavenumbers are
-        interchangeable.
-    """
-
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.hbar < np.inf:
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def commutator_kernel(
     w1, w2 = frequency_pair(omega, omega2)
     if route == "noise":
         c = cff_kernel(model, state, np.array([w1, -w2]), np.array([w2, -w1]))
-        return (c[0] - c[1]) / (2.0 * state.context.hbar)
+        return (c[0] - c[1]) / (2.0 * state.hbar)
     x = chi_kernel(model, state, np.array([w1, -w1]), np.array([w2, -w2]))
     return (x[0] - x[1]) / 2.0j
 
@@ -102,7 +102,7 @@ def _real(values: np.ndarray, omega, what: str) -> np.ndarray:
 
 def _noise(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
     kernel = partial(cff_kernel, model, state)
-    values, abs_error, evaluations = convolve(kernel, omega, state, quad, "noise_spectrum")
+    values, abs_error, evaluations = convolve(kernel, omega, state, quad, "noise_spectrum", state.hbar)
     return _real(values, omega, "noise spectrum"), abs_error, evaluations
 
 
@@ -238,7 +238,7 @@ def fdt_check(
     om = grid.omega
     if not np.array_equal(om, -om[::-1]):
         raise ValueError("fdt_check needs a sign-symmetric grid")
-    hbar = state.context.hbar
+    hbar = state.hbar
 
     xi_a, err_a, _ = _xi(model, state, om, quad)
     cff, err_cff, _ = _noise(model, state, om, quad)

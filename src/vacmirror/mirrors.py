@@ -131,19 +131,13 @@ class TabulatedMirror(Mirror):
         Ascending sample frequencies, first entry >= 0.
     s_samples, r_samples : numpy.ndarray
         Complex amplitudes at the sample frequencies.
-    transparent_hint : bool, optional
-        Declares whether the tabulated data approaches (s, r) = (1, 0) at its
-        upper end, as :func:`validate_model` scores it.  When omitted, it is
-        read off the last sample.
+
+    ``transparent`` is read off the last sample: whether the table has
+    reached (s, r) = (1, 0) at its upper end, as :func:`validate_model`
+    scores it.
     """
 
-    def __init__(
-        self,
-        omega_grid: np.ndarray,
-        s_samples: np.ndarray,
-        r_samples: np.ndarray,
-        transparent_hint: bool | None = None,
-    ):
+    def __init__(self, omega_grid: np.ndarray, s_samples: np.ndarray, r_samples: np.ndarray):
         om = np.asarray(omega_grid, dtype=float)
         sv = np.asarray(s_samples, dtype=complex)
         rv = np.asarray(r_samples, dtype=complex)
@@ -159,16 +153,12 @@ class TabulatedMirror(Mirror):
         self.omega_grid = om
         self.s_samples = sv
         self.r_samples = rv
-        if transparent_hint is None:
-            # the table's upper edge declares whether it has left the
-            # reflective regime
-            transparent_hint = bool(abs(sv[-1] - 1.0) < 0.5 and abs(rv[-1]) < 0.5)
-        self.transparent = bool(transparent_hint)
+        self.transparent = bool(abs(sv[-1] - 1.0) < 0.5 and abs(rv[-1]) < 0.5)
         from scipy.interpolate import CubicSpline
         self._spline = CubicSpline(om, np.stack([sv, rv], axis=-1))
 
     @classmethod
-    def from_csv(cls, path: str | Path, transparent_hint: bool | None = None) -> "TabulatedMirror":
+    def from_csv(cls, path: str | Path) -> "TabulatedMirror":
         """Load samples from a CSV file with header omega,re_s,im_s,re_r,im_r; errors name the file."""
         path = Path(path)
         try:
@@ -184,7 +174,6 @@ class TabulatedMirror(Mirror):
                 omega_grid=data[:, 0],
                 s_samples=data[:, 1] + 1j * data[:, 2],
                 r_samples=data[:, 3] + 1j * data[:, 4],
-                transparent_hint=transparent_hint,
             )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -130,6 +130,7 @@ def convolve(
     state: FieldState,
     quad: QuadratureConfig,
     what: str,
+    unit: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """integral dw'/(2 pi) kernel(w', w - w') at every w, in one vector quadrature.
 
@@ -147,16 +148,17 @@ def convolve(
     the kink (0 for the vacuum) and the far ends (the decayed tail, or w/2)
     are smooth, so a node at u in (0, 1) sits at kink +/- width * u^3 (Sidi
     1993): one subdivision fits all samples, at 84 nodes per vacuum chi
-    sample on [-200, 200].  The natural scale hbar|w|^3 + T^2|w|/hbar +
-    T^3/hbar^2 tightens ``abs_tol`` in :func:`integrate_batch`, whose
-    values, QUADPACK error estimates of the doubled integrand and node
-    counts are returned.
+    sample on [-200, 200].  The natural scale of chi and xi,
+    hbar|w|^3 + T^2|w|/hbar + T^3/hbar^2, times ``unit`` (hbar for the
+    noise, C_FF = 2 hbar xi), tightens ``abs_tol`` in
+    :func:`integrate_batch`, whose values, QUADPACK error estimates of the
+    doubled integrand and node counts are returned.
     """
     w = finite(omegas, what)
-    hbar = state.context.hbar
+    hbar = state.hbar
     decay = state.decay_scale()
     temp = decay or 0.0
-    scale = hbar * np.abs(w) ** 3 + (temp**2 * np.abs(w) + temp**3 / hbar) / hbar
+    scale = unit * (hbar * np.abs(w) ** 3 + (temp**2 * np.abs(w) + temp**3 / hbar) / hbar)
     if isinstance(state, VacuumState):
         kink, spans = np.zeros_like(w), np.maximum(w, 0.0)[None] / 2.0
     else:

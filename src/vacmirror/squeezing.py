@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ETA_COLS, ETA_ROWS, PhysicsContext, frequency_pair
+from .core import ETA_COLS, ETA_ROWS, frequency_pair
 from .mirrors import Mirror
 from .pressure import force_kernel
 from .response import MonochromaticOscillation
@@ -47,12 +47,7 @@ def delta_cout(model: Mirror, state: FieldState, omega, omega2) -> np.ndarray:
     return t[0] + t[1]
 
 
-def delta_cout_vacuum(
-    model: Mirror,
-    omega,
-    omega2,
-    context: PhysicsContext = PhysicsContext(),
-) -> np.ndarray:
+def delta_cout_vacuum(model: Mirror, omega, omega2, hbar: float = 1.0) -> np.ndarray:
     """Vacuum closed form (i hbar/2)(theta(w) - theta(-w')) F[w', w].
 
     Independent of the general route; the two must agree over the vacuum.
@@ -60,7 +55,7 @@ def delta_cout_vacuum(
     frequency arrays, shape ``... + (2, 2)``.
     """
     sign_factor = np.heaviside(omega, 0.5) - np.heaviside(-omega2, 0.5)
-    prefactor = np.multiply(0.5j * context.hbar, sign_factor)
+    prefactor = np.multiply(0.5j * hbar, sign_factor)
     # F[w', w] = F[w, w']^T bitwise: alpha is symmetric and beta flips sign exactly
     return prefactor[..., None, None] * np.swapaxes(force_kernel(model, omega, omega2), -1, -2)
 
@@ -80,7 +75,6 @@ def oscillation_squeeze_lines(
     model: Mirror,
     state: FieldState,
     osc: MonochromaticOscillation,
-    n_samples: int = 33,
 ) -> list[tuple[float, float, np.ndarray]]:
     """Support lines of the output perturbation for an oscillating mirror.
 
@@ -93,13 +87,11 @@ def oscillation_squeeze_lines(
     model, state : Mirror, FieldState
     osc : MonochromaticOscillation
         The trajectory; its ``frequency`` is the line sum |w + w'|.
-    n_samples : int
-        Interior sample count per segment (endpoints sit at zero frequency
-        and are excluded).
     """
     out: list[tuple[float, float, np.ndarray]] = []
     for total, weight in osc.line_weights():
-        ws = total * np.arange(1, n_samples + 1) / (n_samples + 1)
+        # 33 interior samples per segment: its endpoints sit at zero frequency
+        ws = total * np.arange(1, 34) / 34
         mats = weight * delta_cout(model, state, ws, total - ws)
         out += [(float(w), float(total - w), m) for w, m in zip(ws, mats)]
     return out
@@ -109,9 +101,10 @@ def oscillation_line_strength(
     model: Mirror,
     state: FieldState,
     osc: MonochromaticOscillation,
-    n_samples: int = 129,
 ) -> dict[float, float]:
     """Integrated Frobenius norm of each line's kernel along its support.
+
+    The trapezoid rule runs over 129 interior samples of each segment.
 
     The segment length scales with the oscillation frequency while the kernel
     stays bounded, so both strengths tend to zero as the drive slows down.
@@ -119,7 +112,7 @@ def oscillation_line_strength(
     """
     strengths: dict[float, float] = {}
     for total, weight in osc.line_weights():
-        ws = total * np.arange(1, n_samples + 1) / (n_samples + 1)
+        ws = total * np.arange(1, 130) / 130
         norms = np.linalg.norm(weight * delta_cout(model, state, ws, total - ws), axis=(-2, -1))
         # ws descends for the negative line; |.| restores the positive measure
         strengths[total] = float(abs(np.trapezoid(norms, ws)))

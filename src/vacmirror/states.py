@@ -6,10 +6,12 @@ anticommutator part and a universal commutator part:
 
     c(w) = cplus(w) + cminus(w),      cminus(w) = I * hbar / (4 w).
 
-The anticommutator part satisfies cplus(-w) = cplus(w)^T and is Hermitian
-positive semidefinite.  Built-in states (vacuum, thermal, two-temperature) are
-diagonal in the doublet basis, which downstream kernels exploit through two
-weights that stay finite where cplus alone diverges:
+Every state carries its own ``hbar`` (default 1), checked positive and finite
+where the state is built.  The anticommutator part satisfies
+cplus(-w) = cplus(w)^T and is Hermitian positive semidefinite.  Built-in
+states (vacuum, thermal, two-temperature) are diagonal in the doublet basis,
+which downstream kernels exploit through two weights that stay finite where
+cplus alone diverges:
 
 * :meth:`FieldState.chi_weight`  u(v) = v^2 tr cplus(v), entering the
   susceptibility kernel as i*alpha*(w' u(w) + w u(w')),
@@ -25,16 +27,18 @@ A thermal component with occupancy nbar = 1/(e^{hbar|v|/T} - 1) has one closed
 form per weight, by 1 + 2 nbar = coth y and nbar + 1 = 1/(1 - e^-z):
 u(v) = (hbar|v|/2)(1 + 2 nbar) = T y coth y with y = hbar|v|/2T, and
 W(v) = (hbar|v|/2)(nbar + theta(v)) = (T/2) z/(1 - e^-z) with z = hbar v/T.
+The thermal and two-temperature states share one implementation over their
+tuple of temperatures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import EYE2, PhysicsContext, SingularFrequencyError
+from .core import EYE2, SingularFrequencyError
 
 
 def _diag2(a, b=None) -> np.ndarray:
@@ -57,25 +61,31 @@ class FieldState:
 
     Subclasses provide :meth:`cplus`; the commutator part, full covariance,
     and the scalar weights derive from it; covariances take a frequency or an
-    array of them and have shape ``np.shape(omega) + (2, 2)``.  ``diagonal``
-    declares that cplus(w) is diagonal in the doublet basis at every
-    frequency, enabling the cancellation-free kernel forms.
+    array of them and have shape ``np.shape(omega) + (2, 2)``.  ``hbar`` is
+    the reduced Planck constant in the caller's units (the field propagates
+    at speed 1).  ``diagonal`` declares that cplus(w) is diagonal in the
+    doublet basis at every frequency, enabling the cancellation-free kernel
+    forms.
     """
 
-    context: PhysicsContext
+    hbar: float
     diagonal: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0 < self.hbar < np.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
     def cplus(self, omega) -> np.ndarray:
         raise NotImplementedError
 
     def cminus(self, omega) -> np.ndarray:
         """Universal commutator spectrum I*hbar/(4 w), state independent."""
-        return _diag2(self.context.hbar / (4.0 * _nonzero(omega, "cminus")))
+        return _diag2(self.hbar / (4.0 * _nonzero(omega, "cminus")))
 
     def cfull(self, omega) -> np.ndarray:
         """Full covariance c = cplus + cminus: cplus with hbar/(4 w) added on the diagonal."""
         nu = _nonzero(omega, "cfull")
-        return self.cplus(nu) + _diag2(self.context.hbar / (4.0 * nu))
+        return self.cplus(nu) + _diag2(self.hbar / (4.0 * nu))
 
     def chi_weight(self, nu):
         """u(v) = v^2 tr cplus(v), vectorized, finite and even in v."""
@@ -103,19 +113,19 @@ class VacuumState(FieldState):
     mirror but never excite it.
     """
 
-    context: PhysicsContext = field(default_factory=PhysicsContext)
+    hbar: float = 1.0
 
     def cplus(self, omega) -> np.ndarray:
         nu = _nonzero(omega, "vacuum cplus")
-        return _diag2(self.context.hbar / (4.0 * np.abs(nu)))
+        return _diag2(self.hbar / (4.0 * np.abs(nu)))
 
     def chi_weight(self, nu):
         nu = np.asarray(nu, dtype=float)
-        return self.context.hbar * np.abs(nu) / 2.0
+        return self.hbar * np.abs(nu) / 2.0
 
     def noise_weight(self, nu):
         nu = np.asarray(nu, dtype=float)
-        w = self.context.hbar * np.abs(nu) / 2.0 * np.heaviside(nu, 0.5)
+        w = self.hbar * np.abs(nu) / 2.0 * np.heaviside(nu, 0.5)
         return np.stack([w, w], axis=-1)
 
 
@@ -134,8 +144,39 @@ def _thermal_noise_weight(nu, temperature: float, hbar: float):
     return temperature / 2.0 * np.divide(z, denominator, out=np.ones_like(z), where=z != 0)
 
 
+class _Thermal(FieldState):
+    """Components in thermal equilibrium, at ``temperatures``: (T,) for both or (T_phi, T_psi).
+
+    A single temperature serves both components and is evaluated once.
+    """
+
+    temperatures: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for temperature in self.temperatures:
+            if not 0 < temperature < np.inf:
+                raise ValueError(f"temperature must be positive and finite, got {temperature}")
+
+    def cplus(self, omega) -> np.ndarray:
+        nu = _nonzero(omega, "thermal cplus")
+        # u / (2 v^2), divided twice so that v^2 cannot overflow or underflow
+        return _diag2(*[_thermal_chi_weight(nu, t, self.hbar) / nu / (2.0 * nu) for t in self.temperatures])
+
+    def chi_weight(self, nu):
+        u = [_thermal_chi_weight(nu, t, self.hbar) for t in self.temperatures]
+        return u[0] if len(u) == 1 else (u[0] + u[1]) / 2.0
+
+    def noise_weight(self, nu):
+        w = [_thermal_noise_weight(nu, t, self.hbar) for t in self.temperatures]
+        return np.stack([w[0], w[-1]], axis=-1)
+
+    def decay_scale(self) -> float | None:
+        return max(self.temperatures)
+
+
 @dataclass(frozen=True)
-class ThermalState(FieldState):
+class ThermalState(_Thermal):
     """Both field components at a common temperature.
 
     cplus(w) = I * (hbar/4|w|) * (1 + 2 nbar),  nbar = 1/(e^{hbar|w|/T} - 1),
@@ -146,30 +187,15 @@ class ThermalState(FieldState):
     """
 
     temperature: float
-    context: PhysicsContext = field(default_factory=PhysicsContext)
+    hbar: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not 0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
-
-    def cplus(self, omega) -> np.ndarray:
-        nu = _nonzero(omega, "thermal cplus")
-        # u / (2 v^2), divided twice so that v^2 cannot overflow or underflow
-        return _diag2(_thermal_chi_weight(nu, self.temperature, self.context.hbar) / nu / (2.0 * nu))
-
-    def chi_weight(self, nu):
-        return _thermal_chi_weight(nu, self.temperature, self.context.hbar)
-
-    def noise_weight(self, nu):
-        w = _thermal_noise_weight(nu, self.temperature, self.context.hbar)
-        return np.stack([w, w], axis=-1)
-
-    def decay_scale(self) -> float | None:
-        return self.temperature
+    @property
+    def temperatures(self) -> tuple[float, ...]:
+        return (self.temperature,)
 
 
 @dataclass(frozen=True)
-class TwoTemperatureState(FieldState):
+class TwoTemperatureState(_Thermal):
     """Right- and left-moving components thermalized at different temperatures.
 
     The doublet stays uncorrelated (cplus diagonal) but anisotropic, so the
@@ -178,31 +204,11 @@ class TwoTemperatureState(FieldState):
 
     temp_phi: float
     temp_psi: float
-    context: PhysicsContext = field(default_factory=PhysicsContext)
+    hbar: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not (0 < self.temp_phi < np.inf and 0 < self.temp_psi < np.inf):
-            raise ValueError("both temperatures must be positive and finite")
-
-    def cplus(self, omega) -> np.ndarray:
-        nu = _nonzero(omega, "cplus")
-        return _diag2(
-            _thermal_chi_weight(nu, self.temp_phi, self.context.hbar) / nu / (2.0 * nu),
-            _thermal_chi_weight(nu, self.temp_psi, self.context.hbar) / nu / (2.0 * nu),
-        )
-
-    def chi_weight(self, nu):
-        u_phi = _thermal_chi_weight(nu, self.temp_phi, self.context.hbar)
-        u_psi = _thermal_chi_weight(nu, self.temp_psi, self.context.hbar)
-        return (u_phi + u_psi) / 2.0
-
-    def noise_weight(self, nu):
-        w_phi = _thermal_noise_weight(nu, self.temp_phi, self.context.hbar)
-        w_psi = _thermal_noise_weight(nu, self.temp_psi, self.context.hbar)
-        return np.stack([w_phi, w_psi], axis=-1)
-
-    def decay_scale(self) -> float | None:
-        return max(self.temp_phi, self.temp_psi)
+    @property
+    def temperatures(self) -> tuple[float, ...]:
+        return (self.temp_phi, self.temp_psi)
 
 
 class CustomState(FieldState):
@@ -213,26 +219,26 @@ class CustomState(FieldState):
     cplus_rule : callable
         Map from a frequency array to complex 2x2 matrices of shape
         ``np.shape(nu) + (2, 2)``; :meth:`cplus` is one call of it.
-    context : PhysicsContext
+    hbar : float
     diagonal : bool
         Declare the rule diagonal to enable the weight-based kernel forms.
-    probe_frequencies : sequence of float
-        Frequencies at which the state invariants (Hermiticity, positive
-        semidefiniteness, cplus(-w) = cplus(w)^T) are verified at
-        construction, in one call of the rule; violations raise immediately.
+
+    The state invariants (Hermiticity, positive semidefiniteness,
+    cplus(-w) = cplus(w)^T) are verified at construction, at w = 0.1, 1, 3
+    and 10, in one call of the rule; violations raise immediately.
     """
 
     def __init__(
         self,
         cplus_rule: Callable[[np.ndarray], np.ndarray],
-        context: PhysicsContext = PhysicsContext(),
+        hbar: float = 1.0,
         diagonal: bool = False,
-        probe_frequencies: Sequence[float] = (0.1, 1.0, 3.0, 10.0),
     ):
-        self.context = context
+        self.hbar = hbar
         self.diagonal = bool(diagonal)
         self._rule = cplus_rule
-        probes = np.asarray(probe_frequencies, dtype=float)
+        self.__post_init__()
+        probes = np.array([0.1, 1.0, 3.0, 10.0])
         c, c_neg = self.cplus(np.array([probes, -probes]))
         c_t = np.swapaxes(c, -1, -2)
         residuals = {
@@ -262,4 +268,4 @@ class CustomState(FieldState):
     def noise_weight(self, nu):
         nu = np.asarray(nu, dtype=float)[..., None]
         diag = np.real(np.diagonal(self.cplus(nu[..., 0]), axis1=-2, axis2=-1))
-        return diag * nu * nu + self.context.hbar * nu / 4.0
+        return diag * nu * nu + self.hbar * nu / 4.0

@@ -116,7 +116,7 @@ def xi_from_squeezing(model, state, omega, nodes=200):
     wp = 0.5 * omega * (x + 1.0)
     norm2 = np.sum(np.abs(delta_cout(model, state, wp, omega - wp)) ** 2, axis=(-2, -1))
     integral = 0.5 * omega * np.sum(weights * wp * (omega - wp) * norm2)
-    return float(integral / (2.0 * np.pi * state.context.hbar))
+    return float(integral / (2.0 * np.pi * state.hbar))
 
 
 def cff_vacuum(omega, omega_c, hbar=1.0):

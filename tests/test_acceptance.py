@@ -86,7 +86,7 @@ def test_vacuum_noise_is_one_sided():
     # w < 0 and C_FF = 2 hbar xi for w > 0
     m = SinglePoleMirror(1.0)
     vac = VacuumState()
-    hbar = vac.context.hbar
+    hbar = vac.hbar
     for w in (0.5, 1.0, 4.0):
         assert noise_spectrum(m, vac, -w) == 0.0
         cff = noise_spectrum(m, vac, w)
@@ -192,7 +192,7 @@ def test_radiation_reaction_force_in_the_time_domain():
     q = np.exp(-t**2 / 2.0)
     q3, q4 = (3.0 * t - t**3) * q, (t**4 - 6.0 * t**2 + 3.0) * q
     vac = VacuumState()
-    hbar = vac.context.hbar
+    hbar = vac.hbar
 
     def force(model):
         return inverse_fourier_to_time(motional_force_spectrum(model, vac, traj, grid), t)

@@ -254,6 +254,24 @@ def test_input_error_exits_name_the_bad_input(tmp_path, capsys, argv, config, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_every_command_checks_its_grid(tmp_path, capsys, command):
+    # squeeze reads no grid, yet a malformed one is an input error there too
+    out = tmp_path / "never.out"
+    for argv in ([command, "--grid=abc"], [command, "--grid", "abc"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "error: grid must be MIN:MAX:COUNT, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_grid_flag_is_joined_and_the_last_wins(capsys):
+    last = _run(["noise", "--grid=-2:2:5"], capsys)
+    assert last[0] == 0
+    assert _run(["noise", "--grid", "-1:1:3", "--grid", "-2:2:5"], capsys) == last
+    assert _run(["noise", "--grid=-1:1:3", "--grid", "-2:2:5"], capsys) == last
+    assert _run(["noise", "--grid", "-1:1:3", "--grid=-2:2:5"], capsys) == last
+
+
 def test_exit_code_for_non_convergence(tmp_path, capsys):
     # a tolerance far below double-precision rounding cannot be met
     out = tmp_path / "x.csv"

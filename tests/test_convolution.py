@@ -25,7 +25,6 @@ from vacmirror import (
     FrequencyGrid,
     NonConvergenceError,
     PerfectMirror,
-    PhysicsContext,
     QuadratureConfig,
     SinglePoleMirror,
     ThermalState,
@@ -60,7 +59,7 @@ def _correlated_rule(nu):
 
 def _scalar(kernel, state, omega, quad):
     """One QUADPACK call at ``omega`` over the support the batched path uses."""
-    hbar = state.context.hbar
+    hbar = state.hbar
     temp = state.decay_scale() or 0.0
     scale = hbar * abs(omega) ** 3 + (temp**2 * abs(omega) + temp**3 / hbar) / hbar
     cfg = QuadratureConfig(
@@ -168,8 +167,6 @@ def test_non_finite_frequency_raises_naming_the_sample(spectrum, what, bad, stat
 
 
 def _symmetry_states(kind, hbar, temp, temp2):
-    ctx = PhysicsContext(hbar)
-
     def diagonal_rule(nu):
         return hbar * np.eye(2) / (4.0 * np.abs(nu)[..., None, None])
 
@@ -179,11 +176,11 @@ def _symmetry_states(kind, hbar, temp, temp2):
         return hbar * (np.eye(2) + corr * np.array([[0.0, 1.0], [-1.0, 0.0]])) / (4.0 * np.abs(nu)[..., None, None])
 
     return {
-        "vacuum": lambda: VacuumState(ctx),
-        "thermal": lambda: ThermalState(temp, ctx),
-        "two-temperature": lambda: TwoTemperatureState(temp, temp2, ctx),
-        "custom diagonal": lambda: CustomState(diagonal_rule, ctx, diagonal=True),
-        "custom correlated": lambda: CustomState(correlated_rule, ctx),
+        "vacuum": lambda: VacuumState(hbar),
+        "thermal": lambda: ThermalState(temp, hbar),
+        "two-temperature": lambda: TwoTemperatureState(temp, temp2, hbar),
+        "custom diagonal": lambda: CustomState(diagonal_rule, hbar, diagonal=True),
+        "custom correlated": lambda: CustomState(correlated_rule, hbar),
     }[kind]()
 
 
@@ -231,7 +228,7 @@ def test_convolved_kernels_are_symmetric_under_argument_exchange(kind, omega_c, 
 )
 def test_vacuum_closed_forms_over_parameter_space(omega_c, hbar, ratios):
     m = SinglePoleMirror(omega_c)
-    vac = VacuumState(PhysicsContext(hbar))
+    vac = VacuumState(hbar)
     pos = np.array(ratios) * omega_c
     om = np.concatenate([-pos, [0.0], pos])
     chi, abs_error, _ = _chi(m, vac, om, QUAD)
@@ -258,7 +255,7 @@ def test_vacuum_closed_forms_over_parameter_space(omega_c, hbar, ratios):
 )
 def test_thermal_detailed_balance_over_parameter_space(omega_c, hbar, temp, x):
     w = x * temp / hbar
-    th = ThermalState(temp, PhysicsContext(hbar))
+    th = ThermalState(temp, hbar)
     cff = noise_spectrum(SinglePoleMirror(omega_c), th, np.array([-w, w]))
     assert abs(cff[0] / cff[1] - np.exp(-x)) <= 1e-8 * np.exp(-x)
 

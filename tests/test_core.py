@@ -3,14 +3,15 @@ import pytest
 
 from vacmirror import (
     ETA,
+    CustomState,
     FrequencyGrid,
-    PhysicsContext,
     QuadratureConfig,
     SinglePoleMirror,
     SingularFrequencyError,
     Spectrum,
     ThermalState,
     TwoTemperatureState,
+    VacuumState,
     dagger,
     max_entry,
 )
@@ -35,13 +36,22 @@ def test_sign_vectors_and_dagger_match_the_matrix_forms_bitwise(shape):
     assert np.array_equal(ETA, np.diag([1.0, -1.0]))
 
 
-def test_physics_context_validates_hbar():
-    assert PhysicsContext().hbar == 1.0
-    assert PhysicsContext(hbar=2.5).hbar == 2.5
-    with pytest.raises(ValueError):
-        PhysicsContext(hbar=0.0)
-    with pytest.raises(ValueError):
-        PhysicsContext(hbar=-1.0)
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda *hbar: VacuumState(*hbar),
+        lambda *hbar: ThermalState(1.0, *hbar),
+        lambda *hbar: TwoTemperatureState(1.0, 2.0, *hbar),
+        lambda *hbar: CustomState(VacuumState().cplus, *hbar),
+    ],
+    ids=["vacuum", "thermal", "two-temperature", "custom"],
+)
+def test_every_state_validates_hbar(build, bad):
+    assert build().hbar == 1.0
+    assert build(2.5).hbar == 2.5
+    with pytest.raises(ValueError, match=rf"^hbar must be positive and finite, got {bad}$"):
+        build(bad)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -52,7 +62,7 @@ def test_physics_context_validates_hbar():
         lambda x: ThermalState(x),
         lambda x: TwoTemperatureState(x, 1.0),
         lambda x: TwoTemperatureState(1.0, x),
-        lambda x: PhysicsContext(hbar=x),
+        lambda x: VacuumState(x),
         lambda x: QuadratureConfig(abs_tol=x),
         lambda x: QuadratureConfig(rel_tol=x),
         lambda x: QuadratureConfig(window=x),

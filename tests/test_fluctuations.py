@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -8,7 +8,6 @@ from vacmirror import (
     CustomState,
     FrequencyGrid,
     PerfectMirror,
-    PhysicsContext,
     SinglePoleMirror,
     ThermalState,
     TwoTemperatureState,
@@ -84,7 +83,7 @@ def test_vacuum_noise_is_one_sided():
 def test_vacuum_noise_equals_commutator():
     m = SinglePoleMirror(1.0)
     vac = VacuumState()
-    hbar = vac.context.hbar
+    hbar = vac.hbar
     for w in (0.4, 1.0, 2.5):
         c = noise_spectrum(m, vac, w)
         x = xi_spectrum(m, vac, w)
@@ -183,8 +182,7 @@ _LOG_DECADE = st.floats(-1.0, 1.0).map(lambda x: 10.0**x)  # log-uniform on [0.1
 def test_fdt_holds_across_parameters(two_temperature, omega_c, hbar, temp_phi, temp_psi):
     # the three routes convolve three different kernels, each over the half
     # support below w/2
-    ctx = PhysicsContext(hbar)
-    state = TwoTemperatureState(temp_phi, temp_psi, ctx) if two_temperature else ThermalState(temp_phi, ctx)
+    state = TwoTemperatureState(temp_phi, temp_psi, hbar) if two_temperature else ThermalState(temp_phi, hbar)
     rep = fdt_check(SinglePoleMirror(omega_c), state, FrequencyGrid.symmetric(5.0, 11))
     assert rep.passes(1e-8), rep.relative_deviation
 
@@ -243,9 +241,36 @@ def test_vacuum_spectra_follow_the_scaling_law(omega_c, hbar, x):
     u = np.array([size * sign for size, sign in x])
     w = u * omega_c
     model, unit, vac = SinglePoleMirror(omega_c), SinglePoleMirror(1.0), VacuumState()
-    state = VacuumState(PhysicsContext(hbar))
+    state = VacuumState(hbar)
     chi_ref = hbar * omega_c**3 * susceptibility(unit, vac, u)
     assert np.all(np.abs(susceptibility(model, state, w) - chi_ref) <= 1e-13 * np.abs(chi_ref))
     cff, cff_ref = noise_spectrum(model, state, w), hbar**2 * omega_c**3 * noise_spectrum(unit, vac, u)
     assert np.all(cff[w <= 0] == 0.0) and np.all(cff_ref[w <= 0] == 0.0)
     assert np.all(np.abs(cff - cff_ref) <= 1e-13 * cff_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    omega_c=_log_uniform(1e-2, 1e2),
+    hbar=_log_uniform(1e-3, 1e3),
+    theta=_log_uniform(1e-2, 1e2),
+    psi_ratio=st.none() | _log_uniform(0.1, 10.0),
+    x=st.lists(st.tuples(_log_uniform(1e-2, 50.0), st.sampled_from([-1.0, 1.0])), min_size=1, max_size=4),
+)
+# the corner where a noise tolerance floor on the scale of chi, not hbar times it, gave 6.5e-9
+@example(omega_c=1e-2, hbar=1e-3, theta=1e-2, psi_ratio=None, x=[(50.0, 1.0)])
+def test_thermal_spectra_follow_the_scaling_law(omega_c, hbar, theta, psi_ratio, x):
+    # with theta = T/(hbar Omega) for each component, chi(w; Omega, hbar, T) =
+    # hbar Omega^3 chi(w/Omega; 1, 1, theta) and C_FF = hbar^2 Omega^3 C_FF(w/Omega; 1, 1, theta)
+    thetas = (theta,) if psi_ratio is None else (theta, theta * psi_ratio)
+    make = ThermalState if psi_ratio is None else TwoTemperatureState
+    u = np.array([size * sign for size, sign in x])
+    w = u * omega_c
+    model, state = SinglePoleMirror(omega_c), make(*[t * hbar * omega_c for t in thetas], hbar)
+    unit, unit_state = SinglePoleMirror(1.0), make(*thetas)
+    chi_ref = hbar * omega_c**3 * susceptibility(unit, unit_state, u)
+    assert np.all(np.abs(susceptibility(model, state, w) - chi_ref) <= 1e-11 * np.abs(chi_ref))
+    # C_FF(-w) = e^{-hbar w/T} C_FF(w) has the digits of C_FF(w), not its own: a call takes both
+    u, w = np.concatenate([u, -u]), np.concatenate([w, -w])
+    cff, cff_ref = noise_spectrum(model, state, w), hbar**2 * omega_c**3 * noise_spectrum(unit, unit_state, u)
+    assert np.all(np.abs(cff - cff_ref) <= 1e-9 * np.max(cff_ref))

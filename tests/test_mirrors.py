@@ -128,8 +128,6 @@ def test_tabulated_transparency_detection():
     assert TabulatedMirror(om, m.s(om), m.r(om)).transparent
     reflective = TabulatedMirror(om, np.zeros(601), -np.ones(601))
     assert not reflective.transparent
-    forced = TabulatedMirror(om, m.s(om), m.r(om), transparent_hint=False)
-    assert not forced.transparent
 
 
 def test_from_csv_roundtrip(tmp_path):

@@ -8,7 +8,6 @@ from vacmirror import (
     CustomState,
     FrequencyGrid,
     PerfectMirror,
-    PhysicsContext,
     QuadratureConfig,
     SinglePoleMirror,
     TabulatedMirror,
@@ -223,7 +222,7 @@ def test_mean_force_routes_agree():
 )
 def test_mean_force_single_pole_matches_binet(log_phi, log_psi, log_omega_c, log_hbar):
     temp_phi, temp_psi, omega_c, hbar = 10.0 ** np.array([log_phi, log_psi, log_omega_c, log_hbar])
-    state = TwoTemperatureState(temp_phi, temp_psi, PhysicsContext(hbar))
+    state = TwoTemperatureState(temp_phi, temp_psi, hbar)
     got, err, _ = mean_force(SinglePoleMirror(omega_c), state)
     ref = oracles.mean_force_single_pole(temp_phi, temp_psi, omega_c, hbar)
     # at T_phi ~ T_psi the force cancels between the two sides' pressures,
@@ -245,7 +244,7 @@ def test_mean_force_single_pole_matches_binet_in_wide_windows(temp_phi, temp_psi
 def test_mean_force_perfect_mirror_is_stefan_boltzmann(temp_phi, temp_psi, hbar):
     # the vacuum parts cancel in the integrand, which then decays thermally
     # although the perfect mirror is not transparent
-    state = TwoTemperatureState(temp_phi, temp_psi, PhysicsContext(hbar))
+    state = TwoTemperatureState(temp_phi, temp_psi, hbar)
     got, err, _ = mean_force(PerfectMirror(), state)
     ref = oracles.mean_force_perfect(temp_phi, temp_psi, hbar)
     assert abs(got - ref) <= 1e-10 * abs(ref)

@@ -8,7 +8,6 @@ from vacmirror import (
     Mirror,
     MonochromaticOscillation,
     PerfectMirror,
-    PhysicsContext,
     QuadratureConfig,
     SinglePoleMirror,
     TabulatedSpectrum,
@@ -120,7 +119,7 @@ def test_susceptibility_thermal_against_trapezoid():
 def test_susceptibility_thermal_perfect_mirror_closed_form(hbar, temp):
     # the weight form cancels the vacuum part outside [0, w], so the thermal
     # integrand decays although the perfect mirror is not transparent
-    state = ThermalState(temp, PhysicsContext(hbar))
+    state = ThermalState(temp, hbar)
     w = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
     ref = oracles.chi_perfect_thermal(w, temp, hbar)
     assert np.all(np.abs(susceptibility(PerfectMirror(), state, w) - ref) <= 1e-10 * np.abs(ref))
@@ -129,7 +128,7 @@ def test_susceptibility_thermal_perfect_mirror_closed_form(hbar, temp):
 
 
 def test_susceptibility_custom_state_needs_window():
-    hbar = PhysicsContext().hbar
+    hbar = VacuumState().hbar
     rule = lambda nu: np.eye(2) * (hbar / (4.0 * np.abs(nu)[..., None, None]))
     st = CustomState(rule, diagonal=True)
     m = SinglePoleMirror(1.0)

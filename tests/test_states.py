@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from vacmirror import (
     CustomState,
-    PhysicsContext,
     SingularFrequencyError,
     ThermalState,
     TwoTemperatureState,
@@ -129,13 +128,12 @@ def test_thermal_weights_match_the_bose_forms(log_x, temp, hbar, psi_ratio, two_
     # W(-v) ~ z e^-z turns a rounding of z = hbar v/T into a relative error
     # z times larger, so T and hbar are powers of two: z is then exact, and
     # only the weights' own error shows
-    ctx = PhysicsContext(hbar)
     if two_temperature:
         temps = (temp, temp * psi_ratio)
-        state = TwoTemperatureState(*temps, ctx)
+        state = TwoTemperatureState(*temps, hbar)
     else:
         temps = (temp, temp)
-        state = ThermalState(temp, ctx)
+        state = ThermalState(temp, hbar)
     v = 10.0**log_x * temp / hbar  # hbar v/T log-uniform in [1e-10, 700]
     u = state.chi_weight(np.array([v, -v]))
     w = state.noise_weight(np.array([v, -v]))  # [sign, component]
@@ -191,7 +189,7 @@ def _constant(matrix):
 
 
 def test_custom_state_reproduces_vacuum():
-    hbar = PhysicsContext().hbar
+    hbar = VacuumState().hbar
     rule = lambda nu: np.eye(2) * (hbar / (4.0 * np.abs(nu)[..., None, None]))
     st = CustomState(rule, diagonal=True)
     vac = VacuumState()
@@ -207,8 +205,8 @@ def test_custom_state_calls_its_rule_once_per_array():
         calls.append(np.shape(nu))
         return VacuumState().cplus(nu)
 
-    st = CustomState(rule, probe_frequencies=(0.5, 2.0, 7.0))
-    assert calls == [(2, 3)]  # every probe at both signs
+    st = CustomState(rule)
+    assert calls == [(2, 4)]  # every probe at both signs
     nu = np.array([[-2.0, 0.5, 3.0], [1.0, 4.0, -0.1]])
     assert np.array_equal(st.cplus(nu), VacuumState().cplus(nu))
     assert calls[1:] == [(2, 3)]
@@ -246,8 +244,7 @@ def test_custom_state_rejects_wrong_shape():
         CustomState(lambda nu: np.eye(2))
 
 
-def test_context_scales_hbar():
-    ctx = PhysicsContext(hbar=2.0)
-    vac = VacuumState(context=ctx)
+def test_vacuum_scales_with_hbar():
+    vac = VacuumState(hbar=2.0)
     assert np.allclose(vac.cplus(1.0), 0.5 * np.eye(2))
     assert vac.chi_weight(3.0) == 3.0
