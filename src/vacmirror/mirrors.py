@@ -20,9 +20,11 @@ models satisfy four conditions on the real frequency axis:
 limit.  :class:`TabulatedMirror` interpolates sampled data and is the vehicle
 for deliberately broken models in tests.
 
-A model implements :meth:`Mirror.amplitudes`, the pair (s, r) from one
-evaluation, or both :meth:`Mirror.s` and :meth:`Mirror.r`; every kernel
-calls ``amplitudes`` once per call, on all of its frequencies stacked.
+A model implements :meth:`Mirror.amplitudes`, the pair (s - 1, r) from one
+evaluation, on which the paper states transparency and causality and on
+which the force kernel is free of cancellation; or both :meth:`Mirror.s` and
+:meth:`Mirror.r`.  Every kernel calls ``amplitudes`` once per call, on all of
+its frequencies stacked.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class Mirror:
     """A frequency-dependent scattering matrix.
 
     Subclasses implement :meth:`amplitudes`, a vectorized map from real
-    frequency to the complex pair (s, r), or both :meth:`s` and :meth:`r`,
+    frequency to the complex pair (s - 1, r), or both :meth:`s` and :meth:`r`,
     and set :attr:`transparent` to declare whether (s, r) -> (1, 0) at high
     frequency, which :func:`validate_model` scores.  Instances are immutable
     and safe to share between workers.
@@ -52,22 +54,22 @@ class Mirror:
     transparent: bool = False
 
     def amplitudes(self, omega):
-        """(s(w), r(w)); by default one :meth:`s` and one :meth:`r` call, for models overriding both."""
+        """(s(w) - 1, r(w)); by default one :meth:`s` and one :meth:`r` call, for models overriding both."""
         if type(self).s is Mirror.s or type(self).r is Mirror.r:
             raise NotImplementedError(f"{type(self).__name__} implements neither amplitudes nor both s and r")
-        return self.s(omega), self.r(omega)
+        return self.s(omega) - 1.0, self.r(omega)
 
     def s(self, omega):
-        return self.amplitudes(omega)[0]
+        return 1.0 + self.amplitudes(omega)[0]
 
     def r(self, omega):
         return self.amplitudes(omega)[1]
 
     def smatrix(self, omega) -> np.ndarray:
         """The symmetric matrix [[s, r], [r, s]], shape ``np.shape(omega) + (2, 2)``."""
-        s, r = self.amplitudes(omega)
-        out = np.empty(np.shape(s) + (2, 2), dtype=complex)
-        out[..., 0, 0] = out[..., 1, 1] = s
+        sigma, r = self.amplitudes(omega)
+        out = np.empty(np.shape(sigma) + (2, 2), dtype=complex)
+        out[..., 0, 0] = out[..., 1, 1] = 1.0 + sigma
         out[..., 0, 1] = out[..., 1, 0] = r
         return out
 
@@ -78,11 +80,11 @@ class SinglePoleMirror(Mirror):
 
         s(w) = w / (w + i*Omega),    r(w) = -i*Omega / (w + i*Omega)
 
-    The only pole sits at w = -i*Omega in the lower half plane, so the model
-    is causal; it is exactly unitary and real, reflects perfectly at w = 0,
-    and becomes transparent for |w| >> Omega.  The limit Omega -> infinity
-    recovers the perfect mirror at any fixed frequency, with entrywise error
-    O(|w|/Omega).
+    so s - 1 = r exactly.  The only pole sits at w = -i*Omega in the lower
+    half plane, so the model is causal; it is exactly unitary and real,
+    reflects perfectly at w = 0, and becomes transparent for |w| >> Omega.
+    The limit Omega -> infinity recovers the perfect mirror at any fixed
+    frequency, with entrywise error O(|w|/Omega).
 
     Parameters
     ----------
@@ -99,9 +101,8 @@ class SinglePoleMirror(Mirror):
             raise ValueError(f"cutoff frequency must be positive and finite, got {self.omega_c}")
 
     def amplitudes(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        inv = 1.0 / (omega + 1j * self.omega_c)
-        return omega * inv, -1j * self.omega_c * inv
+        r = (-1j * self.omega_c) / (np.asarray(omega, dtype=float) + 1j * self.omega_c)
+        return r, r
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,11 @@ class PerfectMirror(Mirror):
     """
 
     def amplitudes(self, omega):
-        return np.zeros(np.shape(omega), complex), np.full(np.shape(omega), -1.0, complex)
+        return (np.full(np.shape(omega), -1.0, complex),) * 2
 
 
 class TabulatedMirror(Mirror):
-    """Mirror defined by sampled (s, r) data on w >= 0, cubic interpolation.
+    """Mirror defined by sampled (s, r) data on w >= 0, cubic interpolation of (s - 1, r).
 
     Reality is enforced by construction: only nonnegative frequencies are
     stored and negative ones are served as complex conjugates.  Queries
@@ -155,7 +156,7 @@ class TabulatedMirror(Mirror):
         self.r_samples = rv
         self.transparent = bool(abs(sv[-1] - 1.0) < 0.5 and abs(rv[-1]) < 0.5)
         from scipy.interpolate import CubicSpline
-        self._spline = CubicSpline(om, np.stack([sv, rv], axis=-1))
+        self._spline = CubicSpline(om, np.stack([sv - 1.0, rv], axis=-1))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TabulatedMirror":
@@ -263,10 +264,11 @@ def validate_model(
         Violations are reported, never raised.
     """
     om = grid.omega
-    s, r = (np.asarray(a, dtype=complex) for a in model.amplitudes(om))
-    s_neg, r_neg = model.amplitudes(-om)
-    reality = max(max_entry(s_neg - np.conj(s)), max_entry(r_neg - np.conj(r)))
+    sigma, r = (np.asarray(a, dtype=complex) for a in model.amplitudes(om))
+    sigma_neg, r_neg = model.amplitudes(-om)
+    reality = max(max_entry(sigma_neg - np.conj(sigma)), max_entry(r_neg - np.conj(r)))
 
+    s = 1.0 + sigma
     unitarity = max(
         max_entry(np.abs(s) ** 2 + np.abs(r) ** 2 - 1.0),
         max_entry(s * np.conj(r) + r * np.conj(s)),
@@ -274,19 +276,18 @@ def validate_model(
 
     # the [[s, r], [r, s]] structure is symmetric by construction; verify the
     # matrix evaluation path agrees with the amplitude path
-    sub = om[:: max(1, om.size // 16)]
-    mats = model.smatrix(sub)
+    step = max(1, om.size // 16)
+    mats = model.smatrix(om[::step])
     symmetry = max(
         max_entry(mats - np.swapaxes(mats, -1, -2)),
-        max_entry(mats[:, 0, :] - np.stack(model.amplitudes(sub), axis=-1)),
+        max_entry(mats[:, 0, :] - np.stack([s[::step], r[::step]], axis=-1)),
     )
 
-    (res_s, tail_s), (res_r, tail_r) = _dispersion_residual(om, s - 1.0), _dispersion_residual(om, r)
+    (res_s, tail_s), (res_r, tail_r) = _dispersion_residual(om, sigma), _dispersion_residual(om, r)
     causality = max(res_s, res_r)
 
     w_edge = max(abs(om[0]), abs(om[-1]))
-    s_edge, r_edge = model.amplitudes(w_edge)
-    transparency = max(abs(complex(s_edge) - 1.0), abs(complex(r_edge)))
+    transparency = max(abs(complex(a)) for a in model.amplitudes(w_edge))
 
     checks = {
         "reality": reality <= tol,

@@ -7,9 +7,11 @@ two-frequency kernel
              = [[ alpha,  beta],
                 [-beta, -alpha]],
 
-    alpha = 1 - s(w) s(w') + r(w) r(w'),
-    beta  = s(w) r(w') - r(w) s(w').
+    alpha = 1 - s(w) s(w') + r(w) r(w') = r r' - sigma sigma' - (sigma + sigma'),
+    beta  = s(w) r(w') - r(w) s(w')     = (r' - r) + (sigma r' - r sigma'),
 
+evaluated on sigma = s - 1 and r, which keep their digits where 1 - s s'
+cancels (the single pole has sigma = r, so alpha = -(r + r') exactly).
 alpha is symmetric and beta antisymmetric under argument swap, giving the
 exchange rules F[w,w']^T = F[w',w] = eta F[w,w'] eta and
 F[w,w']^dagger = F[-w',-w].  For unitary models the kernel additionally
@@ -34,9 +36,13 @@ from .mirrors import Mirror
 from .states import FieldState
 
 
+def _alpha(sigma, r):
+    return r[0] * r[1] - sigma[0] * sigma[1] - (sigma[0] + sigma[1])
+
+
 def _alpha_beta(model: Mirror, w1: np.ndarray, w2: np.ndarray):
-    s, r = model.amplitudes(np.array([w1, w2]))
-    return 1.0 - s[0] * s[1] + r[0] * r[1], s[0] * r[1] - r[0] * s[1]
+    sigma, r = model.amplitudes(np.array([w1, w2]))
+    return _alpha(sigma, r), (r[1] - r[0]) + (sigma[0] * r[1] - r[0] * sigma[1])
 
 
 def alpha_beta(model: Mirror, omega, omega2):
@@ -54,12 +60,11 @@ def _force_kernel(model: Mirror, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 
 
 def alpha(model: Mirror, omega, omega2):
-    """Diagonal kernel entry 1 - s(w)s(w') + r(w)r(w'), vectorized.
+    """Diagonal kernel entry 1 - s(w)s(w') + r(w)r(w'), vectorized, in its sigma form.
 
     The susceptibility kernel needs alpha alone, so beta is not formed here.
     """
-    s, r = model.amplitudes(np.array(frequency_pair(omega, omega2)))
-    return 1.0 - s[0] * s[1] + r[0] * r[1]
+    return _alpha(*model.amplitudes(np.array(frequency_pair(omega, omega2))))
 
 
 def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:

@@ -173,7 +173,8 @@ def convolve(
     live = spans.any(axis=0)
     x, kink, spans = w[live], kink[live], spans[:, live]
     spans = spans[spans.any(axis=1)]  # the upper piece at w = 0 is empty
-    last = len(spans) - 1
+    last, full = len(spans) - 1, spans.all()
+    widths = 3.0 / np.pi * np.abs(spans)  # 2 d(u^3)/du / (2 pi) = widths * u^2
 
     def integrand(t: np.ndarray, cols: slice) -> np.ndarray:
         # nodes never sit on a piece edge, so each lies inside one piece; it
@@ -183,10 +184,10 @@ def convolve(
         u = (t - piece)[:, None]
         span = spans[:, cols][piece]
         wp = kink[cols] + span * u**3
-        weight = 3.0 / np.pi * u**2 * np.abs(span)  # 2 d(u^3)/du / (2 pi)
-        on = span != 0
-        if on.all():
+        weight = u**2 * widths[:, cols][piece]
+        if full:
             return kernel(wp, x[cols] - wp) * weight
+        on = span != 0
         # an empty piece (the upper one at w = 0) adds nothing, and the
         # kernel may be singular there
         out = np.zeros(wp.shape, dtype=complex)

@@ -120,8 +120,7 @@ class VacuumState(FieldState):
         return _diag2(self.hbar / (4.0 * np.abs(nu)))
 
     def chi_weight(self, nu):
-        nu = np.asarray(nu, dtype=float)
-        return self.hbar * np.abs(nu) / 2.0
+        return (0.5 * self.hbar) * np.abs(nu)
 
     def noise_weight(self, nu):
         nu = np.asarray(nu, dtype=float)

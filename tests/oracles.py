@@ -2,7 +2,8 @@
 
 Everything here is derived independently of the library's integration
 routines: the single-pole forms are analytic antiderivatives of the vacuum
-kernel, also evaluated in 40-digit arithmetic, the mean forces are Binet's
+kernel, also evaluated in 40-digit arithmetic, as are the single-pole force
+kernel entries :func:`alpha_beta_single_pole_mp`, the mean forces are Binet's
 formula (single pole, 30 digits) and the Stefan-Boltzmann law (perfect
 mirror), :func:`bose_weights_mp` evaluates the thermal weights from the
 Bose occupancy in 30-digit arithmetic, :func:`thermal_chi_mp` and
@@ -146,6 +147,15 @@ def cff_vacuum_mp(omega, omega_c, hbar=1.0):
         w, oc, h = (mpmath.mpf(v) for v in (omega, omega_c, hbar))
         xi = (h * oc**2 / mpmath.pi) * ((w / 2) * mpmath.log1p(w**2 / oc**2) - w + oc * mpmath.atan(w / oc))
         return float(2 * h * xi)
+
+
+def alpha_beta_single_pole_mp(omega, omega2, omega_c):
+    """(1 - s s' + r r', s r' - r s') of the single pole at (w, w'), in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        w1, w2, oc = (mpmath.mpf(v) for v in (omega, omega2, omega_c))
+        s1, s2 = w1 / (w1 + 1j * oc), w2 / (w2 + 1j * oc)
+        r1, r2 = -1j * oc / (w1 + 1j * oc), -1j * oc / (w2 + 1j * oc)
+        return complex(1 - s1 * s2 + r1 * r2), complex(s1 * r2 - r1 * s2)
 
 
 def bose_weights_mp(nu, temp, hbar=1.0):

@@ -309,7 +309,9 @@ def _mean_force_nodes(model, state, grid):
     return mean_force(model, state)[2]
 
 
-_WIDE = [("1e3", 294), ("1e5", 378), ("1e6", 420), ("1e8", 504)]
+_SPECTRA = {"noise": noise_spectrum_grid, "chi": susceptibility_grid}
+_WIDE = [("noise", "1e3", 294), ("noise", "1e5", 378), ("noise", "1e6", 420), ("noise", "1e8", 504)]
+_WIDE += [("chi", "1e6", 420), ("chi", "1e8", 504)]
 _MEAN = [((2.0, 0.5), 168), ((1e3, 1.0), 252), ((1e5, 1e4), 336)]
 
 
@@ -324,12 +326,12 @@ _MEAN = [((2.0, 0.5), 168), ((1e3, 1.0), 252), ((1e5, 1e4), 336)]
         (_fdt_xi_nodes, VacuumState(), 10.0, FrequencyGrid.linear(-5.0, 5.0, 41), 42),
     ]
     + [
-        (_nodes(noise_spectrum_grid), ThermalState(float(t)), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), c)
-        for t, c in _WIDE
+        (_nodes(_SPECTRA[kind]), ThermalState(float(t)), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), c)
+        for kind, t, c in _WIDE
     ]
     + [(_mean_force_nodes, TwoTemperatureState(*temps), 1.0, None, c) for temps, c in _MEAN],
     ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise", "two-temperature-noise", "vacuum-xi-fdt"]
-    + [f"thermal-noise-T{t}" for t, _ in _WIDE]
+    + [f"thermal-{kind}-T{t}" for kind, t, _ in _WIDE]
     + [f"mean-force-{t_phi:g}-{t_psi:g}" for (t_phi, t_psi), _ in _MEAN],
 )
 def test_shared_subdivision_stays_under_a_node_ceiling(nodes, state, omega_c, grid, ceiling):
@@ -345,6 +347,16 @@ def test_shared_subdivision_stays_under_a_node_ceiling(nodes, state, omega_c, gr
     # whole-support piece affinely took 483, 567 and 609 (no thermal chi row
     # then)
     assert np.max(nodes(SinglePoleMirror(omega_c), state, grid)) <= ceiling
+
+
+@pytest.mark.parametrize("temp", [1e6, 1e8])
+def test_thermal_chi_reaches_its_classical_limit_in_wide_windows(temp):
+    # windows of 46 T / hbar Omega = 4.6e7 and 4.6e9, where 1 - s s' + r r'
+    # cancels to ~2 Omega^2 / w'^2; chi -> i T Omega w
+    grid = FrequencyGrid.linear(-5.0, 5.0, 11)
+    chi = susceptibility_grid(SinglePoleMirror(1.0), ThermalState(temp), grid)
+    assert grid.omega[7] == 2.0
+    assert abs(chi.values[7].imag / (temp * 2.0) - 1.0) <= 1e-6
 
 
 def test_grid_quadrature_memory_is_linear_in_grid_size():

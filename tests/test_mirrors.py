@@ -23,9 +23,9 @@ class AcausalMirror(Mirror):
         self.omega_c = omega_c
 
     def amplitudes(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        inv = 1.0 / (omega - 1j * self.omega_c)
-        return omega * inv, 1j * self.omega_c * inv
+        # (s - 1, r) with s = w / (w - i Omega): s - 1 = r
+        r = 1j * self.omega_c / (np.asarray(omega, dtype=float) - 1j * self.omega_c)
+        return r, r
 
 
 def test_single_pole_hand_values():

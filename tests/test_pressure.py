@@ -98,8 +98,12 @@ def test_alpha_beta_evaluates_amplitudes_once_on_both_arguments():
     a, b = alpha_beta(Counting(), w1, w2)
     # one call, on the two arguments stacked
     assert len(calls) == 1 and np.array_equal(calls[0], [w1, w2])
+    # the sigma forms, sigma = s - 1, of 1 - s s' + r r' and s r' - r s'
+    sigma, r = inner.amplitudes(np.array([w1, w2]))
+    assert np.array_equal(a, r[0] * r[1] - sigma[0] * sigma[1] - (sigma[0] + sigma[1]))
+    assert np.array_equal(b, (r[1] - r[0]) + (sigma[0] * r[1] - r[0] * sigma[1]))
     assert np.array_equal(a, alpha(inner, w1, w2))
-    assert np.array_equal(b, inner.s(w1) * inner.r(w2) - inner.r(w1) * inner.s(w2))
+    assert np.allclose(b, inner.s(w1) * inner.r(w2) - inner.r(w1) * inner.s(w2), rtol=0.0, atol=1e-15)
     calls.clear()
     assert np.array_equal(alpha(Counting(), w1, w2), a)
     assert len(calls) == 1 and np.array_equal(calls[0], [w1, w2])
@@ -125,8 +129,26 @@ def test_s_and_r_only_model_evaluates_each_once_on_both_arguments():
     w1, w2 = np.array([0.3, -1.1]), np.array([2.0, 0.7])
     a, b = alpha_beta(Counting(), w1, w2)
     assert sorted(calls) == [("r", (2, 2)), ("s", (2, 2))]
-    assert np.array_equal(a, alpha(inner, w1, w2))
-    assert np.array_equal(b, alpha_beta(inner, w1, w2)[1])
+    # the fallback's pair is (s - 1, r), in the sigma forms
+    sigma, r = inner.s(np.array([w1, w2])) - 1.0, inner.r(np.array([w1, w2]))
+    assert np.array_equal(a, r[0] * r[1] - sigma[0] * sigma[1] - (sigma[0] + sigma[1]))
+    assert np.array_equal(b, (r[1] - r[0]) + (sigma[0] * r[1] - r[0] * sigma[1]))
+
+
+@pytest.mark.parametrize("decade", range(-2, 6))
+def test_alpha_beta_single_pole_match_40_digits(decade):
+    # far out, 1 - s s' + r r' cancels to ~2 Omega^2 / w'^2; the (s - 1, r)
+    # forms keep their digits.  200 pairs (w', w - w') per decade of |w'| / Omega
+    rng = np.random.default_rng(decade + 2)
+    omega_c = 10.0 ** rng.uniform(-2.0, 2.0, 200)
+    w = omega_c * rng.uniform(-50.0, 50.0, 200)
+    w1 = omega_c * rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(decade, decade + 1, 200)
+    w2 = w - w1
+    bound = 1e-12 if decade < 4 else 1e-9
+    for k in range(200):
+        got = alpha_beta(SinglePoleMirror(omega_c[k]), w1[k], w2[k])
+        for value, ref in zip(got, oracles.alpha_beta_single_pole_mp(w1[k], w2[k], omega_c[k])):
+            assert abs(value - ref) <= bound * abs(ref), (omega_c[k], w1[k], w2[k], value, ref)
 
 
 def test_force_kernel_perfect_mirror():
@@ -209,14 +231,10 @@ def test_mean_force_routes_agree():
     assert np.isclose(mean_force(m, state)[0], slow_force, rtol=1e-10)
 
 
-# T / (hbar Omega) up to 1e3.  Beyond a few 1e3 the error estimate can miss
-# the rounding of alpha(w, -w) = 1 - |s|^2 + |r|^2, which cancels to
-# 2 Omega^2 / w^2 at the thermal frequencies; the value stays within 1e-10
-# (the wide-window test below)
 @settings(max_examples=40, deadline=None)
 @given(
-    log_phi=st.floats(-2.0, 1.0),
-    log_psi=st.floats(-2.0, 1.0),
+    log_phi=st.floats(-2.0, 5.0),
+    log_psi=st.floats(-2.0, 5.0),
     log_omega_c=st.floats(-1.0, 1.0),
     log_hbar=st.floats(-1.0, 1.0),
 )
@@ -235,9 +253,10 @@ def test_mean_force_single_pole_matches_binet(log_phi, log_psi, log_omega_c, log
 @pytest.mark.parametrize("temp_phi, temp_psi", [(1e3, 1.0), (1e5, 1e4)])
 def test_mean_force_single_pole_matches_binet_in_wide_windows(temp_phi, temp_psi):
     # thermal windows of 46 T / hbar up to 4.6e6 Omega wide
-    got = mean_force(SinglePoleMirror(1.0), TwoTemperatureState(temp_phi, temp_psi))[0]
+    got, err, _ = mean_force(SinglePoleMirror(1.0), TwoTemperatureState(temp_phi, temp_psi))
     ref = oracles.mean_force_single_pole(temp_phi, temp_psi, 1.0)
     assert abs(got - ref) <= 1e-10 * abs(ref)
+    assert abs(got - ref) <= err
 
 
 @pytest.mark.parametrize("temp_phi, temp_psi, hbar", [(2.0, 0.5, 1.0), (0.3, 7.0, 0.5), (1e3, 1.0, 2.0)])

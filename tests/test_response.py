@@ -56,9 +56,11 @@ def test_kernel_routes_agree():
         scale = np.maximum(np.abs(base), 1.0)
         assert np.all(np.abs(base - sym) <= 1e-12 * scale)
         assert np.all(np.abs(base - com) <= 1e-12 * scale)
-        # the base-class amplitudes of an s/r-only wrapper give the same bits
+        # the base-class amplitudes of an s/r-only wrapper form s - 1 from s,
+        # which rounds once more than the model's own s - 1
         for route, value in zip(routes, (base, sym, com)):
-            assert np.array_equal(route(_SAndROnly(m), state, w1, w2), value)
+            ulp = np.spacing(np.maximum(np.abs(value), 1.0))
+            assert np.all(np.abs(route(_SAndROnly(m), state, w1, w2) - value) <= 4 * ulp)
 
 
 def test_kernel_trace_fallback_matches_diagonal_route():

@@ -19,16 +19,16 @@ import vacmirror, vacmirror.cli
 after_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 w = np.linspace(0.0, 4.0, 81)
 model = vacmirror.SinglePoleMirror(1.0)
-table = vacmirror.TabulatedMirror(w, *model.amplitudes(w))
+table = vacmirror.TabulatedMirror(w, model.s(w), model.r(w))
 query = np.array([0.33, 1.71, 3.97])  # between the samples
-s_pos, r_pos = table.amplitudes(query)
-s_neg, r_neg = table.amplitudes(-query)
+s_pos, r_pos = table.s(query), table.r(query)
+s_neg, r_neg = table.s(-query), table.r(-query)
 print(json.dumps({
     "after_import": after_import,
     "interpolate_after_table": "scipy.interpolate" in sys.modules,
     "finite": bool(np.isfinite([s_pos, r_pos]).all()),
     "reality": bool(np.array_equal(s_neg, np.conj(s_pos)) and np.array_equal(r_neg, np.conj(r_pos))),
-    "near_model": float(np.max(np.abs(np.array([s_pos, r_pos]) - model.amplitudes(query)))),
+    "near_model": float(np.max(np.abs(np.array([s_pos, r_pos]) - [model.s(query), model.r(query)]))),
 }))
 """
 
