@@ -77,13 +77,10 @@ class CausalityReport:
         return self.negative_time_fraction < neg_tol and self.kk_residual < kk_tol
 
 
-def _fill_zero(om: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Replace samples at w = 0 by the average of their neighbours."""
-    out = values.copy()
-    for j in np.flatnonzero(om == 0.0):
-        lo = max(j - 1, 0)
-        hi = min(j + 1, om.size - 1)
-        out[j] = 0.5 * (out[lo] + out[hi])
+def _over_w(om: np.ndarray, mid: int, values: np.ndarray, power: int) -> np.ndarray:
+    """values / w^power, with the mean of its two neighbours at om[mid] = 0, the grid's only zero."""
+    out = values / np.where(om == 0.0, 1.0, om) ** power
+    out[mid] = 0.5 * (out[mid - 1] + out[mid + 1])
     return out
 
 
@@ -153,8 +150,7 @@ def causality_report(spectrum: Spectrum, mode: str = "auto") -> CausalityReport:
         mode = "inertial" if edge > 2.0 * float(np.median(interior)) else "direct"
 
     if mode == "inertial":
-        safe = np.where(om == 0.0, 1.0, om)
-        a = _fill_zero(om, np.where(om == 0.0, 0.0, -values / safe**2))
+        a = _over_w(om, mid, -values, 2)
     else:
         a = values.astype(complex)
 
@@ -176,8 +172,7 @@ def causality_report(spectrum: Spectrum, mode: str = "auto") -> CausalityReport:
     fraction = neg_energy / total_energy if total_energy > 0.0 else 0.0
 
     # once-subtracted dispersion relation anchored at w = 0
-    safe = np.where(om == 0.0, 1.0, om)
-    m = _fill_zero(om, np.where(om == 0.0, 0.0, a.imag / safe))
+    m = _over_w(om, mid, a.imag, 1)
     transformed = hilbert_transform(Spectrum(spectrum.grid, m.astype(complex)))
     predicted = om * transformed.values.real
     anchored = a.real - a.real[mid]

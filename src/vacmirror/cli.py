@@ -304,7 +304,7 @@ def cmd_squeeze(cfg: RunConfig) -> int:
                 "omega2": w2,
                 "sum": w + w2,
                 "same_sign": bool(w * w2 > 0),
-                "matrix": [[[z.real, z.imag] for z in row] for row in matrix],
+                "matrix": np.stack([matrix.real, matrix.imag], axis=-1).tolist(),
             }
         )
     strengths = oscillation_line_strength(model, state, osc)

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FrequencyGrid, Spectrum
+from .core import Spectrum
 
 
 class NonConvergenceError(RuntimeError):
@@ -166,20 +166,20 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray,
 
 def integrate_batch(
     f: Callable[[np.ndarray, slice], np.ndarray],
-    length: float,
+    pieces: int,
     scale: np.ndarray,
     omegas: np.ndarray,
     cfg: QuadratureConfig,
     what: str,
-    points: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One adaptive Gauss-Kronrod quadrature over t in [0, length] of a vector integrand.
+    """One adaptive Gauss-Kronrod quadrature over t in [0, pieces] of a vector integrand.
 
     ``f(t, cols)`` takes a vector of nodes t and a slice ``cols`` of the
     samples and returns the values of those samples at those nodes, one row
-    per node; sample k belongs to frequency ``omegas[k]``.  All samples
-    share one subdivision, which starts from the halves of every piece
-    between ``points`` (kinks shared by all samples), and every interval
+    per node; sample k belongs to frequency ``omegas[k]``.  The integrand
+    may kink at every integer t: a caller maps one piece of its support
+    onto each unit piece [k, k + 1].  All samples share one subdivision,
+    which starts from the halves of every unit piece, and every interval
     carries a G10-K21 value and a QUADPACK error estimate per sample.
     Sample k has the target ``max(floor_k, rel_tol * |v_k|)``, with
     ``floor_k = min(abs_tol, 1e-10 * scale_k)`` (``abs_tol`` alone where
@@ -209,10 +209,9 @@ def integrate_batch(
     """
     scale = np.asarray(scale, dtype=float)
     floor = np.where(scale > 0, np.minimum(cfg.abs_tol, 1e-10 * scale), cfg.abs_tol)
-    edges = np.unique(np.clip([0.0, *points, length], 0.0, length))
     # no estimate of a whole piece is trusted on its own: start from its halves
-    edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    a, b = edges[:-1].copy(), edges[1:].copy()
+    edges = np.arange(2 * pieces + 1) / 2.0
+    a, b = edges[:-1], edges[1:].copy()  # b is cut in place
     parts, errors = _gauss_kronrod(f, a, b, scale.size)
     evaluations = a.size * _NODES.size
     converged, reason = False, "maximum number of subdivisions reached"

@@ -144,7 +144,10 @@ def convolve(
     is the larger of the thermal window and ``quad.window`` W (required
     without a decay scale), so the doubled half covers [-W, W].  At w = 0
     only [-reach, 0] is left, doubled: the whole line for an even integrand
-    such as the mean force's.  The mirror's width-Omega structure sits at
+    such as the mean force's.  Next to other samples, its empty upper piece
+    has zero width, and its nodes sit on [-reach, 0], where the kernel is
+    regular, so they add exact zeros.  Each piece is one unit of t in
+    :func:`integrate_batch`.  The mirror's width-Omega structure sits at
     the kink (0 for the vacuum) and the far ends (the decayed tail, or w/2)
     are smooth, so a node at u in (0, 1) sits at kink +/- width * u^3 (Sidi
     1993): one subdivision fits all samples, at 84 nodes per vacuum chi
@@ -173,8 +176,11 @@ def convolve(
     live = spans.any(axis=0)
     x, kink, spans = w[live], kink[live], spans[:, live]
     spans = spans[spans.any(axis=1)]  # the upper piece at w = 0 is empty
-    last, full = len(spans) - 1, spans.all()
+    last = len(spans) - 1
     widths = 3.0 / np.pi * np.abs(spans)  # 2 d(u^3)/du / (2 pi) = widths * u^2
+    # an empty piece keeps its zero width but places its nodes along the
+    # lower piece, where the kernel is regular, so they add exact zeros
+    spans = np.where(spans == 0, spans[:1], spans)
 
     def integrand(t: np.ndarray, cols: slice) -> np.ndarray:
         # nodes never sit on a piece edge, so each lies inside one piece; it
@@ -182,24 +188,15 @@ def convolve(
         # digits there even across a wide thermal piece
         piece = np.minimum(t.astype(int), last)
         u = (t - piece)[:, None]
-        span = spans[:, cols][piece]
-        wp = kink[cols] + span * u**3
-        weight = u**2 * widths[:, cols][piece]
-        if full:
-            return kernel(wp, x[cols] - wp) * weight
-        on = span != 0
-        # an empty piece (the upper one at w = 0) adds nothing, and the
-        # kernel may be singular there
-        out = np.zeros(wp.shape, dtype=complex)
-        out[on] = kernel(wp[on], (x[cols] - wp)[on]) * weight[on]
-        return out
+        wp = kink[cols] + spans[:, cols][piece] * u**3
+        return kernel(wp, x[cols] - wp) * (u**2 * widths[:, cols][piece])
 
     values = np.zeros(w.shape, dtype=complex)
     abs_error = np.zeros(w.shape)
     evaluations = np.zeros(w.shape, dtype=int)
     if x.size:
         values[live], abs_error[live], evaluations[live] = integrate_batch(
-            integrand, float(last + 1), scale[live], x, quad, what, tuple(range(1, last + 1))
+            integrand, last + 1, scale[live], x, quad, what
         )
     return values, abs_error, evaluations
 

@@ -21,6 +21,7 @@ from vacmirror import (
     susceptibility_grid,
     xi_spectrum,
 )
+from vacmirror.cli import main
 from vacmirror.fluctuations import _real
 
 
@@ -211,9 +212,25 @@ def test_fdt_report_carries_the_routes_error_budget():
     assert rep.within_budget
 
 
-def test_fdt_check_needs_symmetric_grid():
-    with pytest.raises(ValueError, match="symmetric"):
-        fdt_check(SinglePoleMirror(1.0), VacuumState(), FrequencyGrid(np.linspace(0.0, 3.0, 7)))
+@pytest.mark.parametrize(
+    "state, flags",
+    [
+        (VacuumState(), []),
+        (TwoTemperatureState(2.0, 0.5), ["--state", "two-temperature", "--temp-phi", "2", "--temp-psi", "0.5"]),
+    ],
+    ids=["vacuum", "two-temperature"],
+)
+def test_fdt_check_takes_a_one_sided_grid(state, flags, tmp_path):
+    # route (b) reads C_FF(-w) off the sign closure, so w >= 0 alone suffices
+    m = SinglePoleMirror(1.0)
+    rep = fdt_check(m, state, FrequencyGrid(np.linspace(0.0, 3.0, 7)))
+    assert rep.passes(1e-8), rep.relative_deviation
+    full = fdt_check(m, state, FrequencyGrid.symmetric(3.0, 13))
+    assert np.allclose(full.grid.omega[6:], rep.grid.omega, rtol=0.0, atol=1e-15)
+    budget = max(rep.error_budget, full.error_budget)
+    for route in ("xi_commutator", "xi_noise", "xi_chi"):
+        assert np.max(np.abs(getattr(rep, route) - getattr(full, route)[6:])) <= budget, route
+    assert main(["fdt", "--grid", "0:3:7", *flags, "--out", str(tmp_path / "fdt.csv")]) == 0
 
 
 def test_noise_spectrum_grid_wraps_values():

@@ -80,8 +80,8 @@ def test_gauss_rule_is_exact_through_degree_19():
 
 
 def test_integrate_batch_keeps_each_sample_contract():
-    # exp(c t) on [0, 2] with a kink-free break at t = 1; samples of very
-    # different size each meet their own tolerance
+    # exp(c t) on two unit pieces, [0, 2] with a kink-free break at t = 1;
+    # samples of very different size each meet their own tolerance
     c = np.array([-3.0, 0.5, 2.0 + 5.0j, 8.0])
     cfg = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
     sizes = []
@@ -90,9 +90,7 @@ def test_integrate_batch_keeps_each_sample_contract():
         sizes.append(t.size)
         return np.exp(np.outer(t, c[cols]))
 
-    values, abs_error, evaluations = integrate_batch(
-        f, 2.0, np.ones(c.size), c.real, cfg, "test", points=(1.0,)
-    )
+    values, abs_error, evaluations = integrate_batch(f, 2, np.ones(c.size), c.real, cfg, "test")
     exact = np.expm1(2.0 * c) / c
     assert np.all(np.abs(values - exact) <= abs_error)
     assert np.all(abs_error <= np.maximum(1e-12, 1e-10 * np.abs(exact)) / 8)
@@ -101,8 +99,9 @@ def test_integrate_batch_keeps_each_sample_contract():
 
 
 def test_integrate_batch_starts_from_the_halves_of_every_piece():
-    # the pieces [0, 1] and [1, 3] enter as their halves, which also count
-    # against max_subdivisions; a constant converges there in one call
+    # the unit pieces [0, 1], [1, 2] and [2, 3] enter as their six halves,
+    # which also count against max_subdivisions; a constant converges there
+    # in one call
     calls = []
 
     def f(t, cols):
@@ -111,16 +110,16 @@ def test_integrate_batch_starts_from_the_halves_of_every_piece():
 
     def run(cap):
         cfg = QuadratureConfig(max_subdivisions=cap)
-        return integrate_batch(f, 3.0, np.ones(1), np.ones(1), cfg, "test", points=(1.0,))
+        return integrate_batch(f, 3, np.ones(1), np.ones(1), cfg, "test")
 
-    values, _, evaluations = run(4)
-    edges = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    values, _, evaluations = run(6)
+    edges = np.arange(7) / 2.0
     centre, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     assert len(calls) == 1
     assert np.array_equal(calls[0], (centre[:, None] + half[:, None] * _NODES).ravel())
-    assert np.isclose(values[0], 3.0, rtol=1e-15) and evaluations[0] == 4 * 21
+    assert np.isclose(values[0], 3.0, rtol=1e-15) and evaluations[0] == 6 * 21
     with pytest.raises(NonConvergenceError, match=r"test at omega=1\.0: .*maximum number of subdivisions"):
-        run(3)
+        run(5)
 
 
 def test_integrate_batch_names_the_sample_that_fails():
@@ -130,7 +129,7 @@ def test_integrate_batch_names_the_sample_that_fails():
         return out[:, cols]
 
     with pytest.raises(NonConvergenceError, match=r"test at omega=2\.0: .*non-finite"):
-        integrate_batch(f, 1.0, np.ones(3), np.array([1.0, 2.0, 3.0]), QuadratureConfig(), "test")
+        integrate_batch(f, 1, np.ones(3), np.array([1.0, 2.0, 3.0]), QuadratureConfig(), "test")
 
 
 def test_quadrature_config_validation():

@@ -1,8 +1,10 @@
 """The package and its CLI load on numpy alone; scipy is imported for tables only.
 
 Checked in a fresh interpreter, by the modules it has loaded, not by wall time.
+Every module also reads every name it imports.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -45,3 +47,24 @@ def test_import_loads_no_scipy_until_a_table_is_built():
     assert probe["interpolate_after_table"]
     assert probe["finite"] and probe["reality"]
     assert probe["near_model"] < 1e-4
+
+
+def test_modules_read_every_name_they_import():
+    # no linter runs on the package, so this guards against imports that a
+    # deletion leaves behind; an import marked "# noqa: F401" is kept on purpose
+    stale = []
+    for path in sorted(Path(vacmirror.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    stale.append(f"{path.name}:{alias.lineno} {name}")
+    assert stale == []
