@@ -208,7 +208,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     report = validate_model(model, grid, tol=cfg.tol)
     fields: dict[str, object] = {
         name: getattr(report, name)
-        for name in ("reality", "unitarity", "symmetry", "causality", "tail_bound", "transparency")
+        for name in ("reality", "unitarity", "symmetry", "causality", "transparency")
     }
     fields.update({f"{name}_pass": flag for name, flag in report.checks.items()})
     fields["passed"] = report.passed

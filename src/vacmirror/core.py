@@ -44,6 +44,12 @@ def finite(omega, what: str = "kernel") -> np.ndarray:
     return w
 
 
+def require_symmetric(omega: np.ndarray) -> None:
+    """Raise ValueError unless a grid spans [-W, W], to 1e-12 of W, as dispersion checks need."""
+    if not np.isclose(omega[0], -omega[-1], rtol=0.0, atol=1e-12 * abs(omega[-1])):
+        raise ValueError(f"grid [{omega[0]:g}, {omega[-1]:g}] must be symmetric about zero")
+
+
 def frequency_pair(omega, omega2) -> tuple[np.ndarray, np.ndarray]:
     """The two arguments of a two-frequency kernel as finite float arrays of one shape.
 

@@ -12,7 +12,8 @@ models satisfy four conditions on the real frequency axis:
 * reality:      s(-w) = conj(s(w)), r(-w) = conj(r(w))
 * unitarity:    |s|^2 + |r|^2 = 1 and s conj(r) + r conj(s) = 0
 * causality:    s(w) - 1 and r(w) analytic in the upper half plane, checked
-                here through windowed dispersion relations on the real line
+                here through windowed dispersion relations on a real grid
+                symmetric about zero
 * transparency: s -> 1, r -> 0 as |w| -> infinity
 
 :class:`SinglePoleMirror` satisfies all four exactly and has
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FrequencyGrid, Spectrum, max_entry
+from .core import FrequencyGrid, max_entry, require_symmetric
 from .numerics import hilbert_transform
 
 # pass threshold of validate_model's relative dispersion-relation residual
@@ -197,16 +198,13 @@ class ValidationReport:
 
     All residuals are max-entry deviations over the grid; ``causality`` is the
     relative dispersion-relation mismatch of s - 1 and r (see
-    :func:`validate_model`), and ``tail_bound`` the larger estimate of the
-    out-of-window contribution its two Hilbert transforms neglect, in units
-    of the amplitudes.  ``passed`` aggregates the individual flags.
+    :func:`validate_model`).  ``passed`` aggregates the individual flags.
     """
 
     reality: float
     unitarity: float
     symmetry: float
     causality: float
-    tail_bound: float
     transparency: float
     checks: dict[str, bool]
 
@@ -215,28 +213,25 @@ class ValidationReport:
         return all(self.checks.values())
 
 
-def _dispersion_residual(omega: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Relative mismatch between Im f and -H[Re f] on the grid interior, and
-    the transform's tail bound.
+def _dispersion_residual(values: np.ndarray) -> float:
+    """Relative mismatch between Im f and -H[Re f] on the grid interior.
 
     For f analytic in the upper half plane with decay on the real line the
     real and imaginary parts are Hilbert-transform partners.  The real part is
     the one fed through the transform because it decays faster (1/w^2 vs 1/w
     for the mirror amplitudes), keeping window truncation negligible; its
     edge asymptote is subtracted first so that a frequency-independent offset
-    (a delta response in time, causal) does not register as a violation.
+    (a delta response in time, causal) does not register as a violation; on
+    a symmetric grid it zeroes both edge samples of the even real part.
     """
-    grid = FrequencyGrid(omega)
     re = np.real(values)
-    re = re - (re[0] + re[-1]) / 2
-    h = hilbert_transform(Spectrum(grid, re.astype(complex)))
-    im_pred = -np.real(h.values)
+    im_pred = -hilbert_transform(re - (re[0] + re[-1]) / 2)
     im_true = np.imag(values)
-    n = omega.size
+    n = values.size
     sl = slice(n // 4, n - n // 4)
     num = np.linalg.norm(im_true[sl] - im_pred[sl])
     den = max(np.linalg.norm(im_true[sl]), np.linalg.norm(im_pred[sl]), 1e-12)
-    return float(num / den), float(h.meta["tail_bound"])
+    return float(num / den)
 
 
 def validate_model(
@@ -250,8 +245,9 @@ def validate_model(
     ----------
     model : Mirror
     grid : FrequencyGrid
-        Test frequencies; use a symmetric grid so the reality check pairs
-        samples exactly and the dispersion check sees both signs.
+        Test frequencies, symmetric about zero, else ValueError: on any other
+        span the dispersion check reads its own truncation as a violation.
+        Transparency is scored at the last sample.
     tol : float
         Pass threshold for the algebraic residuals (reality, unitarity,
         symmetry).  The dispersion-relation residual passes at or below a
@@ -264,8 +260,9 @@ def validate_model(
         Violations are reported, never raised.
     """
     om = grid.omega
-    sigma, r = (np.asarray(a, dtype=complex) for a in model.amplitudes(om))
-    sigma_neg, r_neg = model.amplitudes(-om)
+    require_symmetric(om)
+    pm = model.amplitudes(np.array([om, -om]))  # row 0 at the grid, row 1 at its negation
+    (sigma, sigma_neg), (r, r_neg) = (np.asarray(a, dtype=complex) for a in pm)
     reality = max(max_entry(sigma_neg - np.conj(sigma)), max_entry(r_neg - np.conj(r)))
 
     s = 1.0 + sigma
@@ -283,11 +280,8 @@ def validate_model(
         max_entry(mats[:, 0, :] - np.stack([s[::step], r[::step]], axis=-1)),
     )
 
-    (res_s, tail_s), (res_r, tail_r) = _dispersion_residual(om, sigma), _dispersion_residual(om, r)
-    causality = max(res_s, res_r)
-
-    w_edge = max(abs(om[0]), abs(om[-1]))
-    transparency = max(abs(complex(a)) for a in model.amplitudes(w_edge))
+    causality = max(_dispersion_residual(sigma), _dispersion_residual(r))
+    transparency = max(abs(complex(sigma[-1])), abs(complex(r[-1])))
 
     checks = {
         "reality": reality <= tol,
@@ -303,7 +297,6 @@ def validate_model(
         unitarity=unitarity,
         symmetry=symmetry,
         causality=causality,
-        tail_bound=max(tail_s, tail_r),
         transparency=transparency,
         checks=checks,
     )

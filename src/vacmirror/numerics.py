@@ -11,9 +11,10 @@ Three operations used throughout the package:
   own tolerance, and the call reports that estimate and the node count, or
   a :class:`NonConvergenceError` naming the worst frequency is raised.
 * :func:`hilbert_transform` computes the windowed principal-value transform
-  (1/pi) P int f(w') / (w' - w) dw' on a uniform grid, excising a symmetric
-  neighborhood of the singularity and restoring it with a derivative
-  correction.
+  (1/pi) P int f(w') / (w' - w) dw' of real samples on a uniform grid,
+  excising a symmetric neighborhood of the singularity and restoring it
+  with a derivative correction.  The grid spacing cancels, so it takes
+  and returns plain arrays.
 * :func:`inverse_fourier_to_time` applies the package Fourier convention
   f(t) = int dw/(2*pi) f[w] exp(-i*w*t) to a sampled spectrum.
 
@@ -254,8 +255,8 @@ def integrate_batch(
     )
 
 
-def hilbert_transform(spectrum: Spectrum) -> Spectrum:
-    """Windowed principal-value transform of a real sampled spectrum.
+def hilbert_transform(values: np.ndarray) -> np.ndarray:
+    """Windowed principal-value transform of real samples on a uniform grid.
 
     Computes ``g(w) = (1/pi) P int f(w') / (w' - w) dw'`` over the grid span.
     At each sample the symmetric neighborhood [w - h, w + h] is excised and
@@ -263,27 +264,30 @@ def hilbert_transform(spectrum: Spectrum) -> Spectrum:
     2h f'(w) + O(h^3), estimated by the centered difference f[j+1] - f[j-1].
     The trapezoid sum is one FFT convolution with the Toeplitz kernel
     1/(k - j); each neighbor of the excised sample then loses h/2 of weight.
+    The spacing h cancels from both terms, so only the samples are passed.
 
     Parameters
     ----------
-    spectrum : Spectrum
-        Real-valued samples on a uniform grid; imaginary parts are discarded.
-        The input should decay toward the grid ends, otherwise the neglected
-        tail dominates.
+    values : numpy.ndarray
+        Real samples f(w_j), one-dimensional, at least two.  Nothing beyond
+        the grid span is added: the input should decay toward the grid ends,
+        otherwise the neglected tail dominates.
 
     Returns
     -------
-    Spectrum
-        Real-valued transform; ``meta`` holds only ``"tail_bound"``, an
-        estimate of the neglected out-of-window contribution, assuming the
-        input decays at least like 1/|w| beyond the grid.
+    numpy.ndarray
+        The real transform g(w_j), same length as ``values``.  Complex,
+        multi-dimensional or shorter input raises ValueError.
 
     Notes
     -----
     Edge samples use one-sided excision and are less accurate; restrict
     quantitative use to the grid interior.
     """
-    f = np.real(spectrum.values).astype(float)
+    f = np.asarray(values)
+    if np.iscomplexobj(f) or f.ndim != 1 or f.size < 2:
+        raise ValueError(f"hilbert_transform: needs 2 or more real samples in 1-d, got {f.dtype} {f.shape}")
+    f = f.astype(float, copy=False)
     n = f.size
     size = 1 << (2 * n - 2).bit_length()  # the power of two >= 2n - 1
     # kernel[d] = 1/(k - j) at d = j - k, wrapped for d < 0
@@ -293,12 +297,7 @@ def hilbert_transform(spectrum: Spectrum) -> Spectrum:
     trapezoid = np.concatenate([[0.5 * f[0]], f[1:-1], [0.5 * f[-1]]])
     pv = np.fft.irfft(np.fft.rfft(trapezoid, size) * np.fft.rfft(kernel), size)[:n]
     zero, edge = np.pad(f, 1), np.pad(f, 1, mode="edge")
-    out = (pv - 0.5 * (zero[2:] - zero[:-2]) + (edge[2:] - edge[:-2])) / np.pi
-
-    # Tail estimate: if |f| ~ A/|w'| beyond the window, the out-of-window
-    # contribution at interior samples is bounded by ~(2 ln 2 / pi) * |f_edge|.
-    tail = (abs(f[0]) + abs(f[-1])) * (2.0 * np.log(2.0) / np.pi)
-    return Spectrum(spectrum.grid, out.astype(complex), {"tail_bound": tail})
+    return (pv - 0.5 * (zero[2:] - zero[:-2]) + (edge[2:] - edge[:-2])) / np.pi
 
 
 def _chirp(c: float, n: int) -> np.ndarray:

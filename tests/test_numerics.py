@@ -145,14 +145,12 @@ def test_hilbert_lorentzian_pair():
     grid = FrequencyGrid.symmetric(200.0, 8001)
     om = grid.omega
     f = 1.0 / (1.0 + om**2)
-    h = hilbert_transform(Spectrum(grid, f.astype(complex)))
+    h = hilbert_transform(f)
     expect = -om / (1.0 + om**2)
     band = np.abs(om) <= 50.0
-    rel = np.linalg.norm(h.values.real[band] - expect[band]) / np.linalg.norm(
-        expect[band]
-    )
+    rel = np.linalg.norm(h[band] - expect[band]) / np.linalg.norm(expect[band])
     assert rel < 1e-3
-    assert h.meta.keys() == {"tail_bound"}
+    assert isinstance(h, np.ndarray) and h.dtype == float and h.shape == f.shape
 
 
 def test_hilbert_parity():
@@ -160,20 +158,19 @@ def test_hilbert_parity():
     om = grid.omega
     odd = om * np.exp(-(om**2) / 2.0)
     even = 1.0 / (1.0 + om**2)
-    h_odd = hilbert_transform(Spectrum(grid, odd.astype(complex)))
-    h_even = hilbert_transform(Spectrum(grid, even.astype(complex)))
-    assert np.max(np.abs(h_odd.values.real - h_odd.values.real[::-1])) < 1e-12
-    assert np.max(np.abs(h_even.values.real + h_even.values.real[::-1])) < 1e-12
+    h_odd = hilbert_transform(odd)
+    h_even = hilbert_transform(even)
+    assert np.max(np.abs(h_odd - h_odd[::-1])) < 1e-12
+    assert np.max(np.abs(h_even + h_even[::-1])) < 1e-12
 
 
 def test_hilbert_applied_twice_negates():
     grid = FrequencyGrid.symmetric(40.0, 4001)
     om = grid.omega
     f = om * np.exp(-(om**2) / 2.0)
-    h1 = hilbert_transform(Spectrum(grid, f.astype(complex)))
-    h2 = hilbert_transform(h1)
+    h2 = hilbert_transform(hilbert_transform(f))
     band = np.abs(om) <= 10.0
-    rel = np.linalg.norm(h2.values.real[band] + f[band]) / np.linalg.norm(f[band])
+    rel = np.linalg.norm(h2[band] + f[band]) / np.linalg.norm(f[band])
     assert rel < 0.01
 
 
@@ -190,20 +187,24 @@ def _drawn_grid(n, span, offset):
 )
 # 2n - 1 = 4097 is padded to 8192, the largest power-of-two padding
 @example(n=2049, span=50.0, offset=-0.3, seed=1)
+@example(n=2, span=1.0, offset=0.0, seed=0)  # the fewest samples it accepts
 def test_hilbert_matches_dense_reference(n, span, offset, seed):
     grid = _drawn_grid(n, span, offset)
     f = np.random.default_rng(seed).standard_normal(n)
-    h = hilbert_transform(Spectrum(grid, f.astype(complex)))
+    h = hilbert_transform(f)
     expect = hilbert_dense(grid.omega, f)
-    assert np.max(np.abs(h.values.real - expect)) <= 1e-12 * np.max(np.abs(f))
-    assert not np.any(h.values.imag)
+    assert np.max(np.abs(h - expect)) <= 1e-12 * np.max(np.abs(f))
+    assert h.dtype == float
 
 
-def test_hilbert_reports_heavy_tails():
-    grid = FrequencyGrid.symmetric(20.0, 801)
-    f = 1.0 / (1.0 + np.abs(grid.omega))
-    h = hilbert_transform(Spectrum(grid, f.astype(complex)))
-    assert h.meta["tail_bound"] > 1e-3 * np.max(np.abs(h.values))
+@pytest.mark.parametrize(
+    "values",
+    [np.zeros(0), np.ones(1), np.float64(1.0), np.ones((2, 3)), np.ones(5, dtype=complex)],
+    ids=["empty", "single", "scalar", "2d", "complex"],
+)
+def test_hilbert_rejects_values_that_are_not_a_real_vector(values):
+    with pytest.raises(ValueError, match="hilbert_transform"):
+        hilbert_transform(values)
 
 
 def test_ift_exponential_pair():
@@ -285,12 +286,13 @@ def test_transform_memory_is_linear_in_grid_size(transform):
     # the chunked dense transforms peaked near 8 kB per grid point
     n = 65537
     grid = FrequencyGrid.symmetric(200.0, n)
-    spec = Spectrum(grid, np.exp(-grid.omega**2).astype(complex))
+    values = np.exp(-grid.omega**2)
+    spec = Spectrum(grid, values)
     t = np.linspace(-20.0, 20.0, 4001)
     tracemalloc.start()
     try:
         if transform == "hilbert":
-            hilbert_transform(spec)
+            hilbert_transform(values)
         else:
             inverse_fourier_to_time(spec, t)
         peak = tracemalloc.get_traced_memory()[1]
