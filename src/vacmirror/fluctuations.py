@@ -24,8 +24,10 @@ and its convolution xi(w) ties noise to dissipation:
 
     xi(w) = (C_FF(w) - C_FF(-w)) / (2 hbar) = Im chi(w).
 
-:func:`fdt_check` evaluates all three routes independently on a grid and
-reports their maximum disagreement.
+:func:`fdt_check` evaluates the three routes on a grid and reports their
+maximum disagreement.  The first two integrate the same noise kernel, so
+they agree to rounding whether or not the relation holds; only Im chi can
+disagree with them.
 
 The mean force, an integral of an even integrand, is the convolution at w = 0.
 """
@@ -231,10 +233,11 @@ def fdt_check(
 ) -> FdtReport:
     """Evaluate the fluctuation-dissipation relation on any grid.
 
-    Computes xi(w) three independent ways (commutator-kernel convolution,
-    antisymmetrized noise spectra, imaginary part of the susceptibility) and
-    reports the maximum pairwise deviation together with the peak magnitude
-    it should be compared against and the routes' quadrature error budget.
+    Computes xi(w) three ways: commutator-kernel convolution and
+    antisymmetrized noise spectra, which integrate the same noise kernel, and
+    Im chi, from the susceptibility kernel, the route that tests the relation.
+    Reports the maximum pairwise deviation, the peak magnitude it should be
+    compared against and the routes' quadrature error budget.
     The noise is convolved once on the sign closure of the grid (see
     :func:`vacmirror.core.sign_closure`), which holds C_FF(w) and C_FF(-w)
     for every w; a sign-symmetric grid is its own closure.

@@ -98,14 +98,13 @@ def mean_force_integrand(model: Mirror, state: FieldState, omega):
     """w^2 Tr[F(w, -w) cplus(w)], evaluated in cancellation-free form.
 
     For diagonal states the trace collapses to
-    alpha(w, -w) * (W_phi(w) - W_psi(w)) with W the per-component chi-type
-    weights; for isotropic states (vacuum, thermal) the two components are
-    equal and the integrand is exactly zero pointwise.
+    alpha(w, -w) * (E_phi(w) - E_psi(w)), with E the components' excess over
+    the vacuum (see :meth:`FieldState.excess`); for isotropic states (vacuum,
+    thermal) the two components are equal and the integrand is exactly zero
+    pointwise.
     """
     w = np.asarray(omega, dtype=float)
     if not state.diagonal:
         return w * w * np.trace(force_kernel(model, w, -w) @ state.cplus(w), axis1=-2, axis2=-1)
-    nw = state.noise_weight(w)
-    # v^2 cplus = v^2 (c - cminus); the cminus parts of the two components are
-    # equal and cancel in the difference, so the noise weights serve directly
-    return alpha(model, w, -w) * (nw[..., 0] - nw[..., 1])
+    phi, psi = state.excess(w)
+    return alpha(model, w, -w) * (phi - psi)

@@ -12,10 +12,11 @@ cancellation-free form
 
     chi[w, w'] = i alpha(w, w') (w' u(w) + w u(w')),     u(v) = v^2 tr cplus(v),
 
-regular at zero frequency even though cplus alone diverges there.  For the
-vacuum, u(v) = hbar |v| / 2 makes the opposite-sign contributions cancel
-exactly, leaving the bounded support w' in [0, w]; the perfect-mirror limit
-of the resulting integral is the cubic law chi(w) = i hbar w^3 / (6 pi).
+regular at zero frequency even though cplus alone diverges there.  Its vacuum
+part, u(v) = hbar |v| / 2, vanishes exactly for opposite signs, leaving the
+bounded support w' in [0, w]; past it only the excess E_phi + E_psi of u
+remains, and decays even for the perfect mirror, whose vacuum chi is the cubic
+law chi(w) = i hbar w^3 / (6 pi).
 Like every convolved kernel, chi[w', w - w'] is even about w' = w/2, so
 :func:`convolve` integrates the half of the support below w/2 and doubles it.
 
@@ -76,7 +77,9 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
     """
     if state.diagonal:
         a = alpha(model, omega, omega2)
-        return 1j * a * (omega2 * state.chi_weight(omega) + omega * state.chi_weight(omega2))
+        (phi, psi), (phi2, psi2) = state.excess(omega), state.excess(omega2)
+        vacuum = (0.5 * state.hbar) * (omega2 * np.abs(omega) + omega * np.abs(omega2))
+        return 1j * a * (vacuum + (omega2 * (phi + psi) + omega * (phi2 + psi2)))
     w1, w2 = frequency_pair(omega, omega2)
     t = _force_kernel(model, w1, w2) @ _modulated(state.cplus, w1, w2)
     return w1 * w2 * (t[..., 0, 0] + t[..., 1, 1])

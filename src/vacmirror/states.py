@@ -10,25 +10,25 @@ Every state carries its own ``hbar`` (default 1), checked positive and finite
 where the state is built.  The anticommutator part satisfies
 cplus(-w) = cplus(w)^T and is Hermitian positive semidefinite.  Built-in
 states (vacuum, thermal, two-temperature) are diagonal in the doublet basis,
-which downstream kernels exploit through two weights that stay finite where
-cplus alone diverges:
+and such a state is defined by one weight per component, its excess over
+the vacuum,
 
-* :meth:`FieldState.chi_weight`  u(v) = v^2 tr cplus(v), entering the
-  susceptibility kernel as i*alpha*(w' u(w) + w u(w')),
-* :meth:`FieldState.noise_weight` W(v) = v^2 c(v) (diagonal entries),
-  entering the noise kernel as 2 Tr[F W(w) F^dagger W(w')].
+    E_i(v) = v^2 cplus_ii(v) - hbar |v| / 4,
 
-Both weights absorb the w^2 prefactors of the force kernels, so integrands
-built from them are regular at zero frequency and, for the vacuum, vanish
-identically outside bounded support instead of through catastrophic
-cancellation.
+even in v and finite where cplus alone diverges.  Every weight the force
+kernels need follows from it with the w^2 prefactors absorbed: the noise
+weight W_i(v) = v^2 c_ii(v) = (hbar/2) max(v, 0) + E_i(v)
+(:meth:`FieldState.noise_weight`), and v^2 tr cplus(v) = hbar|v|/2 + E_phi +
+E_psi in the susceptibility kernel.  The vacuum parts are written out exactly,
+so integrands built from them are regular at zero frequency, vacuum terms
+cancel identically instead of to rounding, and only the excess reaches past
+the vacuum's bounded support.
 
-A thermal component with occupancy nbar = 1/(e^{hbar|v|/T} - 1) has one closed
-form per weight, by 1 + 2 nbar = coth y and nbar + 1 = 1/(1 - e^-z):
-u(v) = (hbar|v|/2)(1 + 2 nbar) = T y coth y with y = hbar|v|/2T, and
-W(v) = (hbar|v|/2)(nbar + theta(v)) = (T/2) z/(1 - e^-z) with z = hbar v/T.
-The thermal and two-temperature states share one implementation over their
-tuple of temperatures.
+A thermal component with occupancy nbar = 1/(e^y - 1), y = hbar|v|/T, has
+E(v) = (hbar|v|/2) nbar = (T/2) y/(e^y - 1), with E(0) = T/2 (the classical
+equipartition plateau) and E exactly 0 once e^y overflows; the vacuum has
+E = 0.  The thermal and two-temperature states share one implementation over
+their tuple of temperatures.
 """
 
 from __future__ import annotations
@@ -59,13 +59,14 @@ def _nonzero(omega, what: str) -> np.ndarray:
 class FieldState:
     """Base class for stationary states of the input field.
 
-    Subclasses provide :meth:`cplus`; the commutator part, full covariance,
-    and the scalar weights derive from it; covariances take a frequency or an
-    array of them and have shape ``np.shape(omega) + (2, 2)``.  ``hbar`` is
-    the reduced Planck constant in the caller's units (the field propagates
-    at speed 1).  ``diagonal`` declares that cplus(w) is diagonal in the
-    doublet basis at every frequency, enabling the cancellation-free kernel
-    forms.
+    Subclasses provide :meth:`cplus`, from which the commutator part and the
+    full covariance derive; covariances take a frequency or an array of them
+    and have shape ``np.shape(omega) + (2, 2)``.  ``hbar`` is the reduced
+    Planck constant in the caller's units (the field propagates at speed 1).
+    ``diagonal`` declares that cplus(w) is diagonal in the doublet basis at
+    every frequency, enabling the cancellation-free kernel forms; a diagonal
+    state also provides :meth:`excess` and, where the excess decays
+    thermally, :meth:`decay_scale`.
     """
 
     hbar: float
@@ -87,19 +88,25 @@ class FieldState:
         nu = _nonzero(omega, "cfull")
         return self.cplus(nu) + _diag2(self.hbar / (4.0 * nu))
 
-    def chi_weight(self, nu):
-        """u(v) = v^2 tr cplus(v), vectorized, finite and even in v."""
+    def excess(self, nu):
+        """(E_phi(v), E_psi(v)), E_i = v^2 cplus_ii(v) - hbar|v|/4: finite, even in v.
+
+        Each entry is an array of ``np.shape(nu)`` or a scalar that
+        broadcasts against it.
+        """
         raise NotImplementedError
 
     def noise_weight(self, nu):
-        """Diagonal entries of v^2 c(v) as an array of shape (..., 2)."""
-        raise NotImplementedError
+        """Diagonal entries of v^2 c(v), (hbar/2) max(v, 0) + E_i(v), with shape (..., 2)."""
+        nu = np.asarray(nu, dtype=float)
+        vacuum = (0.5 * self.hbar) * np.maximum(nu, 0.0)
+        return np.stack([vacuum + e for e in self.excess(nu)], axis=-1)
 
     def decay_scale(self) -> float | None:
-        """Largest temperature driving the weights' high-frequency tails.
+        """Largest temperature driving the excess's high-frequency tails.
 
-        None means the weights have bounded support structure (vacuum), so
-        integrals over them need no thermal window.
+        None means there is no excess (vacuum), so integrals over the
+        weights need no thermal window.
         """
         return None
 
@@ -119,28 +126,17 @@ class VacuumState(FieldState):
         nu = _nonzero(omega, "vacuum cplus")
         return _diag2(self.hbar / (4.0 * np.abs(nu)))
 
-    def chi_weight(self, nu):
-        return (0.5 * self.hbar) * np.abs(nu)
-
-    def noise_weight(self, nu):
-        nu = np.asarray(nu, dtype=float)
-        w = self.hbar * np.abs(nu) / 2.0 * np.heaviside(nu, 0.5)
-        return np.stack([w, w], axis=-1)
+    def excess(self, nu):
+        return 0.0, 0.0
 
 
-def _thermal_chi_weight(nu, temperature: float, hbar: float):
-    """u(v) = T y coth y = (hbar|v|/2)(1 + 2 nbar), y = hbar|v|/2T; u(0) = T exactly."""
-    y = np.abs(np.asarray(nu, dtype=float)) * (hbar / (2.0 * temperature))
-    return temperature * np.divide(y, np.tanh(y), out=np.ones_like(y), where=y != 0)
-
-
-def _thermal_noise_weight(nu, temperature: float, hbar: float):
-    """W(v) = (T/2) z / (1 - e^-z) = (hbar|v|/2)(nbar + theta(v)), z = hbar v/T; W(0) = T/2 exactly."""
-    z = np.asarray(nu, dtype=float) * (hbar / temperature)
-    # below z ~ -709 the denominator overflows: z / -inf is the decayed occupancy, an exact +0
+def _excess(nu, temperature: float, hbar: float):
+    """E(v) = (T/2) y / (e^y - 1) = (hbar|v|/2) nbar, y = hbar|v|/T; E(0) = T/2 exactly."""
+    y = np.abs(np.asarray(nu, dtype=float)) * (hbar / temperature)
+    # past y ~ 709 the denominator overflows: y / inf is the decayed occupancy, an exact +0
     with np.errstate(over="ignore"):
-        denominator = -np.expm1(-z)
-    return temperature / 2.0 * np.divide(z, denominator, out=np.ones_like(z), where=z != 0)
+        denominator = np.expm1(y)
+    return temperature / 2.0 * np.divide(y, denominator, out=np.ones_like(y), where=y != 0)
 
 
 class _Thermal(FieldState):
@@ -159,16 +155,13 @@ class _Thermal(FieldState):
 
     def cplus(self, omega) -> np.ndarray:
         nu = _nonzero(omega, "thermal cplus")
-        # u / (2 v^2), divided twice so that v^2 cannot overflow or underflow
-        return _diag2(*[_thermal_chi_weight(nu, t, self.hbar) / nu / (2.0 * nu) for t in self.temperatures])
+        vacuum = self.hbar / (4.0 * np.abs(nu))
+        # E / v^2, divided twice so that v^2 cannot overflow or underflow
+        return _diag2(*[vacuum + _excess(nu, t, self.hbar) / nu / nu for t in self.temperatures])
 
-    def chi_weight(self, nu):
-        u = [_thermal_chi_weight(nu, t, self.hbar) for t in self.temperatures]
-        return u[0] if len(u) == 1 else (u[0] + u[1]) / 2.0
-
-    def noise_weight(self, nu):
-        w = [_thermal_noise_weight(nu, t, self.hbar) for t in self.temperatures]
-        return np.stack([w[0], w[-1]], axis=-1)
+    def excess(self, nu):
+        e = [_excess(nu, t, self.hbar) for t in self.temperatures]
+        return e[0], e[-1]
 
     def decay_scale(self) -> float | None:
         return max(self.temperatures)
@@ -181,8 +174,8 @@ class ThermalState(_Thermal):
     cplus(w) = I * (hbar/4|w|) * (1 + 2 nbar),  nbar = 1/(e^{hbar|w|/T} - 1),
 
     which interpolates between the vacuum (T -> 0) and the classical
-    equipartition plateau u(0) = T.  The full covariance satisfies detailed
-    balance c(-w) = e^{-hbar w/T} c(w).
+    equipartition plateau E(0) = T/2 of each component's excess.  The full
+    covariance satisfies detailed balance c(-w) = e^{-hbar w/T} c(w).
     """
 
     temperature: float
@@ -220,7 +213,8 @@ class CustomState(FieldState):
         ``np.shape(nu) + (2, 2)``; :meth:`cplus` is one call of it.
     hbar : float
     diagonal : bool
-        Declare the rule diagonal to enable the weight-based kernel forms.
+        Declare the rule diagonal to enable the weight-based kernel forms,
+        which read the excess of the rule's diagonal over the vacuum.
 
     The state invariants (Hermiticity, positive semidefiniteness,
     cplus(-w) = cplus(w)^T) are verified at construction, at w = 0.1, 1, 3
@@ -260,11 +254,8 @@ class CustomState(FieldState):
             raise ValueError(f"cplus rule must return 2x2 matrices, shape {nu.shape + (2, 2)}; got {c.shape}")
         return c
 
-    def chi_weight(self, nu):
+    def excess(self, nu):
         nu = np.asarray(nu, dtype=float)
-        return nu * nu * np.trace(self.cplus(nu), axis1=-2, axis2=-1).real
-
-    def noise_weight(self, nu):
-        nu = np.asarray(nu, dtype=float)[..., None]
-        diag = np.real(np.diagonal(self.cplus(nu[..., 0]), axis1=-2, axis2=-1))
-        return diag * nu * nu + self.hbar * nu / 4.0
+        diag = np.real(np.diagonal(self.cplus(nu), axis1=-2, axis2=-1))
+        e = diag * (nu * nu)[..., None] - (0.25 * self.hbar) * np.abs(nu)[..., None]
+        return e[..., 0], e[..., 1]

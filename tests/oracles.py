@@ -95,14 +95,15 @@ def mean_force_perfect(temp_phi, temp_psi, hbar=1.0):
     return np.pi * (temp_phi**2 - temp_psi**2) / (6.0 * hbar)
 
 
-def chi_perfect_thermal(omega, temp, hbar=1.0):
-    """Thermal perfect-mirror susceptibility i (hbar w^3 / 6 pi + 2 pi w T^2 / 3 hbar).
+def chi_perfect_thermal(omega, temp_phi, temp_psi, hbar=1.0):
+    """Thermal perfect-mirror susceptibility i (hbar w^3 / 6 pi + pi w (T_phi^2 + T_psi^2) / 3 hbar).
 
     With alpha = 2 the thermal part of the kernel integrates to
-    (2 i w / pi) int hbar |v| nbar(v) dv over the real line.
+    (2 i w / pi) int (E_phi + E_psi)(v) dv over the real line, where
+    E = (hbar |v| / 2) nbar integrates to pi^2 T^2 / (6 hbar).
     """
     w = np.asarray(omega, dtype=float)
-    return 1j * (hbar * w**3 / (6.0 * np.pi) + 2.0 * np.pi * w * temp**2 / (3.0 * hbar))
+    return 1j * (hbar * w**3 / (6.0 * np.pi) + np.pi * w * (temp_phi**2 + temp_psi**2) / (3.0 * hbar))
 
 
 def xi_from_squeezing(model, state, omega, nodes=200):
@@ -159,9 +160,9 @@ def alpha_beta_single_pole_mp(omega, omega2, omega_c):
 
 
 def bose_weights_mp(nu, temp, hbar=1.0):
-    """Thermal weights (u(v), W(v)) at v != 0 from the Bose occupancy, 30 digits.
+    """Thermal weights (E(v), W(v)) at v != 0 from the Bose occupancy, 30 digits.
 
-    u(v) = (hbar|v|/2)(1 + 2 nbar) and W(v) = (hbar|v|/2)(nbar + theta(v)),
+    The excess E(v) = (hbar|v|/2) nbar and W(v) = (hbar|v|/2)(nbar + theta(v)),
     nbar = 1/(e^{hbar|v|/T} - 1): the textbook forms, not the closed forms
     the library evaluates.
     """
@@ -169,7 +170,7 @@ def bose_weights_mp(nu, temp, hbar=1.0):
         v, t, h = (mpmath.mpf(x) for x in (nu, temp, hbar))
         base = h * abs(v) / 2
         nbar = 1 / mpmath.expm1(h * abs(v) / t)
-        return base * (1 + 2 * nbar), base * (nbar + (1 if v > 0 else 0))
+        return base * nbar, base * (nbar + (1 if v > 0 else 0))
 
 
 def _thermal_mp(kernel, omega, omega_c, temp, hbar):
@@ -223,9 +224,12 @@ def thermal_cff_mp(omega, omega_c, temp, hbar=1.0):
 
 
 def trapezoid_chi(model, state, omega, lo, hi, n=200_001):
-    """chi(w) by fixed trapezoid over the diagonal-state kernel."""
+    """chi(w) by fixed trapezoid over the diagonal-state kernel, u(v) = v^2 tr cplus(v)."""
     wp = np.linspace(lo, hi, n)
-    u = state.chi_weight
+
+    def u(v):
+        return state.hbar * np.abs(v) / 2.0 + sum(state.excess(v))
+
     vals = 1j * alpha(model, wp, omega - wp) * (
         (omega - wp) * u(wp) + wp * u(omega - wp)
     )

@@ -128,6 +128,19 @@ def test_susceptibility_perfect_mirror_in_thermal_state(tmp_path):
     assert np.isclose(im, 8.0 / (6.0 * np.pi) + 2.0 * np.pi * 2.0 * 0.25 / 3.0, rtol=1e-10)
 
 
+def test_susceptibility_perfect_mirror_at_high_temperature(tmp_path):
+    # alpha = 2 never decays, so the 46 T/hbar window converges only if the
+    # vacuum part of the kernel cancels exactly outside [0, w]
+    out = tmp_path / "chi.csv"
+    code = main([
+        "susceptibility", "--model", "perfect", "--state", "thermal", "--temp", "100",
+        "--grid=-4:4:9", "--out", str(out),
+    ])
+    assert code == 0
+    re, im = _read_csv_rows(out)[4.0]
+    assert np.isclose(im, 64.0 / (6.0 * np.pi) + 2.0 * np.pi * 4.0 * 1e4 / 3.0, rtol=1e-10)
+
+
 # one comment per w > 0, whether or not -w is a grid point
 @pytest.mark.parametrize("grid, count", [("-2:2:9", 4), ("0:4:9", 8), ("-1:3:9", 6)])
 def test_noise_thermal_balance_comments(tmp_path, grid, count):

@@ -204,9 +204,10 @@ def test_convolved_kernels_are_symmetric_under_argument_exchange(kind, omega_c, 
     a, b = np.array(pairs).T
     # the general routes sum trace terms that can cancel to rounding, so
     # differences are measured against the terms' size: with u(v) = v^2 tr
-    # cplus(v), chi and xi are O((|a| + |b|)(u(a) + u(b)) + u(a) u(b) / hbar)
-    # and C_FF is hbar times that
-    u_a, u_b = np.abs(state.chi_weight(np.array([a, b])))
+    # cplus(v) = hbar|v|/2 + E_phi(v) + E_psi(v), chi and xi are
+    # O((|a| + |b|)(u(a) + u(b)) + u(a) u(b) / hbar) and C_FF is hbar times that
+    nu = np.array([a, b])
+    u_a, u_b = np.abs(hbar * np.abs(nu) / 2.0 + sum(state.excess(nu)))
     size = (np.abs(a) + np.abs(b)) * (u_a + u_b) + u_a * u_b / hbar
     kernels = {
         "chi": (partial(chi_kernel, model, state), size),

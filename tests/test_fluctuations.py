@@ -8,6 +8,7 @@ from vacmirror import (
     CustomState,
     FrequencyGrid,
     PerfectMirror,
+    QuadratureConfig,
     SinglePoleMirror,
     ThermalState,
     TwoTemperatureState,
@@ -23,6 +24,7 @@ from vacmirror import (
 )
 from vacmirror.cli import main
 from vacmirror.fluctuations import _real
+from test_convolution import _correlated_rule
 
 
 def test_noise_kernel_hand_value():
@@ -167,6 +169,27 @@ def test_fdt_check_at_high_temperature():
     # width Omega = 1 at its inner edges
     rep = fdt_check(SinglePoleMirror(1.0), ThermalState(1e5), FrequencyGrid.linear(-5.0, 5.0, 11))
     assert rep.passes(1e-8)
+
+
+def _thermal_correlated_rule(nu):
+    # thermal diagonal plus a real, symmetric, decaying cross-correlation
+    # bounded by the geometric mean of the diagonal, so cplus stays PSD
+    c = ThermalState(1.0).cplus(nu)
+    off = 0.2 * np.exp(-nu * nu) * np.sqrt(c[..., 0, 0].real * c[..., 1, 1].real)
+    return c + off[..., None, None] * (1.0 - np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "rule, window",
+    [(_correlated_rule, 10.0), (_thermal_correlated_rule, 60.0)],
+    ids=["vacuum-correlated", "thermal-correlated"],
+)
+def test_fdt_check_correlated_state(rule, window):
+    # a non-diagonal state runs every route through the general matrix traces
+    state = CustomState(rule)
+    rep = fdt_check(SinglePoleMirror(1.0), state, FrequencyGrid.symmetric(3.0, 13), QuadratureConfig(window=window))
+    assert rep.peak > 0.0
+    assert rep.relative_deviation <= 1e-8, rep.relative_deviation
 
 
 _LOG_DECADE = st.floats(-1.0, 1.0).map(lambda x: 10.0**x)  # log-uniform on [0.1, 10]

@@ -12,6 +12,7 @@ from vacmirror import (
     SinglePoleMirror,
     TabulatedSpectrum,
     ThermalState,
+    TwoTemperatureState,
     VacuumState,
     chi_kernel,
     chi_kernel_comoving,
@@ -117,16 +118,28 @@ def test_susceptibility_thermal_against_trapezoid():
         assert abs(got - ref) <= 1e-8 * abs(ref)
 
 
-@pytest.mark.parametrize("hbar, temp", [(1.0, 1.0), (1.0, 0.1), (1.0, 10.0), (0.5, 2.0)])
+_PERFECT_THERMAL = [(hbar, temp) for hbar in (0.25, 0.3, 1.0, 3.0, 4.0) for temp in (1.0, 3.0, 10.0, 30.0, 100.0)]
+
+
+@pytest.mark.parametrize("hbar, temp", _PERFECT_THERMAL + [(1.0, 0.1), (0.5, 2.0)])
 def test_susceptibility_thermal_perfect_mirror_closed_form(hbar, temp):
-    # the weight form cancels the vacuum part outside [0, w], so the thermal
-    # integrand decays although the perfect mirror is not transparent
+    # the vacuum part of the weight form is exactly zero outside [0, w], so
+    # the thermal integrand there is the decaying excess alone, although the
+    # perfect mirror is not transparent
     state = ThermalState(temp, hbar)
     w = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
-    ref = oracles.chi_perfect_thermal(w, temp, hbar)
+    ref = oracles.chi_perfect_thermal(w, temp, temp, hbar)
     assert np.all(np.abs(susceptibility(PerfectMirror(), state, w) - ref) <= 1e-10 * np.abs(ref))
     cff = noise_spectrum(PerfectMirror(), state, np.r_[-w, w])
     assert np.allclose(cff[: w.size] / cff[w.size:], np.exp(-hbar * w / temp), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("temp_phi, temp_psi, hbar", [(100.0, 100.0 / 3.0, 0.3), (2.0, 0.5, 1.0), (30.0, 1.0, 3.0)])
+def test_susceptibility_two_temperature_perfect_mirror_closed_form(temp_phi, temp_psi, hbar):
+    state = TwoTemperatureState(temp_phi, temp_psi, hbar)
+    w = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+    ref = oracles.chi_perfect_thermal(w, temp_phi, temp_psi, hbar)
+    assert np.all(np.abs(susceptibility(PerfectMirror(), state, w) - ref) <= 1e-10 * np.abs(ref))
 
 
 def test_susceptibility_custom_state_needs_window():

@@ -1,7 +1,8 @@
 """The package and its CLI load on numpy alone; scipy is imported for tables only.
 
 Checked in a fresh interpreter, by the modules it has loaded, not by wall time.
-Every module also reads every name it imports.
+Every module also reads every name it imports, and some module reads every
+private module-level name.
 """
 
 import ast
@@ -68,3 +69,31 @@ def test_modules_read_every_name_they_import():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     stale.append(f"{path.name}:{alias.lineno} {name}")
     assert stale == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_module_name_is_read():
+    # a private function, class or constant that no module of the package
+    # reads is dead code that a deletion left behind
+    defined, read = [], set()
+    for path in sorted(Path(vacmirror.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, node.lineno, name) for name in targets if _is_private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{file}:{line} {name}" for file, line, name in defined if name not in read]
+    assert defined and unread == []

@@ -51,7 +51,7 @@ def test_thermal_cold_limit_is_vacuum():
     th = ThermalState(0.01)
     vac = VacuumState()
     assert np.allclose(th.cplus(1.0), vac.cplus(1.0), atol=1e-40)
-    assert np.allclose(th.chi_weight(2.0), vac.chi_weight(2.0), atol=1e-40)
+    assert np.allclose(th.excess(2.0), vac.excess(2.0), atol=1e-40)
 
 
 def test_thermal_detailed_balance():
@@ -66,18 +66,18 @@ def test_thermal_detailed_balance():
 def test_thermal_weights_continuous_at_zero():
     T = 1.3
     th = ThermalState(T)
-    assert th.chi_weight(0.0) == T
+    assert th.excess(0.0) == (T / 2.0, T / 2.0)
     assert np.all(th.noise_weight(0.0) == T / 2.0)
-    # classical plateau: the limit is approached quadratically
-    assert abs(th.chi_weight(1e-6) - T) < 1e-11
+    # classical plateau: the excess leaves it linearly, E ~ T/2 - hbar|v|/4
+    assert abs(th.excess(1e-6)[0] - (T / 2.0 - 1e-6 / 4.0)) < 1e-12
     assert abs(th.noise_weight(1e-6)[0] - T / 2.0) < 1e-6
 
 
 def test_weights_absorb_frequency_squared():
     th = ThermalState(0.9)
     for nu in (0.4, 2.0, -1.7):
-        u = nu * nu * np.trace(th.cplus(nu)).real
-        assert np.isclose(th.chi_weight(nu), u, rtol=1e-13)
+        e = nu * nu * np.diag(th.cplus(nu)).real - abs(nu) / 4.0
+        assert np.allclose(th.excess(nu), e, rtol=1e-13)
         w = nu * nu * np.diag(th.cfull(nu)).real
         assert np.allclose(th.noise_weight(nu), w, rtol=1e-13)
 
@@ -96,20 +96,20 @@ def test_large_argument_guard_avoids_overflow():
     x = np.array([700.0, 709.5, 710.0, 1e4, 1e300])  # hbar|v|/T
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u = th.chi_weight(np.array([1e4]))
+        e = th.excess(np.array([1e4]))[0]
         c = th.cplus(1e4)
-        u_both = th.chi_weight(np.array([x, -x]))
+        e_both = th.excess(np.array([x, -x]))[0]
         w_up, w_down = th.noise_weight(np.array([x, -x]))[..., 0]
         c_both = th.cplus(np.array([x, -x]))
-    assert np.isclose(u[0], 5e3)
+    assert np.all(e == 0.0)
     assert np.allclose(c, VacuumState().cplus(1e4))
-    for values in (u_both, w_up, w_down, c_both):
+    for values in (e_both, w_up, w_down, c_both):
         assert np.all(np.isfinite(values))
-    # the occupancy has decayed: W(-v) >= 0, exactly 0 once e^{hbar|v|/T} overflows
-    assert np.all(w_down >= 0.0)
-    assert np.all(w_down[x >= 710.0] == 0.0)
+    # the occupancy has decayed: E >= 0, exactly 0 once e^{hbar|v|/T} overflows
+    assert np.all(e_both >= 0.0)
+    assert np.all(e_both[:, x >= 710.0] == 0.0)
+    assert np.array_equal(w_down, e_both[1])
     assert np.allclose(w_up, x / 2.0, rtol=1e-15, atol=0.0)
-    assert np.allclose(u_both, x / 2.0, rtol=1e-15, atol=0.0)
     assert np.allclose(c_both, VacuumState().cplus(np.array([x, -x])), rtol=1e-15, atol=0.0)
 
 
@@ -135,15 +135,15 @@ def test_thermal_weights_match_the_bose_forms(log_x, temp, hbar, psi_ratio, two_
         temps = (temp, temp)
         state = ThermalState(temp, hbar)
     v = 10.0**log_x * temp / hbar  # hbar v/T log-uniform in [1e-10, 700]
-    u = state.chi_weight(np.array([v, -v]))
+    e = np.array(state.excess(np.array([v, -v])))  # [component, sign]
     w = state.noise_weight(np.array([v, -v]))  # [sign, component]
     # below the smallest normal double, only the absolute error counts
     tiny = np.finfo(float).tiny
     refs = [[oracles.bose_weights_mp(f, t, hbar) for f in (v, -v)] for t in temps]
-    assert u[0] == u[1]
-    u_ref = float((refs[0][0][0] + refs[1][0][0]) / 2)
-    assert abs(u[0] - u_ref) <= 2e-15 * u_ref
     for c, t in enumerate(temps):
+        assert e[c, 0] == e[c, 1]
+        e_ref = float(refs[c][0][0])
+        assert abs(e[c, 0] - e_ref) <= 2e-15 * e_ref + tiny, (c, e[c, 0], e_ref)
         for k in range(2):
             w_ref = float(refs[c][k][1])
             assert abs(w[k, c] - w_ref) <= 2e-15 * w_ref + tiny, (c, k, w[k, c], w_ref)
@@ -151,8 +151,8 @@ def test_thermal_weights_match_the_bose_forms(log_x, temp, hbar, psi_ratio, two_
         # component's own temperature
         assert abs(w[0, c] - w[1, c] - hbar * v / 2.0) <= 4e-15 * w[0, c]
         assert abs(w[1, c] - math.exp(-hbar * v / t) * w[0, c]) <= 5e-15 * w[1, c] + tiny
-    # u(v) = W(v) + W(-v), averaged over the components
-    assert abs(u[0] - np.mean(w[0] + w[1])) <= 5e-15 * u[0]
+        # below zero the noise weight is the excess alone
+        assert w[1, c] == e[c, 1]
 
 
 def test_temperature_validation():
@@ -180,7 +180,7 @@ def test_two_temperature_reduces_to_thermal():
     st = TwoTemperatureState(1.1, 1.1)
     th = ThermalState(1.1)
     assert np.allclose(st.cplus(0.8), th.cplus(0.8))
-    assert np.allclose(st.chi_weight(2.3), th.chi_weight(2.3))
+    assert np.allclose(st.excess(2.3), th.excess(2.3))
 
 
 def _constant(matrix):
@@ -194,7 +194,7 @@ def test_custom_state_reproduces_vacuum():
     st = CustomState(rule, diagonal=True)
     vac = VacuumState()
     nu = np.array([-2.0, 0.5, 3.0])
-    assert np.allclose(st.chi_weight(nu), vac.chi_weight(nu))
+    assert np.allclose(st.excess(nu), 0.0, atol=1e-15)
     assert np.allclose(st.noise_weight(nu), vac.noise_weight(nu), atol=1e-15)
 
 
@@ -247,4 +247,5 @@ def test_custom_state_rejects_wrong_shape():
 def test_vacuum_scales_with_hbar():
     vac = VacuumState(hbar=2.0)
     assert np.allclose(vac.cplus(1.0), 0.5 * np.eye(2))
-    assert vac.chi_weight(3.0) == 3.0
+    assert vac.excess(3.0) == (0.0, 0.0)
+    assert np.array_equal(vac.noise_weight([-3.0, 3.0]), [[0.0, 0.0], [3.0, 3.0]])
