@@ -56,10 +56,11 @@ def cff_kernel(model: Mirror, state: FieldState, omega, omega2):
     """
     if state.diagonal:
         a, b = alpha_beta(model, omega, omega2)
-        w1, w2 = state.noise_weight(omega), state.noise_weight(omega2)
+        # one call on both arguments: [W_phi(w), W_phi(w')] and [W_psi(w), W_psi(w')]
+        phi, psi = state.noise_weight(np.array(frequency_pair(omega, omega2)))
         return 2.0 * (
-            np.abs(a) ** 2 * (w1[..., 0] * w2[..., 0] + w1[..., 1] * w2[..., 1])
-            + np.abs(b) ** 2 * (w1[..., 0] * w2[..., 1] + w1[..., 1] * w2[..., 0])
+            np.abs(a) ** 2 * (phi[0] * phi[1] + psi[0] * psi[1])
+            + np.abs(b) ** 2 * (phi[0] * psi[1] + psi[0] * phi[1])
         )
     w1, w2 = frequency_pair(omega, omega2)
     f = _force_kernel(model, w1, w2)
@@ -104,7 +105,7 @@ def _real(values: np.ndarray, omega, what: str) -> np.ndarray:
 
 def _noise(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
     kernel = partial(cff_kernel, model, state)
-    values, abs_error, evaluations = convolve(kernel, omega, state, quad, "noise_spectrum", state.hbar)
+    values, abs_error, evaluations = convolve(kernel, omega, state, quad, "noise_spectrum", state.hbar, model.scale)
     return _real(values, omega, "noise spectrum"), abs_error, evaluations
 
 
@@ -127,7 +128,7 @@ def noise_spectrum(
 def _xi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
     # C_FF[a, b] = C_FF[b, a] for every state makes xi odd: xi(-w) = -xi(w)
     kernel = partial(commutator_kernel, model, state)
-    values, abs_error, evaluations = fold(np.negative, kernel, omega, state, quad, "xi_spectrum")
+    values, abs_error, evaluations = fold(np.negative, kernel, omega, state, quad, "xi_spectrum", scale=model.scale)
     return _real(values, omega, "commutator spectrum"), abs_error, evaluations
 
 
@@ -160,7 +161,7 @@ def mean_force(model: Mirror, state: FieldState, quad: QuadratureConfig = Quadra
     """
     w = np.zeros(1)
     values, abs_error, evaluations = convolve(
-        lambda a, b: mean_force_integrand(model, state, a), w, state, quad, "mean force"
+        lambda a, b: mean_force_integrand(model, state, a), w, state, quad, "mean force", scale=model.scale
     )
     return float(_real(values, w, "mean force")[0]), float(abs_error[0]), int(evaluations[0])
 

@@ -26,6 +26,10 @@ evaluation, on which the paper states transparency and causality and on
 which the force kernel is free of cancellation; or both :meth:`Mirror.s` and
 :meth:`Mirror.r`.  Every kernel calls ``amplitudes`` once per call, on all of
 its frequencies stacked.
+
+:attr:`Mirror.scale`, the width of a model's structure (Omega, a table's
+smallest sample spacing, None for the perfect mirror), sets where thermal
+convolutions cut their outer piece (:func:`vacmirror.response.convolve`).
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ class Mirror:
     Subclasses implement :meth:`amplitudes`, a vectorized map from real
     frequency to the complex pair (s - 1, r), or both :meth:`s` and :meth:`r`,
     and set :attr:`transparent` to declare whether (s, r) -> (1, 0) at high
-    frequency, which :func:`validate_model` scores.  Instances are immutable
-    and safe to share between workers.
+    frequency, which :func:`validate_model` scores, and :attr:`scale` to the
+    width of its frequency structure, or None.  Instances are immutable and
+    safe to share between workers.
     """
 
     transparent: bool = False
+    scale: float | None = None
 
     def amplitudes(self, omega):
         """(s(w) - 1, r(w)); by default one :meth:`s` and one :meth:`r` call, for models overriding both."""
@@ -96,6 +102,7 @@ class SinglePoleMirror(Mirror):
     omega_c: float
 
     transparent = True
+    scale = property(lambda self: self.omega_c)
 
     def __post_init__(self) -> None:
         if not 0 < self.omega_c < np.inf:
@@ -136,7 +143,7 @@ class TabulatedMirror(Mirror):
 
     ``transparent`` is read off the last sample: whether the table has
     reached (s, r) = (1, 0) at its upper end, as :func:`validate_model`
-    scores it.
+    scores it.  ``scale`` is the smallest sample spacing.
     """
 
     def __init__(self, omega_grid: np.ndarray, s_samples: np.ndarray, r_samples: np.ndarray):
@@ -156,6 +163,7 @@ class TabulatedMirror(Mirror):
         self.s_samples = sv
         self.r_samples = rv
         self.transparent = bool(abs(sv[-1] - 1.0) < 0.5 and abs(rv[-1]) < 0.5)
+        self.scale = float(np.min(np.diff(om)))
         from scipy.interpolate import CubicSpline
         self._spline = CubicSpline(om, np.stack([sv - 1.0, rv], axis=-1))
 

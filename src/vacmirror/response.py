@@ -42,6 +42,8 @@ from .states import FieldState, VacuumState
 
 # occupancy factor e^{-x} below double precision; sets thermal windows
 _THERMAL_DECADES = 46.0
+# width ratio of successive outer pieces, the first 4 mirror scales wide
+_GROWTH = 64.0
 
 
 def _modulated(cov, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -77,9 +79,11 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
     """
     if state.diagonal:
         a = alpha(model, omega, omega2)
-        (phi, psi), (phi2, psi2) = state.excess(omega), state.excess(omega2)
-        vacuum = (0.5 * state.hbar) * (omega2 * np.abs(omega) + omega * np.abs(omega2))
-        return 1j * a * (vacuum + (omega2 * (phi + psi) + omega * (phi2 + psi2)))
+        weights = (0.5 * state.hbar) * (omega2 * np.abs(omega) + omega * np.abs(omega2))
+        if not isinstance(state, VacuumState):  # the vacuum has no excess
+            (phi, psi), (phi2, psi2) = state.excess(omega), state.excess(omega2)
+            weights = weights + (omega2 * (phi + psi) + omega * (phi2 + psi2))
+        return 1j * a * weights
     w1, w2 = frequency_pair(omega, omega2)
     t = _force_kernel(model, w1, w2) @ _modulated(state.cplus, w1, w2)
     return w1 * w2 * (t[..., 0, 0] + t[..., 1, 1])
@@ -134,6 +138,7 @@ def convolve(
     quad: QuadratureConfig,
     what: str,
     unit: float = 1.0,
+    scale: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """integral dw'/(2 pi) kernel(w', w - w') at every w, in one vector quadrature.
 
@@ -144,54 +149,76 @@ def convolve(
     w <= 0 has empty support and gives exactly zero (chi and xi are folded
     onto w > 0 first).  Other states use [lo - reach, lo] and [lo, w/2],
     cut at the kink lo = min(0, w) so kinks line up across samples; reach
-    is the larger of the thermal window and ``quad.window`` W (required
-    without a decay scale), so the doubled half covers [-W, W].  At w = 0
-    only [-reach, 0] is left, doubled: the whole line for an even integrand
-    such as the mean force's.  Next to other samples, its empty upper piece
-    has zero width, and its nodes sit on [-reach, 0], where the kernel is
-    regular, so they add exact zeros.  Each piece is one unit of t in
-    :func:`integrate_batch`.  The mirror's width-Omega structure sits at
-    the kink (0 for the vacuum) and the far ends (the decayed tail, or w/2)
-    are smooth, so a node at u in (0, 1) sits at kink +/- width * u^3 (Sidi
-    1993): one subdivision fits all samples, at 84 nodes per vacuum chi
-    sample on [-200, 200].  The natural scale of chi and xi,
-    hbar|w|^3 + T^2|w|/hbar + T^3/hbar^2, times ``unit`` (hbar for the
-    noise, C_FF = 2 hbar xi), tightens ``abs_tol`` in
-    :func:`integrate_batch`, whose values, QUADPACK error estimates of the
-    doubled integrand and node counts are returned.
+    is the larger of the thermal window 46 T/hbar and ``quad.window`` W
+    (required without a decay scale), so the doubled half covers [-W, W].
+    The outer piece is cut again at 4 delta, 4 delta 64, 4 delta 64^2, ...
+    from the kink, delta the mirror's ``scale`` (None: no cuts), so its
+    width-delta structure stays resolved at any T/hbar, in log(T/(hbar
+    delta)) pieces, as many for every sample.  At w = 0 only the outer
+    pieces are left, doubled: the whole line for an even integrand such as
+    the mean force's; beside other samples its empty upper piece has zero
+    width and places its nodes on the first piece, adding exact zeros.
+    Each piece is one unit of t in :func:`integrate_batch`, and a node at u
+    in (0, 1) sits at start + width * u^3 from the piece's end nearer the
+    kink, where the structure is (Sidi 1993): one subdivision fits all
+    samples, at 84 nodes per vacuum chi sample on [-200, 200] and 168 per
+    thermal one at T = Omega = hbar = 1.  With theta = T/hbar and
+    m = min(theta, delta), the natural scale hbar (|w|^3 + theta m |w| +
+    theta m^2), times ``unit`` (hbar for the noise, C_FF = 2 hbar xi),
+    tightens ``abs_tol`` in :func:`integrate_batch`, whose values, QUADPACK
+    error estimates of the doubled integrand and node counts are returned.
+    Cuts that need more intervals than ``quad.max_subdivisions`` raise
+    ValueError naming T/(hbar delta); a budget too small for even one outer
+    piece is left to :func:`integrate_batch`.
     """
     w = finite(omegas, what)
     hbar = state.hbar
     decay = state.decay_scale()
-    temp = decay or 0.0
-    scale = unit * (hbar * np.abs(w) ** 3 + (temp**2 * np.abs(w) + temp**3 / hbar) / hbar)
+    theta = (decay or 0.0) / hbar
+    m = theta if scale is None else min(theta, scale)
+    natural = unit * (hbar * (np.abs(w) ** 3 + theta * m * np.abs(w) + theta * m * m))
     if isinstance(state, VacuumState):
-        kink, spans = np.zeros_like(w), np.maximum(w, 0.0)[None] / 2.0
+        kink, starts, spans = np.zeros_like(w), np.zeros(1), np.maximum(w, 0.0)[None] / 2.0
     else:
         if decay is None and quad.window is None:
             raise ValueError(
                 f"{what} for a custom state has no known support bound; "
                 "set QuadratureConfig.window explicitly"
             )
-        reach = max(_THERMAL_DECADES * temp / hbar, quad.window or 0.0)
+        reach = max(_THERMAL_DECADES * theta, quad.window or 0.0)
+        cuts, cut = [0.0], 4.0 * (scale or np.inf)
+        while cut < reach:
+            # with this cut: len(cuts) + 2 pieces, 2 intervals each (budgets under 4 fail in integrate_batch)
+            if len(cuts) + 2 > quad.max_subdivisions // 2 >= 2:
+                raise ValueError(
+                    f"{what}: a window of {reach / scale:.3g} mirror scales (T/(hbar*delta) = "
+                    f"{theta / scale:.3g}) needs more than {quad.max_subdivisions} intervals"
+                )
+            cuts.append(cut)
+            cut *= _GROWTH
+        cuts.append(reach)
         kink = np.minimum(0.0, w)
-        spans = np.stack([np.full_like(w, -reach), w / 2.0 - kink])
+        # the outer pieces from the kink outward, each from its end nearer the kink, then the inner one
+        starts = -np.array(cuts[:-1] + [0.0])
+        spans = np.stack([np.full_like(w, -width) for width in np.diff(cuts)] + [w / 2.0 - kink])
     live = spans.any(axis=0)
     x, kink, spans = w[live], kink[live], spans[:, live]
-    spans = spans[spans.any(axis=1)]  # the upper piece at w = 0 is empty
+    keep = spans.any(axis=1)  # the upper piece at w = 0 is empty
+    starts, spans = starts[keep], spans[keep]
     last = len(spans) - 1
     widths = 3.0 / np.pi * np.abs(spans)  # 2 d(u^3)/du / (2 pi) = widths * u^2
     # an empty piece keeps its zero width but places its nodes along the
-    # lower piece, where the kernel is regular, so they add exact zeros
+    # first piece, where the kernel is regular, so they add exact zeros
     spans = np.where(spans == 0, spans[:1], spans)
+    origins = kink + starts[:, None]
 
     def integrand(t: np.ndarray, cols: slice) -> np.ndarray:
         # nodes never sit on a piece edge, so each lies inside one piece; it
-        # is placed from the kink along the piece's signed span, to keep its
-        # digits there even across a wide thermal piece
+        # is placed from the piece's end nearer the kink along its signed
+        # span, to keep its digits there even across a wide thermal piece
         piece = np.minimum(t.astype(int), last)
         u = (t - piece)[:, None]
-        wp = kink[cols] + spans[:, cols][piece] * u**3
+        wp = origins[:, cols][piece] + spans[:, cols][piece] * u**3
         return kernel(wp, x[cols] - wp) * (u**2 * widths[:, cols][piece])
 
     values = np.zeros(w.shape, dtype=complex)
@@ -199,12 +226,12 @@ def convolve(
     evaluations = np.zeros(w.shape, dtype=int)
     if x.size:
         values[live], abs_error[live], evaluations[live] = integrate_batch(
-            integrand, last + 1, scale[live], x, quad, what
+            integrand, last + 1, natural[live], x, quad, what
         )
     return values, abs_error, evaluations
 
 
-def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, what: str):
+def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, what: str, scale=None):
     """:func:`convolve` on the distinct |w| > 0 of ``omegas`` only, in one call.
 
     The results are spread back over ``omegas``, with ``reflect`` applied to
@@ -217,13 +244,14 @@ def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, wha
     skip = int(mags.size > 0 and mags[0] == 0)  # w = 0 sorts first
     values, abs_error, evaluations = (
         np.concatenate([np.zeros(skip, part.dtype), part])[back].reshape(w.shape)
-        for part in convolve(kernel, mags[skip:], state, quad, what)
+        for part in convolve(kernel, mags[skip:], state, quad, what, scale=scale)
     )
     return np.where(w < 0, reflect(values), values), abs_error, evaluations
 
 
 def _chi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
-    return fold(np.conj, partial(chi_kernel, model, state), omega, state, quad, "susceptibility")
+    kernel = partial(chi_kernel, model, state)
+    return fold(np.conj, kernel, omega, state, quad, "susceptibility", scale=model.scale)
 
 
 def susceptibility(

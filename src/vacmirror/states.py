@@ -97,10 +97,10 @@ class FieldState:
         raise NotImplementedError
 
     def noise_weight(self, nu):
-        """Diagonal entries of v^2 c(v), (hbar/2) max(v, 0) + E_i(v), with shape (..., 2)."""
+        """(W_phi(v), W_psi(v)), arrays of the diagonal of v^2 c(v): (hbar/2) max(v, 0) + E_i(v)."""
         nu = np.asarray(nu, dtype=float)
         vacuum = (0.5 * self.hbar) * np.maximum(nu, 0.0)
-        return np.stack([vacuum + e for e in self.excess(nu)], axis=-1)
+        return tuple(vacuum + e for e in self.excess(nu))
 
     def decay_scale(self) -> float | None:
         """Largest temperature driving the excess's high-frequency tails.

@@ -188,9 +188,9 @@ def test_noise_command_runs_one_convolution(tmp_path, monkeypatch):
     calls = []
     convolve = vacmirror.response.convolve
 
-    def counting(kernel, omegas, *args):
+    def counting(kernel, omegas, *args, **kwargs):
         calls.append(np.size(omegas))
-        return convolve(kernel, omegas, *args)
+        return convolve(kernel, omegas, *args, **kwargs)
 
     # the noise spectrum convolves directly, xi_spectrum through response.fold
     monkeypatch.setattr(vacmirror.fluctuations, "convolve", counting)

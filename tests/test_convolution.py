@@ -57,11 +57,17 @@ def _correlated_rule(nu):
     return (np.eye(2) + off * (1.0 - np.eye(2))) / (4.0 * np.abs(nu)[..., None, None])
 
 
-def _scalar(kernel, state, omega, quad):
-    """One QUADPACK call at ``omega`` over the support the batched path uses."""
+def _scalar(kernel, state, omega, quad, delta):
+    """One QUADPACK call at ``omega`` over the support the batched path uses.
+
+    The floor follows the natural scale of ``convolve``, cut off at the
+    mirror scale ``delta``.
+    """
     hbar = state.hbar
     temp = state.decay_scale() or 0.0
-    scale = hbar * abs(omega) ** 3 + (temp**2 * abs(omega) + temp**3 / hbar) / hbar
+    theta = temp / hbar
+    m = theta if delta is None else min(theta, delta)
+    scale = hbar * (abs(omega) ** 3 + theta * m * abs(omega) + theta * m * m)
     cfg = QuadratureConfig(
         abs_tol=min(quad.abs_tol, 1e-10 * scale) if scale > 0 else quad.abs_tol,
         rel_tol=quad.rel_tol,
@@ -110,7 +116,7 @@ def test_batched_spectra_match_scalar_reference(name, model, state, quad, w_max)
         for what, kernel in kernels.items():
             if w <= 0 and (what == "chi" or vacuum):
                 continue  # fixed by construction: conjugation, oddness, zero support
-            ref = _scalar(kernel, state, w, quad)
+            ref = _scalar(kernel, state, w, quad, model.scale)
             got = batched[what][k]
             assert _within_contracts(got, ref, quad), (what, w, got, ref)
     for spec in (chi, cff):
@@ -261,6 +267,10 @@ def test_thermal_detailed_balance_over_parameter_space(omega_c, hbar, temp, x):
     assert abs(cff[0] / cff[1] - np.exp(-x)) <= 1e-8 * np.exp(-x)
 
 
+_LOG_RATIOS = [-3, 0, 4, 8, 15, 30]
+
+
+@pytest.mark.parametrize("log_ratio", _LOG_RATIOS)
 @pytest.mark.parametrize(
     "spectrum, reference, omegas",
     [
@@ -269,15 +279,44 @@ def test_thermal_detailed_balance_over_parameter_space(omega_c, hbar, temp, x):
     ],
     ids=["chi", "cff"],
 )
-def test_thermal_spectra_match_30_digit_references(spectrum, reference, omegas):
-    # the references integrate over the whole line, so this also checks the
-    # thermal window of _THERMAL_DECADES
-    spec = spectrum(SinglePoleMirror(1.0), ThermalState(1.0), FrequencyGrid(np.array(omegas)))
-    for k, w in enumerate(omegas):
-        ref = reference(w, 1.0, 1.0)
-        error = abs(spec.values[k] - ref)
-        assert error <= spec.meta["abs_error"][k], (w, error, spec.meta["abs_error"][k])
-        assert error <= 1e-10 * abs(ref), (w, error)
+def test_thermal_spectra_match_30_digit_references(spectrum, reference, omegas, log_ratio):
+    # T/hbar = 10^log_ratio at T = Omega = 1.  The references integrate over
+    # the whole line, so this also checks the thermal window of
+    # _THERMAL_DECADES and its geometric pieces.  One frequency per ratio,
+    # taken in turn, keeps the 30-digit quadratures to ~10 s in all.
+    hbar = 10.0**-log_ratio
+    w = omegas[_LOG_RATIOS.index(log_ratio) % len(omegas)]
+    spec = spectrum(SinglePoleMirror(1.0), ThermalState(1.0, hbar), FrequencyGrid(np.array([w, w + 1.0])))
+    ref = reference(w, 1.0, 1.0, hbar)
+    error = abs(spec.values[0] - ref)
+    assert error <= spec.meta["abs_error"][0], (w, error, spec.meta["abs_error"][0])
+    assert error <= 1e-10 * abs(ref), (w, error)
+
+
+@pytest.mark.parametrize("hbar", [10.0**-k for k in range(15, 31)])
+def test_thermal_spectra_reach_the_classical_limit_at_every_hbar(hbar):
+    # at Omega = T = 1 the window is 46/hbar wide: chi -> i T Omega w and
+    # C_FF -> 2 T^2 Omega, with corrections of order hbar Omega / T
+    model, state = SinglePoleMirror(1.0), ThermalState(1.0, hbar)
+    chi = susceptibility(model, state, 2.0)
+    cff = noise_spectrum(model, state, 2.0)
+    assert abs(chi - 2.0j) <= 1e-10 * 2.0, chi
+    assert abs(cff - 2.0) <= 1e-10 * 2.0, cff
+
+
+def test_thermal_floor_stays_below_the_value_past_the_cutoff():
+    # Omega = T = hbar = 1e-6: T/hbar = 1e6 Omega, and chi ~ 2e-18 lies below
+    # a floor of 1e-10 times a scale that ignores the cutoff (1e-16)
+    chi = susceptibility(SinglePoleMirror(1e-6), ThermalState(1e-6, 1e-6), 2e-6)
+    ref = 1e-6 * (1e-6) ** 3 * susceptibility(SinglePoleMirror(1.0), ThermalState(1e6), 2.0)
+    assert abs(chi - ref) <= 1e-11 * abs(ref), (chi, ref)
+
+
+def test_unresolvable_thermal_window_raises_naming_its_width():
+    with pytest.raises(ValueError, match=r"susceptibility: .*T/\(hbar\*delta\) = 1e\+300"):
+        susceptibility(SinglePoleMirror(1.0), ThermalState(1.0, 1e-300), 2.0)
+    with pytest.raises(ValueError, match=r"noise_spectrum: .*T/\(hbar\*delta\) = 1e\+300"):
+        noise_spectrum(SinglePoleMirror(1.0), ThermalState(1.0, 1e-300), 2.0)
 
 
 def test_thermal_noise_calls_its_kernel_once_per_batch_of_nodes(monkeypatch):
@@ -311,9 +350,9 @@ def _mean_force_nodes(model, state, grid):
 
 
 _SPECTRA = {"noise": noise_spectrum_grid, "chi": susceptibility_grid}
-_WIDE = [("noise", "1e3", 294), ("noise", "1e5", 378), ("noise", "1e6", 420), ("noise", "1e8", 504)]
-_WIDE += [("chi", "1e6", 420), ("chi", "1e8", 504)]
-_MEAN = [((2.0, 0.5), 168), ((1e3, 1.0), 252), ((1e5, 1e4), 336)]
+_WIDE = [("noise", "1e3", 294), ("noise", "1e5", 378), ("noise", "1e6", 378), ("noise", "1e8", 462)]
+_WIDE += [("chi", "1e6", 378), ("chi", "1e8", 504)]
+_MEAN = [((2.0, 0.5), 126), ((1e3, 1.0), 252), ((1e5, 1e4), 336)]
 
 
 @pytest.mark.parametrize(
@@ -321,10 +360,11 @@ _MEAN = [((2.0, 0.5), 168), ((1e3, 1.0), 252), ((1e5, 1e4), 336)]
     [
         (_nodes(susceptibility_grid), VacuumState(), 2.0, FrequencyGrid.linear(-200.0, 200.0, 2001), 84),
         (_nodes(susceptibility_grid), VacuumState(), 1.0, FrequencyGrid.linear(-200.0, 200.0, 16001), 126),
-        (_nodes(susceptibility_grid), ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 210),
-        (_nodes(noise_spectrum_grid), ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 210),
-        (_nodes(noise_spectrum_grid), TwoTemperatureState(2.0, 0.5), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 252),
+        (_nodes(susceptibility_grid), ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 168),
+        (_nodes(noise_spectrum_grid), ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 168),
+        (_nodes(noise_spectrum_grid), TwoTemperatureState(2.0, 0.5), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 210),
         (_fdt_xi_nodes, VacuumState(), 10.0, FrequencyGrid.linear(-5.0, 5.0, 41), 42),
+        (_nodes(susceptibility_grid), ThermalState(1.0, 1e-20), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), 756),
     ]
     + [
         (_nodes(_SPECTRA[kind]), ThermalState(float(t)), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), c)
@@ -332,6 +372,7 @@ _MEAN = [((2.0, 0.5), 168), ((1e3, 1.0), 252), ((1e5, 1e4), 336)]
     ]
     + [(_mean_force_nodes, TwoTemperatureState(*temps), 1.0, None, c) for temps, c in _MEAN],
     ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise", "two-temperature-noise", "vacuum-xi-fdt"]
+    + ["thermal-chi-hbar1e-20"]
     + [f"thermal-{kind}-T{t}" for kind, t, _ in _WIDE]
     + [f"mean-force-{t_phi:g}-{t_psi:g}" for (t_phi, t_psi), _ in _MEAN],
 )
@@ -346,7 +387,10 @@ def test_shared_subdivision_stays_under_a_node_ceiling(nodes, state, omega_c, gr
     # keep their digits at any width; integrating the whole support instead
     # of the half below w/2 took 315, 315, 525 and 483, and mapping each
     # whole-support piece affinely took 483, 567 and 609 (no thermal chi row
-    # then)
+    # then).  One outer thermal piece instead of the geometric ones took 210,
+    # 210 and 252 in the three thermal rows, 420 and 504 at T = 1e6 and 1e8,
+    # 168 for the mean force at (2, 0.5), and returned a wrong chi in 84
+    # nodes at hbar = 1e-20, where the geometric pieces grow as log(T/hbar)
     assert np.max(nodes(SinglePoleMirror(omega_c), state, grid)) <= ceiling
 
 

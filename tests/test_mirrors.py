@@ -83,6 +83,15 @@ def test_base_mirror_is_abstract():
         OnlyS().r(1.0)
 
 
+def test_mirror_scale_is_the_width_of_its_structure():
+    # thermal convolutions cut their outer piece from 4 scales out; None keeps one piece
+    assert SinglePoleMirror(2.5).scale == 2.5
+    assert PerfectMirror().scale is None
+    assert Mirror().scale is None
+    om = np.array([0.0, 0.5, 0.75, 2.0, 4.0])
+    assert TabulatedMirror(om, np.ones(5), np.zeros(5)).scale == 0.25
+
+
 def test_tabulated_matches_analytic_source():
     m = SinglePoleMirror(1.0)
     om = np.linspace(0.0, 30.0, 601)

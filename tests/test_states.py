@@ -67,7 +67,7 @@ def test_thermal_weights_continuous_at_zero():
     T = 1.3
     th = ThermalState(T)
     assert th.excess(0.0) == (T / 2.0, T / 2.0)
-    assert np.all(th.noise_weight(0.0) == T / 2.0)
+    assert th.noise_weight(0.0) == (T / 2.0, T / 2.0)
     # classical plateau: the excess leaves it linearly, E ~ T/2 - hbar|v|/4
     assert abs(th.excess(1e-6)[0] - (T / 2.0 - 1e-6 / 4.0)) < 1e-12
     assert abs(th.noise_weight(1e-6)[0] - T / 2.0) < 1e-6
@@ -86,9 +86,9 @@ def test_vacuum_noise_weight_is_one_sided():
     vac = VacuumState()
     nu = np.array([-3.0, -1.0, 1.0, 3.0])
     w = vac.noise_weight(nu)
-    assert w.shape == (4, 2)
-    assert np.all(w[:2] == 0.0)
-    assert np.allclose(w[2:], [[0.5, 0.5], [1.5, 1.5]])
+    assert len(w) == 2 and all(np.shape(c) == (4,) for c in w)
+    assert np.all(np.array(w)[:, :2] == 0.0)
+    assert np.allclose(np.array(w)[:, 2:], [[0.5, 1.5], [0.5, 1.5]])
 
 
 def test_large_argument_guard_avoids_overflow():
@@ -99,7 +99,7 @@ def test_large_argument_guard_avoids_overflow():
         e = th.excess(np.array([1e4]))[0]
         c = th.cplus(1e4)
         e_both = th.excess(np.array([x, -x]))[0]
-        w_up, w_down = th.noise_weight(np.array([x, -x]))[..., 0]
+        w_up, w_down = th.noise_weight(np.array([x, -x]))[0]
         c_both = th.cplus(np.array([x, -x]))
     assert np.all(e == 0.0)
     assert np.allclose(c, VacuumState().cplus(1e4))
@@ -136,7 +136,7 @@ def test_thermal_weights_match_the_bose_forms(log_x, temp, hbar, psi_ratio, two_
         state = ThermalState(temp, hbar)
     v = 10.0**log_x * temp / hbar  # hbar v/T log-uniform in [1e-10, 700]
     e = np.array(state.excess(np.array([v, -v])))  # [component, sign]
-    w = state.noise_weight(np.array([v, -v]))  # [sign, component]
+    w = np.array(state.noise_weight(np.array([v, -v])))  # [component, sign]
     # below the smallest normal double, only the absolute error counts
     tiny = np.finfo(float).tiny
     refs = [[oracles.bose_weights_mp(f, t, hbar) for f in (v, -v)] for t in temps]
@@ -146,13 +146,13 @@ def test_thermal_weights_match_the_bose_forms(log_x, temp, hbar, psi_ratio, two_
         assert abs(e[c, 0] - e_ref) <= 2e-15 * e_ref + tiny, (c, e[c, 0], e_ref)
         for k in range(2):
             w_ref = float(refs[c][k][1])
-            assert abs(w[k, c] - w_ref) <= 2e-15 * w_ref + tiny, (c, k, w[k, c], w_ref)
+            assert abs(w[c, k] - w_ref) <= 2e-15 * w_ref + tiny, (c, k, w[c, k], w_ref)
         # the universal commutator part, and detailed balance at the
         # component's own temperature
-        assert abs(w[0, c] - w[1, c] - hbar * v / 2.0) <= 4e-15 * w[0, c]
-        assert abs(w[1, c] - math.exp(-hbar * v / t) * w[0, c]) <= 5e-15 * w[1, c] + tiny
+        assert abs(w[c, 0] - w[c, 1] - hbar * v / 2.0) <= 4e-15 * w[c, 0]
+        assert abs(w[c, 1] - math.exp(-hbar * v / t) * w[c, 0]) <= 5e-15 * w[c, 1] + tiny
         # below zero the noise weight is the excess alone
-        assert w[1, c] == e[c, 1]
+        assert w[c, 1] == e[c, 1]
 
 
 def test_temperature_validation():
@@ -248,4 +248,4 @@ def test_vacuum_scales_with_hbar():
     vac = VacuumState(hbar=2.0)
     assert np.allclose(vac.cplus(1.0), 0.5 * np.eye(2))
     assert vac.excess(3.0) == (0.0, 0.0)
-    assert np.array_equal(vac.noise_weight([-3.0, 3.0]), [[0.0, 0.0], [3.0, 3.0]])
+    assert np.array_equal(vac.noise_weight([-3.0, 3.0]), [[0.0, 3.0], [0.0, 3.0]])
