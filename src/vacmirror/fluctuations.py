@@ -105,7 +105,7 @@ def _real(values: np.ndarray, omega, what: str) -> np.ndarray:
 
 def _noise(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
     kernel = partial(cff_kernel, model, state)
-    values, abs_error, evaluations = convolve(kernel, omega, state, quad, "noise_spectrum", state.hbar, model.scale)
+    values, abs_error, evaluations = convolve(kernel, omega, state, quad, "noise_spectrum", model.scale, state.hbar)
     return _real(values, omega, "noise spectrum"), abs_error, evaluations
 
 
@@ -128,7 +128,7 @@ def noise_spectrum(
 def _xi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
     # C_FF[a, b] = C_FF[b, a] for every state makes xi odd: xi(-w) = -xi(w)
     kernel = partial(commutator_kernel, model, state)
-    values, abs_error, evaluations = fold(np.negative, kernel, omega, state, quad, "xi_spectrum", scale=model.scale)
+    values, abs_error, evaluations = fold(np.negative, kernel, omega, state, quad, "xi_spectrum", model.scale)
     return _real(values, omega, "commutator spectrum"), abs_error, evaluations
 
 
@@ -161,7 +161,7 @@ def mean_force(model: Mirror, state: FieldState, quad: QuadratureConfig = Quadra
     """
     w = np.zeros(1)
     values, abs_error, evaluations = convolve(
-        lambda a, b: mean_force_integrand(model, state, a), w, state, quad, "mean force", scale=model.scale
+        lambda a, b: mean_force_integrand(model, state, a), w, state, quad, "mean force", model.scale
     )
     return float(_real(values, w, "mean force")[0]), float(abs_error[0]), int(evaluations[0])
 

@@ -27,8 +27,7 @@ which the force kernel is free of cancellation; or both :meth:`Mirror.s` and
 :meth:`Mirror.r`.  Every kernel calls ``amplitudes`` once per call, on all of
 its frequencies stacked.
 
-:attr:`Mirror.scale`, the width of a model's structure (Omega, a table's
-smallest sample spacing, None for the perfect mirror), sets where thermal
+:attr:`Mirror.scale`, the width of a model's structure, sets where thermal
 convolutions cut their outer piece (:func:`vacmirror.response.convolve`).
 """
 
@@ -52,9 +51,10 @@ class Mirror:
     Subclasses implement :meth:`amplitudes`, a vectorized map from real
     frequency to the complex pair (s - 1, r), or both :meth:`s` and :meth:`r`,
     and set :attr:`transparent` to declare whether (s, r) -> (1, 0) at high
-    frequency, which :func:`validate_model` scores, and :attr:`scale` to the
-    width of its frequency structure, or None.  Instances are immutable and
-    safe to share between workers.
+    frequency, which :func:`validate_model` scores.  A model with frequency
+    structure must set :attr:`scale` to its width: with the default None,
+    thermal spectra where T/hbar far exceeds that width (small hbar) can be
+    wrong with no error.  Instances are immutable and safe to share.
     """
 
     transparent: bool = False

@@ -137,8 +137,8 @@ def convolve(
     state: FieldState,
     quad: QuadratureConfig,
     what: str,
+    scale: float | None,
     unit: float = 1.0,
-    scale: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """integral dw'/(2 pi) kernel(w', w - w') at every w, in one vector quadrature.
 
@@ -231,7 +231,7 @@ def convolve(
     return values, abs_error, evaluations
 
 
-def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, what: str, scale=None):
+def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, what: str, scale: float | None):
     """:func:`convolve` on the distinct |w| > 0 of ``omegas`` only, in one call.
 
     The results are spread back over ``omegas``, with ``reflect`` applied to
@@ -244,14 +244,14 @@ def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, wha
     skip = int(mags.size > 0 and mags[0] == 0)  # w = 0 sorts first
     values, abs_error, evaluations = (
         np.concatenate([np.zeros(skip, part.dtype), part])[back].reshape(w.shape)
-        for part in convolve(kernel, mags[skip:], state, quad, what, scale=scale)
+        for part in convolve(kernel, mags[skip:], state, quad, what, scale)
     )
     return np.where(w < 0, reflect(values), values), abs_error, evaluations
 
 
 def _chi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
     kernel = partial(chi_kernel, model, state)
-    return fold(np.conj, kernel, omega, state, quad, "susceptibility", scale=model.scale)
+    return fold(np.conj, kernel, omega, state, quad, "susceptibility", model.scale)
 
 
 def susceptibility(

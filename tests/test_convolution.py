@@ -267,30 +267,30 @@ def test_thermal_detailed_balance_over_parameter_space(omega_c, hbar, temp, x):
     assert abs(cff[0] / cff[1] - np.exp(-x)) <= 1e-8 * np.exp(-x)
 
 
-_LOG_RATIOS = [-3, 0, 4, 8, 15, 30]
+# (log10(T/hbar), frequencies) at T = Omega = 1: every listed frequency in
+# one grid at T = hbar, one per other ratio; no negative one at T/hbar =
+# 1e-3, where C_FF(-w) ~ e^(-hbar w/T) underflows
+_CHI_REFERENCES = [(0, [0.5, 2.0, 3.5]), (-3, [2.0]), (4, [0.5]), (8, [3.5]), (15, [2.0]), (30, [0.5])]
+_CFF_REFERENCES = [(0, [-2.0, 0.5, 3.0, 5.5]), (-3, [0.5]), (4, [-2.0]), (8, [3.0]), (15, [5.5]), (30, [-2.0])]
 
 
-@pytest.mark.parametrize("log_ratio", _LOG_RATIOS)
 @pytest.mark.parametrize(
-    "spectrum, reference, omegas",
-    [
-        (susceptibility_grid, oracles.thermal_chi_mp, [0.5, 2.0, 3.5]),
-        (noise_spectrum_grid, oracles.thermal_cff_mp, [-2.0, 0.5, 3.0, 5.5]),
-    ],
-    ids=["chi", "cff"],
+    "spectrum, reference, log_ratio, omegas",
+    [(susceptibility_grid, oracles.thermal_chi_mp, *case) for case in _CHI_REFERENCES]
+    + [(noise_spectrum_grid, oracles.thermal_cff_mp, *case) for case in _CFF_REFERENCES],
+    ids=[f"chi-{k}" for k, _ in _CHI_REFERENCES] + [f"cff-{k}" for k, _ in _CFF_REFERENCES],
 )
-def test_thermal_spectra_match_30_digit_references(spectrum, reference, omegas, log_ratio):
-    # T/hbar = 10^log_ratio at T = Omega = 1.  The references integrate over
-    # the whole line, so this also checks the thermal window of
-    # _THERMAL_DECADES and its geometric pieces.  One frequency per ratio,
-    # taken in turn, keeps the 30-digit quadratures to ~10 s in all.
+def test_thermal_spectra_match_30_digit_references(spectrum, reference, log_ratio, omegas):
+    # the references integrate over the whole line, so this also checks the
+    # thermal window of _THERMAL_DECADES and its geometric pieces
     hbar = 10.0**-log_ratio
-    w = omegas[_LOG_RATIOS.index(log_ratio) % len(omegas)]
-    spec = spectrum(SinglePoleMirror(1.0), ThermalState(1.0, hbar), FrequencyGrid(np.array([w, w + 1.0])))
-    ref = reference(w, 1.0, 1.0, hbar)
-    error = abs(spec.values[0] - ref)
-    assert error <= spec.meta["abs_error"][0], (w, error, spec.meta["abs_error"][0])
-    assert error <= 1e-10 * abs(ref), (w, error)
+    grid = omegas if len(omegas) > 1 else [omegas[0], omegas[0] + 1.0]
+    spec = spectrum(SinglePoleMirror(1.0), ThermalState(1.0, hbar), FrequencyGrid(np.array(grid)))
+    for k, w in enumerate(omegas):
+        ref = reference(w, 1.0, 1.0, hbar)
+        error = abs(spec.values[k] - ref)
+        assert error <= spec.meta["abs_error"][k], (w, error, spec.meta["abs_error"][k])
+        assert error <= 1e-10 * abs(ref), (w, error)
 
 
 @pytest.mark.parametrize("hbar", [10.0**-k for k in range(15, 31)])
