@@ -115,8 +115,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         # every float option is a scale of the physics or the numerics
         if value is not None and opt.type is float and not 0 < value < np.inf:
             raise ValueError(f"--{key.replace('_', '-')} must be positive and finite, got {value}")
-    if "grid" in values:
-        _parse_grid(values["grid"])  # squeeze reads no grid, yet rejects a malformed one
     return RunConfig(command=args.command, **values)
 
 
@@ -141,11 +139,9 @@ def _build_state(cfg: RunConfig) -> FieldState:
 
 
 def _parse_grid(text: str) -> FrequencyGrid:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be MIN:MAX:COUNT, got {text!r}")
     try:
-        w_min, w_max, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = text.split(":")  # not three parts: ValueError too
+        w_min, w_max, count = float(lo), float(hi), int(n)
     except ValueError:
         raise ValueError(f"grid must be MIN:MAX:COUNT, got {text!r}") from None
     return FrequencyGrid.linear(w_min, w_max, count)
@@ -202,9 +198,8 @@ def _write_json(cfg: RunConfig, payload: dict[str, object]) -> None:
     _emit(cfg, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, grid: FrequencyGrid) -> int:
     model = _build_model(cfg)
-    grid = _parse_grid(cfg.grid)
     report = validate_model(model, grid, tol=cfg.tol)
     fields: dict[str, object] = {
         name: getattr(report, name)
@@ -216,20 +211,18 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_susceptibility(cfg: RunConfig) -> int:
+def cmd_susceptibility(cfg: RunConfig, grid: FrequencyGrid) -> int:
     model = _build_model(cfg)
     state = _build_state(cfg)
-    grid = _parse_grid(cfg.grid)
     spectrum = susceptibility_grid(model, state, grid, _quad(cfg))
     table = np.column_stack([spectrum.omega, spectrum.values.real, spectrum.values.imag])
     _write_table(cfg, ["omega", "re_chi", "im_chi"], table)
     return 0
 
 
-def cmd_noise(cfg: RunConfig) -> int:
+def cmd_noise(cfg: RunConfig, grid: FrequencyGrid) -> int:
     model = _build_model(cfg)
     state = _build_state(cfg)
-    grid = _parse_grid(cfg.grid)
     # one noise convolution at w and -w gives xi(w) = (C(w) - C(-w)) / (2 hbar)
     closed, at, mirror = sign_closure(grid.omega)
     noise = noise_spectrum(model, state, closed, _quad(cfg))
@@ -245,10 +238,9 @@ def cmd_noise(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_fdt(cfg: RunConfig) -> int:
+def cmd_fdt(cfg: RunConfig, grid: FrequencyGrid) -> int:
     model = _build_model(cfg)
     state = _build_state(cfg)
-    grid = _parse_grid(cfg.grid)
     report = fdt_check(model, state, grid, _quad(cfg))
     passed = report.passes(cfg.tol)
     table = np.column_stack([grid.omega, report.xi_commutator, report.xi_noise, report.xi_chi])
@@ -268,8 +260,7 @@ def cmd_fdt(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def cmd_causality(cfg: RunConfig) -> int:
-    grid = _parse_grid(cfg.grid)
+def cmd_causality(cfg: RunConfig, grid: FrequencyGrid) -> int:
     om = grid.omega
     if cfg.inject == "cubic":
         values = 1j * cfg.hbar * om**3 / (6.0 * np.pi)
@@ -289,7 +280,7 @@ def cmd_causality(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def cmd_squeeze(cfg: RunConfig) -> int:
+def cmd_squeeze(cfg: RunConfig, grid: FrequencyGrid) -> int:
     if cfg.format != "json":
         raise ValueError("squeeze output is json only; use --format json")
     model = _build_model(cfg)
@@ -336,7 +327,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         cmd_causality, "time-domain causality metrics", ("inject",),
         {"grid": "-200:200:16001", "tol": 1e-3},
     ),
-    # squeeze reads no grid, but the benchmark workloads pass --grid to it
+    # squeeze reads no grid, but main parses and so checks every command's --grid
     "squeeze": _Subcommand(
         cmd_squeeze, "output-covariance squeezing lines", ("osc_freq", "osc_amp"), {"format": "json"},
         ("tol",),
@@ -396,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _resolve(args)
-        return _SUBCOMMANDS[cfg.command].run(cfg)
+        return _SUBCOMMANDS[cfg.command].run(cfg, _parse_grid(cfg.grid))
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

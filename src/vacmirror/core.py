@@ -50,16 +50,16 @@ def require_symmetric(omega: np.ndarray) -> None:
         raise ValueError(f"grid [{omega[0]:g}, {omega[-1]:g}] must be symmetric about zero")
 
 
-def frequency_pair(omega, omega2) -> tuple[np.ndarray, np.ndarray]:
-    """The two arguments of a two-frequency kernel as finite float arrays of one shape.
+def frequency_pair(omega, omega2) -> np.ndarray:
+    """The two arguments of a two-frequency kernel as finite float arrays of one shape, stacked.
 
     Arguments of equal shape, scalars included, are not broadcast, which
-    keeps the per-pair call cheap; ``np.array([w1, w2])`` then stacks them.
+    keeps the per-pair call cheap; ``w1, w2 = frequency_pair(...)`` unpacks.
     """
     w1, w2 = finite(omega), finite(omega2)
     if w1.shape != w2.shape:
         w1, w2 = np.broadcast_arrays(w1, w2)
-    return w1, w2
+    return np.array([w1, w2])
 
 
 def sign_closure(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,7 +101,7 @@ class FrequencyGrid:
         d = np.diff(om)
         if not np.all(d > 0):
             raise ValueError("grid frequencies must be strictly increasing")
-        if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
+        if not np.max(np.abs(d - d[0])) <= 1e-9 * abs(d[0]):  # np.allclose(d, d[0], rtol=1e-9, atol=0)
             raise ValueError("grid must be uniformly spaced")
         object.__setattr__(self, "omega", om)
 

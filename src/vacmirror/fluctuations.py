@@ -42,7 +42,7 @@ import numpy as np
 from .core import FrequencyGrid, Spectrum, dagger, frequency_pair, sign_closure
 from .mirrors import Mirror
 from .numerics import QuadratureConfig
-from .pressure import _force_kernel, alpha_beta, mean_force_integrand
+from .pressure import _alpha_beta, _force_kernel, mean_force_integrand
 from .response import _chi, budgeted_spectrum, chi_kernel, convolve, fold
 from .states import FieldState
 
@@ -54,19 +54,19 @@ def cff_kernel(model: Mirror, state: FieldState, omega, omega2):
     vacuum occupancy vanishes); general states use the full-covariance trace,
     which requires w, w' != 0.
     """
+    w = frequency_pair(omega, omega2)
     if state.diagonal:
-        a, b = alpha_beta(model, omega, omega2)
+        a, b = _alpha_beta(model, w)
         # one call on both arguments: [W_phi(w), W_phi(w')] and [W_psi(w), W_psi(w')]
-        phi, psi = state.noise_weight(np.array(frequency_pair(omega, omega2)))
+        phi, psi = state.noise_weight(w)
         return 2.0 * (
             np.abs(a) ** 2 * (phi[0] * phi[1] + psi[0] * psi[1])
             + np.abs(b) ** 2 * (phi[0] * psi[1] + psi[0] * phi[1])
         )
-    w1, w2 = frequency_pair(omega, omega2)
-    f = _force_kernel(model, w1, w2)
-    c = state.cfull(np.array([w1, w2]))
+    f = _force_kernel(model, w)
+    c = state.cfull(w)
     t = f @ c[0] @ dagger(f) @ c[1].mT
-    return 2.0 * w1**2 * w2**2 * (t[..., 0, 0] + t[..., 1, 1])
+    return 2.0 * w[0] ** 2 * w[1] ** 2 * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def commutator_kernel(

@@ -61,7 +61,10 @@ class Mirror:
     scale: float | None = None
 
     def amplitudes(self, omega):
-        """(s(w) - 1, r(w)); by default one :meth:`s` and one :meth:`r` call, for models overriding both."""
+        """(s(w) - 1, r(w)); by default one :meth:`s` and one :meth:`r` call, for models overriding both.
+
+        With s - 1 = r exactly, one array may be returned twice: the kernels then skip what cancels.
+        """
         if type(self).s is Mirror.s or type(self).r is Mirror.r:
             raise NotImplementedError(f"{type(self).__name__} implements neither amplitudes nor both s and r")
         return self.s(omega) - 1.0, self.r(omega)

@@ -37,22 +37,24 @@ from .states import FieldState
 
 
 def _alpha(sigma, r):
-    return r[0] * r[1] - sigma[0] * sigma[1] - (sigma[0] + sigma[1])
+    zero = 0.0 if sigma is r else r[0] * r[1] - sigma[0] * sigma[1]  # s - 1 = r: an exact 0, skipped
+    return zero - (sigma[0] + sigma[1])
 
 
-def _alpha_beta(model: Mirror, w1: np.ndarray, w2: np.ndarray):
-    sigma, r = model.amplitudes(np.array([w1, w2]))
-    return _alpha(sigma, r), (r[1] - r[0]) + (sigma[0] * r[1] - r[0] * sigma[1])
+def _alpha_beta(model: Mirror, w: np.ndarray):
+    sigma, r = model.amplitudes(w)
+    beta = r[1] - r[0]  # plus sigma r' - r sigma', an exact 0 skipped when sigma is r
+    return _alpha(sigma, r), beta if sigma is r else beta + (sigma[0] * r[1] - r[0] * sigma[1])
 
 
 def alpha_beta(model: Mirror, omega, omega2):
     """(alpha, beta) at (w, w'), elementwise, from one amplitude call on both arguments."""
-    return _alpha_beta(model, *frequency_pair(omega, omega2))
+    return _alpha_beta(model, frequency_pair(omega, omega2))
 
 
-def _force_kernel(model: Mirror, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """:func:`force_kernel` of frequencies already checked, as ``frequency_pair`` returns them."""
-    a, b = _alpha_beta(model, w1, w2)
+def _force_kernel(model: Mirror, w: np.ndarray) -> np.ndarray:
+    """:func:`force_kernel` of the pairs ``w`` already checked and stacked by ``frequency_pair``."""
+    a, b = _alpha_beta(model, w)
     out = np.empty(np.shape(a) + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 0, 1] = a, b
     out[..., 1, 0], out[..., 1, 1] = -b, -a
@@ -64,12 +66,12 @@ def alpha(model: Mirror, omega, omega2):
 
     The susceptibility kernel needs alpha alone, so beta is not formed here.
     """
-    return _alpha(*model.amplitudes(np.array(frequency_pair(omega, omega2))))
+    return _alpha(*model.amplitudes(frequency_pair(omega, omega2)))
 
 
 def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
     """F[w, w'] = [[alpha, beta], [-beta, -alpha]], shape ``np.broadcast(w, w').shape + (2, 2)``."""
-    return _force_kernel(model, *frequency_pair(omega, omega2))
+    return _force_kernel(model, frequency_pair(omega, omega2))
 
 
 def unitarity_identities(model: Mirror, omega, omega2) -> tuple[np.ndarray, np.ndarray]:

@@ -46,14 +46,14 @@ _THERMAL_DECADES = 46.0
 _GROWTH = 64.0
 
 
-def _modulated(cov, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Modulated covariance i w c(w) eta + i w' eta c(-w'), per (w, w') pair.
+def _modulated(cov, w: np.ndarray) -> np.ndarray:
+    """Modulated covariance i w c(w) eta + i w' eta c(-w'), per (w, w') pair stacked in ``w``.
 
     ``cov`` is a covariance spectrum (``cplus`` or ``cfull`` of a state),
-    evaluated once on the stacked frequencies; ``w1`` and ``w2`` share a shape.
+    evaluated once on the stacked frequencies.
     """
-    c = cov(np.array([w1, -w2]))  # c(w), c(-w')
-    return 1j * (w1[..., None, None] * c[0] * ETA_COLS + w2[..., None, None] * c[1] * ETA_ROWS)
+    c = cov(np.array([w[0], -w[1]])) * (1j * w)[..., None, None]  # i w c(w), i w' c(-w')
+    return c[0] * ETA_COLS + c[1] * ETA_ROWS
 
 
 def delta_smatrix(model: Mirror, omega, omega2) -> np.ndarray:
@@ -64,9 +64,9 @@ def delta_smatrix(model: Mirror, omega, omega2) -> np.ndarray:
     structure survives, while w' = 0 gives the zero matrix.  Elementwise
     over frequency arrays, shape ``... + (2, 2)``.
     """
-    w1, w2 = frequency_pair(omega, omega2)
-    s = model.smatrix(np.array([w1, w2]))
-    return 1j * w2[..., None, None] * (s[0] * ETA_COLS - ETA_ROWS * s[1])
+    w = frequency_pair(omega, omega2)
+    s = model.smatrix(w)
+    return 1j * w[1][..., None, None] * (s[0] * ETA_COLS - ETA_ROWS * s[1])
 
 
 def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
@@ -84,9 +84,9 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
             (phi, psi), (phi2, psi2) = state.excess(omega), state.excess(omega2)
             weights = weights + (omega2 * (phi + psi) + omega * (phi2 + psi2))
         return 1j * a * weights
-    w1, w2 = frequency_pair(omega, omega2)
-    t = _force_kernel(model, w1, w2) @ _modulated(state.cplus, w1, w2)
-    return w1 * w2 * (t[..., 0, 0] + t[..., 1, 1])
+    w = frequency_pair(omega, omega2)
+    t = _force_kernel(model, w) @ _modulated(state.cplus, w)
+    return w[0] * w[1] * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
@@ -99,12 +99,11 @@ def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
     equals :func:`chi_kernel` wherever both are defined (w, w' != 0).
     Elementwise over frequency arrays; both argument orders are stacked.
     """
-    w1, w2 = frequency_pair(omega, omega2)
-    first = np.array([w1, w2])
-    f = _force_kernel(model, w1, w2)
-    t = np.array([f, f.mT]) @ _modulated(state.cfull, first, first[::-1])  # F[w', w] = F[w, w']^T
+    w = frequency_pair(omega, omega2)
+    f = _force_kernel(model, w)
+    t = np.array([f, f.mT]) @ _modulated(state.cfull, np.array([w, w[::-1]]))  # F[w', w] = F[w, w']^T
     t = t[0] + t[1]
-    return w1 * w2 / 2.0 * (t[..., 0, 0] + t[..., 1, 1])
+    return w[0] * w[1] / 2.0 * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def comoving_covariance_perturbation(state: FieldState, omega, omega2) -> np.ndarray:
@@ -115,7 +114,7 @@ def comoving_covariance_perturbation(state: FieldState, omega, omega2) -> np.nda
     frequency arrays, shape ``... + (2, 2)``; raises at zero frequency where
     the full covariance is singular.
     """
-    return -_modulated(state.cfull, *frequency_pair(omega, omega2))
+    return -_modulated(state.cfull, frequency_pair(omega, omega2))
 
 
 def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
@@ -125,10 +124,10 @@ def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
     the commutator parts of the full covariance drop out of the trace.
     Elementwise over frequency arrays.
     """
-    w1, w2 = frequency_pair(omega, omega2)
-    pert = -_modulated(state.cfull, w1, w2)  # dC_in, as comoving_covariance_perturbation
-    t = _force_kernel(model, w1, w2) @ pert
-    return (1j * w1) * (1j * w2) * (t[..., 0, 0] + t[..., 1, 1])
+    w = frequency_pair(omega, omega2)
+    pert = -_modulated(state.cfull, w)  # dC_in, as comoving_covariance_perturbation
+    t = _force_kernel(model, w) @ pert
+    return (1j * w[0]) * (1j * w[1]) * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def convolve(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ETA_COLS, ETA_ROWS, frequency_pair
 from .mirrors import Mirror
-from .pressure import force_kernel
+from .pressure import _force_kernel, force_kernel
 from .response import MonochromaticOscillation
 from .states import FieldState
 
@@ -38,12 +38,13 @@ def delta_cout(model: Mirror, state: FieldState, omega, omega2) -> np.ndarray:
     elementwise over frequency arrays (shape ``... + (2, 2)``); raises at
     zero frequency where the covariance is singular.
     """
-    w1, w2 = frequency_pair(omega, omega2)
-    s = model.smatrix(np.array([w1, w2, -w1, -w2]))
-    s_w, s_w2, s_neg_w, s_neg_w2 = s[0], s[1], s[2], s[3]
-    left = -1j * np.array([w2, w1])[..., None, None] * np.array([s_w * ETA_COLS - ETA_ROWS * s_neg_w2, s_w])
-    right = np.array([s_w2, ETA_ROWS * s_w2 - s_neg_w * ETA_COLS])
-    t = left @ state.cfull(np.array([-w2, w1])) @ right  # both terms, stacked
+    w = frequency_pair(omega, omega2)
+    both = np.concatenate([w, -w])  # w, w', -w, -w'
+    s = model.smatrix(both)
+    s_eta, eta_s = s * ETA_COLS, ETA_ROWS * s
+    left = -1j * w[::-1][..., None, None] * np.array([s_eta[0] - eta_s[3], s[0]])
+    right = np.array([s[1], eta_s[1] - s_eta[2]])
+    t = left @ state.cfull(both[3::-3]) @ right  # both terms, stacked, at -w' and w
     return t[0] + t[1]
 
 
@@ -52,12 +53,15 @@ def delta_cout_vacuum(model: Mirror, omega, omega2, hbar: float = 1.0) -> np.nda
 
     Independent of the general route; the two must agree over the vacuum.
     Exactly zero when the frequencies have opposite signs.  Elementwise over
-    frequency arrays, shape ``... + (2, 2)``.
+    frequency arrays, shape ``... + (2, 2)``; ``hbar`` is checked as a state's.
     """
-    sign_factor = np.heaviside(omega, 0.5) - np.heaviside(-omega2, 0.5)
-    prefactor = np.multiply(0.5j * hbar, sign_factor)
+    if not 0 < hbar < np.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    w = frequency_pair(omega, omega2)
+    signs = np.sign(w)  # theta(w) - theta(-w') = (sign(w) + sign(w')) / 2 exactly, theta(0) = 1/2
+    prefactor = np.multiply(0.25j * hbar, signs[0] + signs[1])
     # F[w', w] = F[w, w']^T bitwise: alpha is symmetric and beta flips sign exactly
-    return prefactor[..., None, None] * np.swapaxes(force_kernel(model, omega, omega2), -1, -2)
+    return prefactor[..., None, None] * _force_kernel(model, w).mT
 
 
 def secular_hamiltonian_kernel(model: Mirror, omega, omega2) -> np.ndarray:

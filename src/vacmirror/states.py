@@ -15,14 +15,15 @@ the vacuum,
 
     E_i(v) = v^2 cplus_ii(v) - hbar |v| / 4,
 
-even in v and finite where cplus alone diverges.  Every weight the force
-kernels need follows from it with the w^2 prefactors absorbed: the noise
-weight W_i(v) = v^2 c_ii(v) = (hbar/2) max(v, 0) + E_i(v)
-(:meth:`FieldState.noise_weight`), and v^2 tr cplus(v) = hbar|v|/2 + E_phi +
-E_psi in the susceptibility kernel.  The vacuum parts are written out exactly,
-so integrands built from them are regular at zero frequency, vacuum terms
-cancel identically instead of to rounding, and only the excess reaches past
-the vacuum's bounded support.
+even in v and finite where cplus alone diverges.  It implements
+:meth:`FieldState.excess` and :meth:`FieldState.decay_scale`; cplus, cfull
+and every weight the force kernels need follow from the excess, the weights
+with the w^2 prefactors absorbed: the noise weight W_i(v) = v^2 c_ii(v) =
+(hbar/2) max(v, 0) + E_i(v) (:meth:`FieldState.noise_weight`), and
+v^2 tr cplus(v) = hbar|v|/2 + E_phi + E_psi in the susceptibility kernel.
+The vacuum parts are written out exactly, so integrands built from them
+are regular at zero frequency, vacuum terms cancel identically instead of to
+rounding, and only the excess reaches past the vacuum's bounded support.
 
 A thermal component with occupancy nbar = 1/(e^y - 1), y = hbar|v|/T, has
 E(v) = (hbar|v|/2) nbar = (T/2) y/(e^y - 1), with E(0) = T/2 (the classical
@@ -42,10 +43,10 @@ from .core import EYE2, SingularFrequencyError
 
 
 def _diag2(a, b=None) -> np.ndarray:
-    """Matrices diag(a, b) of shape ``np.shape(a) + (2, 2)``; b defaults to a."""
-    if b is None:
-        return np.asarray(a)[..., None, None] * EYE2
-    return np.stack([a, b], axis=-1)[..., None] * EYE2
+    """Matrices diag(a, b) of shape ``np.shape(a) + (2, 2)``, exactly 0 off the diagonal; b defaults to a."""
+    out = np.zeros(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 1, 1] = a, a if b is None else b
+    return out
 
 
 def _nonzero(omega, what: str) -> np.ndarray:
@@ -59,14 +60,12 @@ def _nonzero(omega, what: str) -> np.ndarray:
 class FieldState:
     """Base class for stationary states of the input field.
 
-    Subclasses provide :meth:`cplus`, from which the commutator part and the
-    full covariance derive; covariances take a frequency or an array of them
-    and have shape ``np.shape(omega) + (2, 2)``.  ``hbar`` is the reduced
-    Planck constant in the caller's units (the field propagates at speed 1).
+    Covariances take a frequency or an array of them and have shape
+    ``np.shape(omega) + (2, 2)``; a diagonal state derives its :meth:`cplus`
+    and :meth:`cfull` from :meth:`excess`.  ``hbar`` is the reduced Planck
+    constant in the caller's units (the field propagates at speed 1).
     ``diagonal`` declares that cplus(w) is diagonal in the doublet basis at
-    every frequency, enabling the cancellation-free kernel forms; a diagonal
-    state also provides :meth:`excess` and, where the excess decays
-    thermally, :meth:`decay_scale`.
+    every frequency, enabling the cancellation-free kernel forms.
     """
 
     hbar: float
@@ -76,17 +75,28 @@ class FieldState:
         if not 0 < self.hbar < np.inf:
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
+    def _covariance(self, omega, what: str, full: bool) -> np.ndarray:
+        """diag(c_phi, c_psi) in one pass, exactly 0 off the diagonal even where an entry is inf."""
+        nu = _nonzero(omega, what)
+        vacuum = self.hbar / (4.0 * np.abs(nu))
+        # c_i = hbar/(4|v|) + E_i/v/v, divided twice so that v^2 cannot overflow or underflow
+        c = [vacuum] if isinstance(self, VacuumState) else [vacuum + e / nu / nu for e in self.excess(nu)]
+        if full:
+            commutator = np.copysign(vacuum, nu)  # hbar/(4v), bitwise
+            c = [ci + commutator for ci in c]
+        return _diag2(*c)
+
     def cplus(self, omega) -> np.ndarray:
-        raise NotImplementedError
+        """Anticommutator spectrum diag(c_phi, c_psi), c_i(v) = hbar/(4|v|) + E_i(v)/v^2."""
+        return self._covariance(omega, "cplus", False)
 
     def cminus(self, omega) -> np.ndarray:
         """Universal commutator spectrum I*hbar/(4 w), state independent."""
         return _diag2(self.hbar / (4.0 * _nonzero(omega, "cminus")))
 
     def cfull(self, omega) -> np.ndarray:
-        """Full covariance c = cplus + cminus: cplus with hbar/(4 w) added on the diagonal."""
-        nu = _nonzero(omega, "cfull")
-        return self.cplus(nu) + _diag2(self.hbar / (4.0 * nu))
+        """Full covariance c = cplus + cminus: hbar/(4 w) added to the diagonal of cplus."""
+        return self._covariance(omega, "cfull", True)
 
     def excess(self, nu):
         """(E_phi(v), E_psi(v)), E_i = v^2 cplus_ii(v) - hbar|v|/4: finite, even in v.
@@ -122,10 +132,6 @@ class VacuumState(FieldState):
 
     hbar: float = 1.0
 
-    def cplus(self, omega) -> np.ndarray:
-        nu = _nonzero(omega, "vacuum cplus")
-        return _diag2(self.hbar / (4.0 * np.abs(nu)))
-
     def excess(self, nu):
         return 0.0, 0.0
 
@@ -152,12 +158,6 @@ class _Thermal(FieldState):
         for temperature in self.temperatures:
             if not 0 < temperature < np.inf:
                 raise ValueError(f"temperature must be positive and finite, got {temperature}")
-
-    def cplus(self, omega) -> np.ndarray:
-        nu = _nonzero(omega, "thermal cplus")
-        vacuum = self.hbar / (4.0 * np.abs(nu))
-        # E / v^2, divided twice so that v^2 cannot overflow or underflow
-        return _diag2(*[vacuum + _excess(nu, t, self.hbar) / nu / nu for t in self.temperatures])
 
     def excess(self, nu):
         e = [_excess(nu, t, self.hbar) for t in self.temperatures]
@@ -247,12 +247,12 @@ class CustomState(FieldState):
             if bad.any():
                 raise ValueError(message.format(probes[np.argmax(bad)]))
 
-    def cplus(self, omega) -> np.ndarray:
-        nu = np.asarray(omega, dtype=float)
+    def _covariance(self, omega, what: str, full: bool) -> np.ndarray:
+        nu = _nonzero(omega, what) if full else np.asarray(omega, dtype=float)  # the rule may hold at 0
         c = np.asarray(self._rule(nu), dtype=complex)
         if c.shape != nu.shape + (2, 2):
             raise ValueError(f"cplus rule must return 2x2 matrices, shape {nu.shape + (2, 2)}; got {c.shape}")
-        return c
+        return c + _diag2(self.hbar / (4.0 * nu)) if full else c
 
     def excess(self, nu):
         nu = np.asarray(nu, dtype=float)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vacmirror.cli
+import vacmirror.core
 import vacmirror.fluctuations
 import vacmirror.response
 from vacmirror import (
@@ -300,6 +301,17 @@ def test_every_command_checks_its_grid(tmp_path, capsys, command):
         assert main(argv + ["--out", str(out)]) == 2
         assert "error: grid must be MIN:MAX:COUNT, got 'abc'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_every_command_builds_one_grid(monkeypatch, capsys, command):
+    built = []
+    post_init = vacmirror.core.FrequencyGrid.__post_init__
+    monkeypatch.setattr(vacmirror.core.FrequencyGrid, "__post_init__", lambda g: built.append(g) or post_init(g))
+    extra = {"causality": ["--inject", "cubic", "--grid=-2:2:129"]}.get(command, [])
+    assert main([command, "--grid=-2:2:5"] + extra) in (0, 1)
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 def test_every_grid_flag_is_joined_and_the_last_wins(capsys):

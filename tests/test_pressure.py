@@ -135,6 +135,42 @@ def test_s_and_r_only_model_evaluates_each_once_on_both_arguments():
     assert np.array_equal(b, (r[1] - r[0]) + (sigma[0] * r[1] - r[0] * sigma[1]))
 
 
+class _TwoArrays(Mirror):
+    """A single pole whose (s - 1, r) are two arrays, so the kernels take the general formula."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def amplitudes(self, omega):
+        sigma, r = self.inner.amplitudes(omega)
+        return r.copy(), r
+
+
+def test_single_pole_skips_only_exact_zeros():
+    rng = np.random.default_rng(11)
+    omega_c = 10.0 ** rng.uniform(-2.0, 2.0, 200)
+    # |w| / Omega from 1e-3 to 1e4, either sign
+    w1, w2 = omega_c * rng.choice([-1.0, 1.0], (2, 200)) * 10.0 ** rng.uniform(-3.0, 4.0, (2, 200))
+    models = [SinglePoleMirror(oc) for oc in omega_c]
+    sigma, r = models[0].amplitudes(np.array([w1[0], w2[0]]))
+    assert sigma is r  # s - 1 = r exactly: the shortcut is taken
+    for k, model in enumerate(models):
+        for got, ref in zip(alpha_beta(model, w1[k], w2[k]), alpha_beta(_TwoArrays(model), w1[k], w2[k])):
+            assert got.tobytes() == ref.tobytes(), (omega_c[k], w1[k], w2[k])
+    model = SinglePoleMirror(1.7)
+    for got, ref in zip(alpha_beta(model, w1, w2), alpha_beta(_TwoArrays(model), w1, w2)):
+        assert got.tobytes() == ref.tobytes()
+    assert force_kernel(model, w1, w2).tobytes() == force_kernel(_TwoArrays(model), w1, w2).tobytes()
+    # a table's two amplitudes are distinct arrays: the general formula
+    table = _non_unitary_table()
+    w1, w2 = rng.uniform(-50.0, 50.0, (2, 100))
+    sigma, r = table.amplitudes(np.array([w1, w2]))
+    assert sigma is not r
+    a, b = alpha_beta(table, w1, w2)
+    assert np.array_equal(a, r[0] * r[1] - sigma[0] * sigma[1] - (sigma[0] + sigma[1]))
+    assert np.array_equal(b, (r[1] - r[0]) + (sigma[0] * r[1] - r[0] * sigma[1]))
+
+
 @pytest.mark.parametrize("decade", range(-2, 6))
 def test_alpha_beta_single_pole_match_40_digits(decade):
     # far out, 1 - s s' + r r' cancels to ~2 Omega^2 / w'^2; the (s - 1, r)

@@ -44,6 +44,15 @@ def test_opposite_signs_give_exact_zero():
     assert np.max(np.abs(delta_cout(m, vac, -0.5, 3.0))) <= 1e-15
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+def test_vacuum_closed_form_rejects_a_bad_hbar(hbar):
+    # as every state does where it is built
+    with pytest.raises(ValueError, match=r"^hbar must be positive and finite, got"):
+        delta_cout_vacuum(SinglePoleMirror(1.0), 1.0, 2.0, hbar=hbar)
+    with pytest.raises(ValueError, match=r"^hbar must be positive and finite, got"):
+        VacuumState(hbar)
+
+
 def test_delta_cout_singular_at_zero():
     m = SinglePoleMirror(1.0)
     with pytest.raises(SingularFrequencyError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import vacmirror.states
 from vacmirror import (
     CustomState,
     SingularFrequencyError,
@@ -249,3 +250,60 @@ def test_vacuum_scales_with_hbar():
     assert np.allclose(vac.cplus(1.0), 0.5 * np.eye(2))
     assert vac.excess(3.0) == (0.0, 0.0)
     assert np.array_equal(vac.noise_weight([-3.0, 3.0]), [[0.0, 3.0], [0.0, 3.0]])
+
+
+BUILT_IN = {
+    "vacuum": VacuumState(0.7),
+    "thermal": ThermalState(1.3, 0.7),
+    "two-temperature": TwoTemperatureState(2.0, 0.5, 0.7),
+}
+
+
+@pytest.mark.parametrize(
+    "state, method, nu",
+    [
+        (ThermalState(1.0), "cplus", 1e-200),
+        (VacuumState(), "cplus", 1e-320),
+        (TwoTemperatureState(2.0, 0.5), "cfull", 1e-200),
+    ]
+    + [(state, "cminus", 1e-320) for state in BUILT_IN.values()],
+    ids=["thermal-cplus", "vacuum-cplus", "two-temperature-cfull"] + [f"{k}-cminus" for k in BUILT_IN],
+)
+def test_overflowing_diagonal_keeps_exact_zeros_off_it(state, method, nu):
+    # the diagonal overflows to inf, numpy's overflow is expected; an
+    # inf * 0 off the diagonal would raise here as an invalid value
+    with np.errstate(over="ignore"):
+        c = getattr(state, method)(np.array([nu, 2.0]))[0]
+    assert c[0, 0] == c[1, 1] == np.inf
+    assert c[0, 1] == c[1, 0] == 0.0 and not np.signbit(c[0, 1]) and not np.signbit(c[1, 0])
+
+
+@pytest.mark.parametrize("state", BUILT_IN.values(), ids=BUILT_IN)
+def test_one_pass_diagonal_is_the_excess_formula_bitwise(state):
+    rng = np.random.default_rng(3)
+    nu = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-4.0, 4.0, 400)
+    phi, psi = state.excess(nu)
+    hbar = state.hbar
+    for e, k in ((phi, 0), (psi, 1)):
+        ref = hbar / (4.0 * np.abs(nu)) + e / nu / nu
+        assert state.cplus(nu)[:, k, k].tobytes() == ref.tobytes()
+        assert state.cfull(nu)[:, k, k].tobytes() == (ref + hbar / (4.0 * nu)).tobytes()
+    for method in (state.cplus, state.cfull):
+        c = method(nu)
+        assert c[:, 0, 1].tobytes() == c[:, 1, 0].tobytes() == np.zeros(nu.size).tobytes()
+
+
+@pytest.mark.parametrize("method", ["cplus", "cfull"])
+@pytest.mark.parametrize("state", BUILT_IN.values(), ids=BUILT_IN)
+def test_covariance_checks_and_weighs_its_frequencies_once(monkeypatch, state, method):
+    checks, weighs = [], []
+    nonzero, excess = vacmirror.states._nonzero, type(state).excess
+    monkeypatch.setattr(vacmirror.states, "_nonzero", lambda omega, what: checks.append(what) or nonzero(omega, what))
+    monkeypatch.setattr(type(state), "excess", lambda self, nu: weighs.append(nu) or excess(self, nu))
+    for omega in (0.7, np.array([1.5, -0.4, 2.0])):
+        checks.clear()
+        weighs.clear()
+        getattr(state, method)(omega)
+        assert checks == [method]
+        # the vacuum has no excess to read
+        assert len(weighs) == (0 if isinstance(state, VacuumState) else 1)
