@@ -31,6 +31,8 @@ from .numerics import hilbert_transform, inverse_fourier_to_time
 
 # fraction of each band edge smoothed to zero by a cosine ramp
 _TAPER_FRAC = 0.15
+# pass threshold of the dispersion residual
+_KK_TOL = 0.01
 # fraction of each band edge used to fit the real plateau mu + c/|w|
 _FIT_FRAC = 0.10
 # half-width of the excluded window around t = 0, in units of pi/w_max:
@@ -71,8 +73,8 @@ class CausalityReport:
     negative_energy: float
     total_energy: float
 
-    def passes(self, neg_tol: float = 1e-3, kk_tol: float = 0.01) -> bool:
-        return self.negative_time_fraction < neg_tol and self.kk_residual < kk_tol
+    def passes(self, neg_tol: float = 1e-3) -> bool:
+        return self.negative_time_fraction < neg_tol and self.kk_residual < _KK_TOL
 
 
 def _over_w(om: np.ndarray, mid: int, values: np.ndarray, power: int) -> np.ndarray:
@@ -82,9 +84,9 @@ def _over_w(om: np.ndarray, mid: int, values: np.ndarray, power: int) -> np.ndar
     return out
 
 
-def _cosine_taper(n: int, frac: float) -> np.ndarray:
+def _cosine_taper(n: int) -> np.ndarray:
     window = np.ones(n)
-    k = int(round(frac * n))
+    k = int(round(_TAPER_FRAC * n))
     if k > 1:
         ramp = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, k)))
         window[:k] = ramp
@@ -92,10 +94,10 @@ def _cosine_taper(n: int, frac: float) -> np.ndarray:
     return window
 
 
-def _subtract_plateau(om: np.ndarray, values: np.ndarray, frac: float) -> tuple[np.ndarray, float]:
+def _subtract_plateau(om: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Fit Re values ~ mu + c/|w| on the band edges and remove mu."""
     n = om.size
-    k = max(3, int(round(frac * n)))
+    k = max(3, int(round(_FIT_FRAC * n)))
     sel = np.concatenate([np.arange(k), np.arange(n - k, n)])
     x = np.abs(om[sel])
     basis = np.column_stack([np.ones_like(x), 1.0 / x])
@@ -151,8 +153,8 @@ def causality_report(spectrum: Spectrum, mode: str = "auto") -> CausalityReport:
     else:
         a = values.astype(complex)
 
-    a, plateau = _subtract_plateau(om, a, _FIT_FRAC)
-    a = a * _cosine_taper(n, _TAPER_FRAC)
+    a, plateau = _subtract_plateau(om, a)
+    a = a * _cosine_taper(n)
 
     # energy fraction at negative times, t on [-pi/5dw, pi/5dw] sign-symmetric
     dw = spectrum.grid.spacing

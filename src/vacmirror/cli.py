@@ -275,7 +275,7 @@ def cmd_causality(cfg: RunConfig, grid: FrequencyGrid) -> int:
         # default tight quadrature so the metrics see clean samples
         spectrum = susceptibility_grid(model, state, grid, QuadratureConfig())
     report = causality_report(spectrum)
-    passed = report.passes(neg_tol=cfg.tol, kk_tol=0.01)
+    passed = report.passes(neg_tol=cfg.tol)
     _write_report(cfg, {**asdict(report), "passed": passed})
     return 0 if passed else 1
 
@@ -336,10 +336,10 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
 
 
 # parse_args leaves the parser as it found it (no append actions, mutable
-# defaults or set_defaults), so one parser per command list serves every call
+# defaults or set_defaults), so one parser serves every command and every call
 # in a process; help is still wrapped to the terminal width at print time
 @functools.cache
-def _build_parser(names: tuple[str, ...] = tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vacmirror",
         description="Radiation-pressure spectra of a scattering mirror.",
@@ -354,12 +354,8 @@ def _build_parser(names: tuple[str, ...] = tuple(_SUBCOMMANDS)) -> argparse.Argu
         )
 
     own = {key for sub in _SUBCOMMANDS.values() for key in sub.options}
-    # usage lists every command; the full parser keeps argparse's own
-    # metavar, which also names the argument in the unknown-command error
-    listed = None if len(names) == len(_SUBCOMMANDS) else "{" + ",".join(_SUBCOMMANDS) + "}"
-    commands = parser.add_subparsers(dest="command", metavar=listed)
-    for name in names:
-        sub = _SUBCOMMANDS[name]
+    commands = parser.add_subparsers(dest="command")
+    for name, sub in _SUBCOMMANDS.items():
         command = commands.add_parser(name, help=sub.help)
         for key in _OPTIONS:
             if key not in own and key not in sub.without:
@@ -378,9 +374,7 @@ def main(argv: list[str] | None = None) -> int:
             tokens[-1] = "--grid=" + token
         else:
             tokens.append(token)
-    # a known command needs only its own subparser, which is cheaper to build
-    known = bool(tokens) and tokens[0] in _SUBCOMMANDS
-    parser = _build_parser(tuple(tokens[:1]) if known else tuple(_SUBCOMMANDS))
+    parser = _build_parser()
     args = parser.parse_args(tokens)
     if args.command is None:
         parser.print_help(sys.stderr)

@@ -111,8 +111,8 @@ class FrequencyGrid:
 
         n must be odd so that w = 0 is a sample point.
         """
-        if w_max <= 0:
-            raise ValueError("w_max must be positive")
+        if not 0 < w_max < math.inf:
+            raise ValueError(f"w_max must be positive and finite, got {w_max}")
         if n < 3 or n % 2 == 0:
             raise ValueError("symmetric grid needs an odd point count >= 3")
         half = np.linspace(0.0, w_max, (n + 1) // 2)
@@ -122,6 +122,9 @@ class FrequencyGrid:
     @classmethod
     def linear(cls, w_min: float, w_max: float, n: int) -> "FrequencyGrid":
         """Grid of n points on [w_min, w_max]; symmetric spans get exact signs."""
+        for name, bound in (("w_min", w_min), ("w_max", w_max)):
+            if not math.isfinite(bound):
+                raise ValueError(f"{name} must be finite, got {bound}")
         if n < 2:
             raise ValueError("grid needs at least two frequencies")
         if w_min == -w_max and w_max > 0 and n % 2 == 1:

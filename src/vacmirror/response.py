@@ -319,8 +319,10 @@ class MonochromaticOscillation:
     frequency: float
 
     def __post_init__(self) -> None:
-        if not self.frequency > 0:
-            raise ValueError("oscillation frequency must be positive")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(f"oscillation amplitude must be finite, got {self.amplitude}")
+        if not 0 < self.frequency < np.inf:
+            raise ValueError(f"oscillation frequency must be positive and finite, got {self.frequency}")
 
     def line_weights(self) -> tuple[tuple[float, float], ...]:
         half = self.amplitude / 2.0

@@ -17,9 +17,13 @@ the vacuum,
 
 even in v and finite where cplus alone diverges.  It implements
 :meth:`FieldState.excess` and :meth:`FieldState.decay_scale`; cplus, cfull
-and every weight the force kernels need follow from the excess, the weights
-with the w^2 prefactors absorbed: the noise weight W_i(v) = v^2 c_ii(v) =
-(hbar/2) max(v, 0) + E_i(v) (:meth:`FieldState.noise_weight`), and
+and every weight the force kernels need follow from the excess.  The full
+covariance is one-sided in its vacuum part,
+
+    cfull_ii(v) = hbar theta(v) / (2|v|) + E_i(v) / v^2 = W_i(v) / v^2,
+
+and the weights absorb the w^2 prefactors: the noise weight
+W_i(v) = (hbar/2) max(v, 0) + E_i(v) (:meth:`FieldState.noise_weight`), and
 v^2 tr cplus(v) = hbar|v|/2 + E_phi + E_psi in the susceptibility kernel.
 The vacuum parts are written out exactly, so integrands built from them
 are regular at zero frequency, vacuum terms cancel identically instead of to
@@ -76,14 +80,16 @@ class FieldState:
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
     def _covariance(self, omega, what: str, full: bool) -> np.ndarray:
-        """diag(c_phi, c_psi) in one pass, exactly 0 off the diagonal even where an entry is inf."""
+        """diag(c_phi, c_psi) in one pass, exactly 0 off the diagonal even where an entry is inf.
+
+        cplus_ii = hbar/(4|v|) + E_i/v^2 and cfull_ii = hbar theta(v)/(2|v|) + E_i/v^2
+        = W_i/v^2: cfull's vacuum part is written one-sided, exactly 0 below
+        zero, so no inf meets another of opposite sign.
+        """
         nu = _nonzero(omega, what)
-        vacuum = self.hbar / (4.0 * np.abs(nu))
-        # c_i = hbar/(4|v|) + E_i/v/v, divided twice so that v^2 cannot overflow or underflow
+        vacuum = np.maximum(self.hbar / (2.0 * nu), 0.0) if full else self.hbar / (4.0 * np.abs(nu))
+        # c_i = vacuum + E_i/v/v, divided twice so that v^2 cannot overflow or underflow
         c = [vacuum] if isinstance(self, VacuumState) else [vacuum + e / nu / nu for e in self.excess(nu)]
-        if full:
-            commutator = np.copysign(vacuum, nu)  # hbar/(4v), bitwise
-            c = [ci + commutator for ci in c]
         return _diag2(*c)
 
     def cplus(self, omega) -> np.ndarray:
@@ -95,7 +101,7 @@ class FieldState:
         return _diag2(self.hbar / (4.0 * _nonzero(omega, "cminus")))
 
     def cfull(self, omega) -> np.ndarray:
-        """Full covariance c = cplus + cminus: hbar/(4 w) added to the diagonal of cplus."""
+        """Full covariance c = cplus + cminus: c_i(v) = hbar theta(v)/(2|v|) + E_i(v)/v^2 on the diagonal."""
         return self._covariance(omega, "cfull", True)
 
     def excess(self, nu):

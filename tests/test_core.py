@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,16 @@ def test_linear_grid_dispatches_to_symmetric():
     assert np.allclose(plain.omega, [0.0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError, match="at least two frequencies"):
         FrequencyGrid.linear(0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_grids_name_a_non_finite_bound(bound):
+    with pytest.raises(ValueError, match=f"w_min must be finite, got {bound}"):
+        FrequencyGrid.linear(bound, 1.0, 5)
+    with pytest.raises(ValueError, match=f"w_max must be finite, got {bound}"):
+        FrequencyGrid.linear(-1.0, bound, 5)
+    with pytest.raises(ValueError, match=f"w_max must be positive and finite, got {bound}"):
+        FrequencyGrid.symmetric(bound, 5)
 
 
 def test_grid_rejects_nonuniform_or_unsorted():

@@ -178,6 +178,11 @@ def test_delta_smatrix_values():
 def test_oscillation_validation():
     with pytest.raises(ValueError):
         MonochromaticOscillation(amplitude=1.0, frequency=0.0)
+    with pytest.raises(ValueError, match="amplitude must be finite, got nan"):
+        MonochromaticOscillation(float("nan"), 2.0)
+    for frequency in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match=f"frequency must be positive and finite, got {frequency}"):
+            MonochromaticOscillation(1.0, frequency)
     osc = MonochromaticOscillation(amplitude=3.0, frequency=2.0)
     assert osc.line_weights() == ((-2.0, 1.5), (2.0, 1.5))
 

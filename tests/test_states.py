@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +63,25 @@ def test_thermal_detailed_balance():
         lhs = th.cfull(-w)
         rhs = np.exp(-w / T) * th.cfull(w)
         assert np.allclose(lhs, rhs, atol=1e-15)
+    # relative, out to hbar w/T = 700 where the occupancy is ~1e-304; with
+    # hbar/T = 4 a power of two, hbar w/T is exact and only cfull's own
+    # rounding shows
+    th = ThermalState(0.5, 2.0)
+    w = np.linspace(0.25, 175.0, 700)
+    lhs = np.diagonal(th.cfull(-w), axis1=-2, axis2=-1)
+    rhs = np.exp(-4.0 * w)[:, None] * np.diagonal(th.cfull(w), axis1=-2, axis2=-1)
+    assert np.all(lhs > 0.0)
+    assert np.allclose(lhs, rhs, rtol=1e-14, atol=0.0)
+    # each component of cfull(-w) = hbar nbar(w) / (2w) against the Bose form
+    for state, temps in ((th, (0.5, 0.5)), (TwoTemperatureState(2.0, 0.5), (2.0, 0.5))):
+        y = np.concatenate([10.0 ** np.linspace(-8.0, 2.0, 41), np.linspace(100.0, 700.0, 25)])
+        w = y * min(temps) / state.hbar  # hbar w/T of the colder component in [1e-8, 700]
+        c = state.cfull(-w)
+        for k, t in enumerate(temps):
+            for wj, cj in zip(w.tolist(), c[:, k, k].tolist()):
+                with mpmath.workdps(30):
+                    ref = oracles.bose_weights_mp(-wj, t, state.hbar)[1] / mpmath.mpf(wj) ** 2
+                    assert abs(cj - ref) <= 1e-14 * ref, (k, wj, cj, ref)
 
 
 def test_thermal_weights_continuous_at_zero():
@@ -287,10 +307,29 @@ def test_one_pass_diagonal_is_the_excess_formula_bitwise(state):
     for e, k in ((phi, 0), (psi, 1)):
         ref = hbar / (4.0 * np.abs(nu)) + e / nu / nu
         assert state.cplus(nu)[:, k, k].tobytes() == ref.tobytes()
-        assert state.cfull(nu)[:, k, k].tobytes() == (ref + hbar / (4.0 * nu)).tobytes()
+        # the vacuum part of cfull is one-sided: hbar/(2v) above zero, exactly 0 below
+        ref = np.maximum(hbar / (2.0 * nu), 0.0) + e / nu / nu
+        assert state.cfull(nu)[:, k, k].tobytes() == ref.tobytes()
     for method in (state.cplus, state.cfull):
         c = method(nu)
         assert c[:, 0, 1].tobytes() == c[:, 1, 0].tobytes() == np.zeros(nu.size).tobytes()
+
+
+@pytest.mark.parametrize("nu", [1e-320, -1e-320, 1e-310, -1e-310])
+@pytest.mark.parametrize("state", BUILT_IN.values(), ids=BUILT_IN)
+def test_cfull_has_no_nan_at_the_smallest_frequencies(state, nu):
+    # hbar/(2v) or E/v^2 overflows to inf, numpy's overflow is expected; no
+    # inf may meet another of opposite sign
+    with np.errstate(over="ignore"):
+        c = state.cfull(np.array([nu, 2.0]))[0]
+    if isinstance(state, VacuumState) and nu < 0:
+        # the vacuum has no excitation to give below zero
+        assert c[0, 0] == c[1, 1] == 0.0 and not np.signbit(c[0, 0]) and not np.signbit(c[1, 1])
+    else:
+        # hbar/(2v) above zero, and the thermal excess E -> T/2 over v^2 at
+        # either sign, overflow
+        assert c[0, 0] == c[1, 1] == np.inf
+    assert c[0, 1] == c[1, 0] == 0.0 and not np.signbit(c[0, 1]) and not np.signbit(c[1, 0])
 
 
 @pytest.mark.parametrize("method", ["cplus", "cfull"])
