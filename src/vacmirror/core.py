@@ -125,6 +125,8 @@ class FrequencyGrid:
         for name, bound in (("w_min", w_min), ("w_max", w_max)):
             if not math.isfinite(bound):
                 raise ValueError(f"{name} must be finite, got {bound}")
+        if not math.isfinite(w_max - w_min):
+            raise ValueError(f"grid span [{w_min}, {w_max}] is too wide: w_max - w_min overflows")
         if n < 2:
             raise ValueError("grid needs at least two frequencies")
         if w_min == -w_max and w_max > 0 and n % 2 == 1:

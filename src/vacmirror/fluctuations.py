@@ -26,8 +26,8 @@ and its convolution xi(w) ties noise to dissipation:
 
 :func:`fdt_check` evaluates the three routes on a grid and reports their
 maximum disagreement.  The first two integrate the same noise kernel, so
-they agree to rounding whether or not the relation holds; only Im chi can
-disagree with them.
+they agree, within their errors, whether or not the relation holds; only
+Im chi can disagree with them.
 
 The mean force, an integral of an even integrand, is the convolution at w = 0.
 """
@@ -180,10 +180,10 @@ def noise_spectrum_grid(
 class FdtReport:
     """Three-route commutator spectra on a grid and their disagreement.
 
-    Routes (a) and (b) integrate the same noise kernel at the same nodes, (a)
-    antisymmetrized before the integral and (b) after, so they agree to
-    rounding whether or not the relation holds; the substantive check is
-    route (c), from the susceptibility kernel, against either of them.
+    Routes (a) and (b) integrate the same noise kernel, (a) antisymmetrized
+    before the integral and (b) after, so they agree whether or not the
+    relation holds, within their errors (to rounding where measured); the
+    substantive check is route (c), from the susceptibility kernel.
 
     Attributes
     ----------

@@ -7,9 +7,9 @@ Three operations used throughout the package:
   (QUADPACK's rule and error estimate, Piessens et al. 1983), starting from
   the halves of every piece; each refinement round evaluates all nodes of
   the intervals it splits in a few vector calls.  Each sample keeps the
-  error contract of a scalar adaptive rule: its own estimate satisfies its
-  own tolerance, and the call reports that estimate and the node count, or
-  a :class:`NonConvergenceError` naming the worst frequency is raised.
+  error contract of a scalar adaptive rule: it stops once its own estimate
+  satisfies its own tolerance, and the call reports that estimate and its
+  node count, or a :class:`NonConvergenceError` naming the worst frequency.
 * :func:`hilbert_transform` computes the windowed principal-value transform
   (1/pi) P int f(w') / (w' - w) dw' of real samples on a uniform grid,
   excising a symmetric neighborhood of the singularity and restoring it
@@ -128,26 +128,26 @@ _CHUNK_ELEMENTS = 1 << 13
 _MAX_SPLITS = 128
 
 
-def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K21 integrals of ``f`` over [a_i, b_i] and their QUADPACK error estimates.
 
-    ``f(t, cols)`` maps a vector of nodes to the values of the samples in
-    the slice ``cols`` of range(m), one row per node.  Each call stays within
-    the element budget, and its values are reduced before the next call.
-    Returns two arrays of shape (intervals, m).
+    ``f(t, cols)`` maps a vector of nodes to the values of the samples
+    ``cols``, a block of the sorted indices ``active``, one row per node.
+    Each call stays within the element budget, and its values are reduced
+    before the next.  Returns two arrays of shape (intervals, active.size).
     """
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = np.empty((a.size, m), dtype=complex)
-    errors = np.empty((a.size, m))
-    width = min(m, max(1, _CHUNK_ELEMENTS // _NODES.size))
+    values = np.empty((a.size, active.size), dtype=complex)
+    errors = np.empty((a.size, active.size))
+    width = min(active.size, max(1, _CHUNK_ELEMENTS // _NODES.size))
     step = max(1, _CHUNK_ELEMENTS // (_NODES.size * width))
     for lo in range(0, a.size, step):
         part = slice(lo, lo + step)
         h = half[part, None]
         t = (centre[part, None] + h * _NODES).ravel()
-        for first in range(0, m, width):
-            cols = slice(first, first + width)
-            fv = np.ascontiguousarray(f(t, cols)).reshape(h.size, _NODES.size, -1)
+        for first in range(0, active.size, width):
+            block = slice(first, first + width)
+            fv = np.ascontiguousarray(f(t, active[block])).reshape(h.size, _NODES.size, -1)
             # one real vector-matrix product per rule, over (re, im) pairs (a gemm adds ~0.2 MB of BLAS buffers)
             kind = complex if np.iscomplexobj(fv) else float
             kronrod, gauss = ((rule @ fv.astype(kind, copy=False).view(float)).view(kind) for rule in _RULES)
@@ -160,13 +160,15 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray,
             ratio = 200.0 * err / np.where(spread > 0, spread, 1.0)
             err = np.where((spread > 0) & (err > 0), spread * np.minimum(1.0, ratio**1.5), err)
             rounding = _ROUNDING * h * absolute
-            errors[part, cols] = np.where(rounding > _TINY, np.maximum(err, rounding), err)
-            values[part, cols] = h * kronrod
+            errors[part, block] = np.where(rounding > _TINY, np.maximum(err, rounding), err)
+            values[part, block] = h * kronrod
     return values, errors
 
 
+# an overflow or invalid value gives a non-finite estimate, reported below with its sample
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_batch(
-    f: Callable[[np.ndarray, slice], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     pieces: int,
     scale: np.ndarray,
     omegas: np.ndarray,
@@ -175,30 +177,30 @@ def integrate_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One adaptive Gauss-Kronrod quadrature over t in [0, pieces] of a vector integrand.
 
-    ``f(t, cols)`` takes a vector of nodes t and a slice ``cols`` of the
-    samples and returns the values of those samples at those nodes, one row
-    per node; sample k belongs to frequency ``omegas[k]``.  The integrand
-    may kink at every integer t: a caller maps one piece of its support
-    onto each unit piece [k, k + 1].  All samples share one subdivision,
-    which starts from the halves of every unit piece, and every interval
-    carries a G10-K21 value and a QUADPACK error estimate per sample.
-    Sample k has the target ``max(floor_k, rel_tol * |v_k|)``, with
+    ``f(t, cols)`` takes a vector of nodes t and the sorted indices
+    ``cols`` of some samples and returns their values at those nodes, one
+    row per node; sample k belongs to frequency ``omegas[k]``.  The
+    integrand may kink at every integer t: a caller maps one piece of its
+    support onto each unit piece [k, k + 1].  All samples share one set of
+    intervals, which starts from the halves of every unit piece, and every
+    interval carries a G10-K21 value and a QUADPACK error estimate per
+    sample.  Sample k has the target ``max(floor_k, rel_tol * |v_k|)``, with
     ``floor_k = min(abs_tol, 1e-10 * scale_k)`` (``abs_tol`` alone where
-    ``scale_k = 0``) and v_k the running value.  Each refinement round
-    splits the intervals whose errors, in units of the targets and in the
-    max norm over samples, are largest: the worst one, and further ones
-    while the errors left over exceed 1/8, at most 128, as
-    ``scipy.integrate.quad_vec`` picks them.  All 21 nodes of all their
-    halves are evaluated in a few calls of ``f``.  The rule stops once the
-    scaled errors sum below 1/8, so each sample's own estimate is at most
-    1/8 of its target.
+    ``scale_k = 0``) and v_k the running value, and stops once its errors
+    sum below 1/8 of it: its value and error are then frozen.  Each
+    refinement round splits the intervals whose errors, in units of the
+    targets and in the max norm over the samples still active, are largest:
+    the worst one, and further ones while the errors left over exceed 1/8,
+    at most 128, as ``scipy.integrate.quad_vec`` picks them.  All 21 nodes
+    of all their halves are evaluated for the active samples in a few calls
+    of ``f``; a frozen sample keeps its value and error in one half and
+    exact zeros in the other.
 
     Returns
     -------
     values, abs_error, evaluations : numpy.ndarray
-        Complex integrals, each sample's QUADPACK error estimate and the
-        number of nodes at which ``f`` was evaluated (the same for every
-        sample).
+        Complex integrals, each sample's QUADPACK error estimate, at most
+        1/8 of its target, and its number of nodes evaluated.
 
     Raises
     ------
@@ -213,40 +215,39 @@ def integrate_batch(
     # no estimate of a whole piece is trusted on its own: start from its halves
     edges = np.arange(2 * pieces + 1) / 2.0
     a, b = edges[:-1], edges[1:].copy()  # b is cut in place
-    parts, errors = _gauss_kronrod(f, a, b, scale.size)
-    evaluations = a.size * _NODES.size
-    converged, reason = False, "maximum number of subdivisions reached"
+    active = np.arange(scale.size)
+    parts, errors = _gauss_kronrod(f, a, b, active)
+    evaluations = np.full(scale.size, a.size * _NODES.size)
+    values, abs_error = parts.sum(axis=0), errors.sum(axis=0)
+    reason = "maximum number of subdivisions reached"
     while True:
-        values = parts.sum(axis=0)
         target = np.maximum(floor, cfg.rel_tol * np.abs(values))
-        scaled = np.max(errors / target, axis=1)
-        total = scaled.sum()
-        if not np.isfinite(total):
+        own = abs_error / target
+        if not np.isfinite(own).all():
             reason = "non-finite values encountered"
             break
-        if total < 0.125 and a.size <= cfg.max_subdivisions:
-            converged = True
-            break
+        active = np.flatnonzero(own >= 0.125)
+        if not active.size and a.size <= cfg.max_subdivisions:
+            return values, abs_error, evaluations
         if a.size >= cfg.max_subdivisions:
             break
+        scaled = (errors[:, active] / target[active]).max(axis=1)
         order = np.argsort(-scaled, kind="stable")[:_MAX_SPLITS]
         before = np.cumsum(scaled[order]) - scaled[order]
-        keep = before <= total - 0.125
+        keep = before <= scaled.sum() - 0.125
         keep[0] = True
         split = order[keep]
+        n = split.size
         mid, right = 0.5 * (a[split] + b[split]), b[split]
-        halves, half_errors = _gauss_kronrod(
-            f, np.concatenate([a[split], mid]), np.concatenate([mid, right]), scale.size
-        )
-        evaluations += 2 * split.size * _NODES.size
+        halves, half_errors = _gauss_kronrod(f, np.concatenate([a[split], mid]), np.concatenate([mid, right]), active)
+        evaluations[active] += 2 * n * _NODES.size
         b[split] = mid
         a, b = np.concatenate([a, mid]), np.concatenate([b, right])
-        parts[split], errors[split] = halves[: split.size], half_errors[: split.size]
-        parts = np.concatenate([parts, halves[split.size:]])
-        errors = np.concatenate([errors, half_errors[split.size:]])
-    abs_error = errors.sum(axis=0)
-    if converged:
-        return values, abs_error, np.full(values.shape, evaluations)
+        # frozen samples keep their parent's value and error in the split row and exact zeros in the new one
+        parts[split[:, None], active], errors[split[:, None], active] = halves[:n], half_errors[:n]
+        parts, errors = (np.concatenate([x, np.zeros((n, scale.size), x.dtype)]) for x in (parts, errors))
+        parts[-n:, active], errors[-n:, active] = halves[n:], half_errors[n:]
+        values[active], abs_error[active] = parts[:, active].sum(axis=0), errors[:, active].sum(axis=0)
     k = int(np.argmax(abs_error / target))  # a NaN counts as the largest
     raise NonConvergenceError(
         f"{what} at omega={float(omegas[k])!r}: quadrature did not converge: {reason}",

@@ -288,9 +288,13 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
         (["noise", "--grid=-inf:inf:5"], None, "w_min must be finite, got -inf"),
         (["noise", "--grid=nan:1:5"], None, "w_min must be finite, got nan"),
         (["noise", "--grid=-1:inf:5"], None, "w_max must be finite, got inf"),
+        # finite bounds whose span overflows, sign-symmetric or not
+        (["noise", "--grid=-1e308:1.5e308:5"], None, "grid span [-1e+308, 1.5e+308] is too wide"),
+        (["noise", "--grid=-1e308:1e308:5"], None, "grid span [-1e+308, 1e+308] is too wide"),
     ],
     ids=["unreadable-config", "config-line-without-equals", "table-without-file",
-         "one-temperature", "non-integer-count", "infinite-span", "nan-bound", "infinite-max"],
+         "one-temperature", "non-integer-count", "infinite-span", "nan-bound", "infinite-max",
+         "overflowing-span", "overflowing-symmetric-span"],
 )
 def test_input_error_exits_name_the_bad_input(tmp_path, capsys, argv, config, message):
     paths = {"missing": tmp_path / "missing.cfg", "cfg": tmp_path / "run.cfg"}

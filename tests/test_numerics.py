@@ -87,15 +87,43 @@ def test_integrate_batch_keeps_each_sample_contract():
     sizes = []
 
     def f(t, cols):
-        sizes.append(t.size)
-        return np.exp(np.outer(t, c[cols]))
+        values = np.exp(np.outer(t, c[cols]))
+        sizes.append(values.shape)
+        return values
 
     values, abs_error, evaluations = integrate_batch(f, 2, np.ones(c.size), c.real, cfg, "test")
     exact = np.expm1(2.0 * c) / c
     assert np.all(np.abs(values - exact) <= abs_error)
     assert np.all(abs_error <= np.maximum(1e-12, 1e-10 * np.abs(exact)) / 8)
-    assert np.all(evaluations == sum(sizes)) and evaluations[0] % 21 == 0
-    assert min(sizes) >= 21
+    # every node-sample value computed is counted, once, for its sample
+    assert evaluations.sum() == sum(rows * cols for rows, cols in sizes)
+    assert np.all(evaluations % 21 == 0)
+    assert min(rows for rows, _ in sizes) >= 21
+
+
+@pytest.mark.parametrize("hard", [0, 1, 2])
+def test_integrate_batch_stops_each_sample_at_its_own_tolerance(hard):
+    # a constant beside exp(40 t): the constant is exact on the starting
+    # halves and is not evaluated again while the hard sample refines
+    c = np.zeros(3)
+    c[hard] = 40.0
+    calls = []
+
+    def f(t, cols):
+        calls.append((t.size, np.arange(c.size)[cols]))
+        return np.exp(np.outer(t, c[cols]))
+
+    cfg = QuadratureConfig()
+    values, abs_error, evaluations = integrate_batch(f, 2, np.ones(c.size), c, cfg, "test")
+    exact = np.full(c.size, 2.0)
+    exact[hard] = np.expm1(80.0) / 40.0
+    target = np.maximum(np.minimum(cfg.abs_tol, 1e-10), cfg.rel_tol * np.abs(values))
+    assert np.all(np.abs(values - exact) <= abs_error)
+    assert np.all(abs_error <= target / 8)
+    easy = c == 0
+    assert np.all(evaluations[easy] == 21 * 2 * 2) and evaluations[hard] > 21 * 2 * 2
+    assert evaluations.sum() == sum(rows * cols.size for rows, cols in calls)
+    assert all(list(cols) == [hard] for _, cols in calls[1:])
 
 
 def test_integrate_batch_starts_from_the_halves_of_every_piece():
