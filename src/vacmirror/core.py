@@ -76,6 +76,12 @@ def sign_closure(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([-positive[::-1], mags]), at.reshape(w.shape), mirror.reshape(w.shape)
 
 
+def _require_span(w_min: float, w_max: float) -> None:
+    """Raise ValueError if w_max - w_min overflows: a grid's spacing derives from its span."""
+    if math.isinf(w_max - w_min):
+        raise ValueError(f"grid span [{w_min}, {w_max}] is too wide: w_max - w_min overflows")
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform frequency grid.
@@ -98,6 +104,7 @@ class FrequencyGrid:
         om = np.asarray(self.omega, dtype=float)
         if om.ndim != 1 or om.size < 2:
             raise ValueError("grid needs at least two frequencies")
+        _require_span(float(om[0]), float(om[-1]))
         d = np.diff(om)
         if not np.all(d > 0):
             raise ValueError("grid frequencies must be strictly increasing")
@@ -125,8 +132,7 @@ class FrequencyGrid:
         for name, bound in (("w_min", w_min), ("w_max", w_max)):
             if not math.isfinite(bound):
                 raise ValueError(f"{name} must be finite, got {bound}")
-        if not math.isfinite(w_max - w_min):
-            raise ValueError(f"grid span [{w_min}, {w_max}] is too wide: w_max - w_min overflows")
+        _require_span(float(w_min), float(w_max))  # before linspace, which would overflow
         if n < 2:
             raise ValueError("grid needs at least two frequencies")
         if w_min == -w_max and w_max > 0 and n % 2 == 1:

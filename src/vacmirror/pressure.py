@@ -20,18 +20,21 @@ satisfies the product identities
     F F^dagger = F eta + eta F^dagger,
     F^dagger F = eta F + F^dagger eta,
 
-whose residuals :func:`unitarity_identities` reports.  The mean pressure in a
-stationary state contracts F(w, -w) with the state's anticommutator spectrum;
-the energy-exchange kernel G(w, -w) = I - S(-w) S(w) vanishes for every
-unitary, real model, expressing that a static mirror exchanges no net energy
-with a stationary field.
+whose residuals :func:`unitarity_identities` reports.  Both sides are
+[[n, -/+p], [-/+p, n]] and [[2 Re alpha, -/+2 Re beta], ...], with
+n = |alpha|^2 + |beta|^2 and p = 2 Re(alpha conj(beta)), so both identities
+reduce to |alpha|^2 + |beta|^2 = 2 Re alpha and Re(alpha conj(beta)) = Re beta.
+The mean pressure in a stationary state contracts F(w, -w) with the state's
+anticommutator spectrum; the energy-exchange kernel G(w, -w) = I - S(-w) S(w)
+vanishes for every unitary, real model, expressing that a static mirror
+exchanges no net energy with a stationary field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ETA_COLS, ETA_ROWS, EYE2, dagger, finite, frequency_pair
+from .core import finite, frequency_pair
 from .mirrors import Mirror
 from .states import FieldState
 
@@ -77,23 +80,30 @@ def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
 def unitarity_identities(model: Mirror, omega, omega2) -> tuple[np.ndarray, np.ndarray]:
     """Max-entry residuals of the two product identities, one per (w, w') pair.
 
-    Both identities read P Q - (P eta + eta Q), for (P, Q) = (F, F^dagger)
-    and (F^dagger, F), evaluated stacked; each residual is the largest
-    absolute entry of its pair's 2x2 identity.  Both vanish identically for
-    unitary models; a non-unitary model (a tabulated mirror with rescaled
-    reflection, say) yields nonzero residuals, which is how tests detect it.
+    Both identities reduce to the module docstring's two conditions, so both
+    residuals are max(|n - 2 Re alpha|, 2 |Re(alpha conj(beta)) - Re beta|),
+    one array returned twice.  Both vanish identically for unitary models; a
+    non-unitary model (a tabulated mirror with rescaled reflection, say)
+    yields nonzero residuals, which is how tests detect it.
     """
-    f = force_kernel(model, omega, omega2)
-    p = np.array([f, dagger(f)])
-    res = np.abs(p @ p[::-1] - (p * ETA_COLS + ETA_ROWS * p[::-1])).max(axis=(-2, -1))
-    return res[0], res[1]
+    a, b = alpha_beta(model, omega, omega2)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    res = np.maximum(np.abs(ar * ar + ai * ai + br * br + bi * bi - 2.0 * ar), 2.0 * np.abs(ar * br + ai * bi - br))
+    return res, res
 
 
 def energy_exchange_kernel(model: Mirror, omega) -> np.ndarray:
-    """G(w, -w) = I - S(-w) S(w); zero for unitary, real models, elementwise over arrays."""
+    """G(w, -w) = I - S(-w) S(w); zero for unitary, real models, elementwise over arrays.
+
+    Its diagonal is -(sigma_ + sigma + sigma_ sigma + r_ r), its off-diagonal
+    -(r_ + r + sigma_ r + r_ sigma), the subscript marking -w.
+    """
     w = finite(omega)
-    s = model.smatrix(np.array([-w, w]))
-    return EYE2 - s[0] @ s[1]
+    (sm, sigma), (rm, r) = model.amplitudes(np.array([-w, w]))
+    out = np.empty(w.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = -(sm + sigma + sm * sigma + rm * r)
+    out[..., 0, 1] = out[..., 1, 0] = -(rm + r + sm * r + rm * sigma)
+    return out
 
 
 def mean_force_integrand(model: Mirror, state: FieldState, omega):

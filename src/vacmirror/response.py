@@ -37,7 +37,7 @@ import numpy as np
 from .core import ETA_COLS, ETA_ROWS, FrequencyGrid, Spectrum, finite, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig, integrate_batch
-from .pressure import _force_kernel, alpha
+from .pressure import _alpha_beta, alpha
 from .states import FieldState, VacuumState
 
 # occupancy factor e^{-x} below double precision; sets thermal windows
@@ -46,14 +46,16 @@ _THERMAL_DECADES = 46.0
 _GROWTH = 64.0
 
 
-def _modulated(cov, w: np.ndarray) -> np.ndarray:
-    """Modulated covariance i w c(w) eta + i w' eta c(-w'), per (w, w') pair stacked in ``w``.
+def _traced(a, b, cov, w):
+    """w w' Tr[F (i w c(w) eta + i w' eta c(-w'))] per (w, w') pair in ``w``, F = [[a, b], [-b, -a]].
 
-    ``cov`` is a covariance spectrum (``cplus`` or ``cfull`` of a state),
-    evaluated once on the stacked frequencies.
+    It is i w w' (a d + b x), d = w tr c(w) + w' tr c(-w') and
+    x = w (c01 + c10)(w) - w' (c01 + c10)(-w'), with the covariance ``cov``
+    (``cplus`` or ``cfull`` of a state) evaluated once on the stacked frequencies.
     """
-    c = cov(np.array([w[0], -w[1]])) * (1j * w)[..., None, None]  # i w c(w), i w' c(-w')
-    return c[0] * ETA_COLS + c[1] * ETA_ROWS
+    c = cov(np.array([w[0], -w[1]]))
+    t, x = c[..., 0, 0] + c[..., 1, 1], c[..., 0, 1] + c[..., 1, 0]
+    return 1j * w[0] * w[1] * (a * (w[0] * t[0] + w[1] * t[1]) + b * (w[0] * x[0] - w[1] * x[1]))
 
 
 def delta_smatrix(model: Mirror, omega, omega2) -> np.ndarray:
@@ -73,9 +75,9 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
     """Two-frequency susceptibility kernel chi[w, w'], elementwise over arrays.
 
     Diagonal states use the cancelled weight form, finite for all arguments;
-    general states fall back to the matrix trace
-    w w' Tr[F (i w cplus(w) eta + i w' eta cplus(-w'))], which requires
-    w, w' != 0.
+    general states fall back to the trace
+    w w' Tr[F (i w cplus(w) eta + i w' eta cplus(-w'))], read off F's
+    entries (alpha, beta) by :func:`_traced`, which requires w, w' != 0.
     """
     if state.diagonal:
         a = alpha(model, omega, omega2)
@@ -85,8 +87,7 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
             weights = weights + (omega2 * (phi + psi) + omega * (phi2 + psi2))
         return 1j * a * weights
     w = frequency_pair(omega, omega2)
-    t = _force_kernel(model, w) @ _modulated(state.cplus, w)
-    return w[0] * w[1] * (t[..., 0, 0] + t[..., 1, 1])
+    return _traced(*_alpha_beta(model, w), state.cplus, w)
 
 
 def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
@@ -97,13 +98,13 @@ def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
 
     The commutator parts of c cancel inside the symmetrized trace, so this
     equals :func:`chi_kernel` wherever both are defined (w, w' != 0).
-    Elementwise over frequency arrays; both argument orders are stacked.
+    Elementwise over frequency arrays; both argument orders are stacked in
+    one covariance call, and F[w', w] = F[w, w']^T flips the sign of beta.
     """
     w = frequency_pair(omega, omega2)
-    f = _force_kernel(model, w)
-    t = np.array([f, f.mT]) @ _modulated(state.cfull, np.array([w, w[::-1]]))  # F[w', w] = F[w, w']^T
-    t = t[0] + t[1]
-    return w[0] * w[1] / 2.0 * (t[..., 0, 0] + t[..., 1, 1])
+    a, b = _alpha_beta(model, w)
+    t = _traced(a, np.array([b, -b]), state.cfull, (w, w[::-1]))  # both orders, each (w, w') stacked
+    return (t[0] + t[1]) / 2.0
 
 
 def comoving_covariance_perturbation(state: FieldState, omega, omega2) -> np.ndarray:
@@ -114,20 +115,21 @@ def comoving_covariance_perturbation(state: FieldState, omega, omega2) -> np.nda
     frequency arrays, shape ``... + (2, 2)``; raises at zero frequency where
     the full covariance is singular.
     """
-    return -_modulated(state.cfull, frequency_pair(omega, omega2))
+    w = frequency_pair(omega, omega2)
+    c = state.cfull(np.array([w[0], -w[1]])) * (1j * w)[..., None, None]  # i w c(w), i w' c(-w')
+    return -(c[0] * ETA_COLS + c[1] * ETA_ROWS)
 
 
 def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
     """Susceptibility kernel computed in the comoving frame.
 
-    i w i w' Tr[F[w,w'] dC_in[w,w']]; identical to :func:`chi_kernel` because
-    the commutator parts of the full covariance drop out of the trace.
-    Elementwise over frequency arrays.
+    i w i w' Tr[F[w,w'] dC_in[w,w']], the trace of :func:`chi_kernel` with
+    the full covariance in place of cplus: identical to it because the
+    commutator part I hbar/(4 v) adds hbar/2 - hbar/2 = 0 to :func:`_traced`'s
+    d and nothing to its x.  Elementwise over frequency arrays.
     """
     w = frequency_pair(omega, omega2)
-    pert = -_modulated(state.cfull, w)  # dC_in, as comoving_covariance_perturbation
-    t = _force_kernel(model, w) @ pert
-    return (1j * w[0]) * (1j * w[1]) * (t[..., 0, 0] + t[..., 1, 1])
+    return _traced(*_alpha_beta(model, w), state.cfull, w)
 
 
 def convolve(

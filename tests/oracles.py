@@ -16,7 +16,9 @@ quadrature is compared sample by sample, and :func:`hilbert_dense` and
 matrix products, block by block, against which the FFT versions are
 compared.  :func:`xi_from_squeezing` integrates the squared output
 perturbation of the general squeezing route with a fixed Gauss-Legendre
-rule.
+rule.  :func:`unitarity_residuals_matrix`, :func:`energy_exchange_matrix`
+and :func:`modulated_trace` evaluate the kernel routes that work on the
+force kernel's entries as stacked 2x2 matrix products instead.
 """
 
 import warnings
@@ -26,8 +28,9 @@ import mpmath
 import numpy as np
 import scipy.integrate
 
+from vacmirror.core import ETA, dagger
 from vacmirror.numerics import NonConvergenceError, QuadratureConfig
-from vacmirror.pressure import alpha, alpha_beta
+from vacmirror.pressure import alpha, alpha_beta, force_kernel
 from vacmirror.squeezing import delta_cout
 
 
@@ -157,6 +160,34 @@ def alpha_beta_single_pole_mp(omega, omega2, omega_c):
         s1, s2 = w1 / (w1 + 1j * oc), w2 / (w2 + 1j * oc)
         r1, r2 = -1j * oc / (w1 + 1j * oc), -1j * oc / (w2 + 1j * oc)
         return complex(1 - s1 * s2 + r1 * r2), complex(s1 * r2 - r1 * s2)
+
+
+def unitarity_residuals_matrix(model, omega, omega2):
+    """Max-entry residuals of F F^dagger - (F eta + eta F^dagger) and F^dagger F - (eta F + F^dagger eta)."""
+    f = force_kernel(model, omega, omega2)
+    fd = dagger(f)
+    return tuple(np.abs(p @ q - (p @ ETA + ETA @ q)).max(axis=(-2, -1)) for p, q in ((f, fd), (fd, f)))
+
+
+def energy_exchange_matrix(model, omega):
+    """G(w, -w) = I - S(-w) S(w) as a product of the scattering matrices."""
+    w = np.asarray(omega, dtype=float)
+    return np.eye(2) - model.smatrix(-w) @ model.smatrix(w)
+
+
+def modulated_trace(model, cov, omega, omega2):
+    """w w' Tr[F (i w c(w) eta + i w' eta c(-w'))] as 2x2 products, with the sum of its terms' magnitudes.
+
+    The terms w w' F_ij (i w c(w) eta)_ji and w w' F_ij (i w' eta c(-w'))_ji
+    can be far larger than the trace, whose rounding error scales with them.
+    """
+    w1, w2 = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(omega2, dtype=float))
+    f = force_kernel(model, w1, w2)
+    p = 1j * w1[..., None, None] * cov(w1) @ ETA
+    q = 1j * w2[..., None, None] * ETA @ cov(-w2)
+    trace = w1 * w2 * np.trace(f @ (p + q), axis1=-2, axis2=-1)
+    terms = np.abs(w1 * w2) * np.sum(np.abs(f) * (np.abs(p) + np.abs(q)).mT, axis=(-2, -1))
+    return trace, terms
 
 
 def bose_weights_mp(nu, temp, hbar=1.0):

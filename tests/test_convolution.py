@@ -317,6 +317,9 @@ def test_unresolvable_thermal_window_raises_naming_its_width():
         susceptibility(SinglePoleMirror(1.0), ThermalState(1.0, 1e-300), 2.0)
     with pytest.raises(ValueError, match=r"noise_spectrum: .*T/\(hbar\*delta\) = 1e\+300"):
         noise_spectrum(SinglePoleMirror(1.0), ThermalState(1.0, 1e-300), 2.0)
+    # with Omega = 4 the window's width in mirror scales, 46 T/(hbar Omega), differs from 46 T Omega/hbar
+    with pytest.raises(ValueError, match=r"1\.15e\+13 mirror scales \(T/\(hbar\*delta\) = 2\.5e\+11\)"):
+        susceptibility(SinglePoleMirror(4.0), ThermalState(1.0, hbar=1e-12), 2.0, QuadratureConfig(max_subdivisions=8))
 
 
 def test_thermal_noise_calls_its_kernel_once_per_batch_of_nodes(monkeypatch):

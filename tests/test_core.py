@@ -122,6 +122,14 @@ def test_symmetric_grid_rejects_bad_counts():
         FrequencyGrid.symmetric(-1.0, 11)
 
 
+@pytest.mark.parametrize("n", [5, 2001])
+@pytest.mark.parametrize("w", [0.3, 0.5, 0.7, 0.9, 1.0])
+def test_linear_grid_is_bitwise_sign_symmetric_below_one(w, n):
+    # np.linspace(-w, w, n) is not, for 8 of these 10: -w:w must go through symmetric
+    om = FrequencyGrid.linear(-w, w, n).omega
+    assert np.array_equal(om, -om[::-1])
+
+
 def test_linear_grid_dispatches_to_symmetric():
     grid = FrequencyGrid.linear(-3.0, 3.0, 7)
     assert np.array_equal(grid.omega, -grid.omega[::-1])
@@ -139,6 +147,17 @@ def test_grids_name_a_non_finite_bound(bound):
         FrequencyGrid.linear(-1.0, bound, 5)
     with pytest.raises(ValueError, match=f"w_max must be positive and finite, got {bound}"):
         FrequencyGrid.symmetric(bound, 5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: FrequencyGrid.symmetric(1e308, 5), lambda: FrequencyGrid(np.array([-1e308, 0.0, 1e308]))],
+    ids=["symmetric", "from-array"],
+)
+def test_grids_refuse_a_span_that_overflows(build):
+    # the span 2e308 overflows; the spacing derived from it would be inf
+    with pytest.raises(ValueError, match=r"grid span \[-1e\+308, 1e\+308\] is too wide: w_max - w_min overflows"):
+        build()
 
 
 def test_grid_rejects_nonuniform_or_unsorted():

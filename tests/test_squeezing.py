@@ -132,6 +132,22 @@ def test_line_strength_vanishes_for_slow_drive():
     assert np.isclose(strengths[3] / strengths[2], 0.1, rtol=0.02)
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.3])
+@pytest.mark.parametrize("omega_c", [1.0, 2.5])
+def test_line_strength_is_the_trapezoid_of_the_vacuum_closed_form(omega_c, hbar):
+    # over the vacuum the single pole's ||dC_out||_F on a line w + w' = total
+    # is (amp/2)(hbar/2) 2 sqrt(|r(w)|^2 + |r(w')|^2), |r|^2 = Omega^2/(w^2 + Omega^2)
+    osc = MonochromaticOscillation(amplitude=0.8, frequency=1.7)
+    strengths = oscillation_line_strength(SinglePoleMirror(omega_c), VacuumState(hbar), osc)
+    assert sorted(strengths) == [-1.7, 1.7]
+    for total, got in strengths.items():
+        ws = total * np.arange(1, 130) / 130
+        r2 = omega_c**2 / (np.array([ws, total - ws]) ** 2 + omega_c**2)
+        norms = 0.4 * (hbar / 2.0) * 2.0 * np.sqrt(r2[0] + r2[1])
+        want = abs(total) / 130 * (norms.sum() - (norms[0] + norms[-1]) / 2.0)
+        assert abs(got - want) <= 1e-12 * want, (total, got, want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     log_omega_c=st.floats(-2.0, 2.0),
