@@ -157,10 +157,8 @@ def causality_report(spectrum: Spectrum, mode: str = "auto") -> CausalityReport:
     a = a * _cosine_taper(n)
 
     # energy fraction at negative times, t on [-pi/5dw, pi/5dw] sign-symmetric
-    dw = spectrum.grid.spacing
-    dt = 2.0 * np.pi / (5.0 * dw) / (_NT - 1)
-    t = dt * (np.arange(_NT) - 0.5 * (_NT - 1))
-    signal = inverse_fourier_to_time(Spectrum(spectrum.grid, a), t)
+    t, signal = inverse_fourier_to_time(Spectrum(spectrum.grid, a), 5 * (_NT - 1), _NT)
+    dt = t[_NT // 2 + 1]  # the time at j = 1
     power = np.abs(signal) ** 2
     t_excl = _EXCLUSION_MULT * np.pi / w_max
     # a sample on the window edge (default grids place one there) counts as

@@ -18,10 +18,10 @@ Three operations used throughout the package:
 * :func:`inverse_fourier_to_time` applies the package Fourier convention
   f(t) = int dw/(2*pi) f[w] exp(-i*w*t) to a sampled spectrum.
 
-Both grid transforms are trapezoid rules on uniform grids, evaluated as FFT
-convolutions in O(n log n) time and O(n) memory: the principal value as a
-Toeplitz product, the inverse Fourier sum as a chirp-z transform.  The FFTs
-are ``numpy.fft``, zero-padded to the next power of two.
+Both grid transforms are trapezoid rules on uniform grids, evaluated with
+``numpy.fft``: the principal value as a Toeplitz product, an FFT convolution
+zero-padded to the next power of two (O(n log n)); the inverse Fourier sum,
+on a grid symmetric about zero, as one length-m DFT (O(n + m log m)).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Spectrum
+from .core import Spectrum, require_symmetric
 
 
 class NonConvergenceError(RuntimeError):
@@ -301,72 +301,37 @@ def hilbert_transform(values: np.ndarray) -> np.ndarray:
     return (pv - 0.5 * (zero[2:] - zero[:-2]) + (edge[2:] - edge[:-2])) / np.pi
 
 
-def _chirp(c: float, n: int) -> np.ndarray:
-    """exp(-2 pi i c k^2) for k < n, with c k^2 reduced modulo 1: c is rounded
-    to ``hi`` so that ``hi * k^2`` is exact, and only ``(c - hi) * k^2`` is not.
-    The plain product would carry a phase error of eps * c * n^2 turns."""
-    k2 = np.arange(n, dtype=np.int64) ** 2
-    step = np.ldexp(1.0, int(np.frexp(c)[1]) - 53 + int(k2[-1]).bit_length())
-    hi = np.round(c / step) * step
-    k2 = k2.astype(float)
-    return np.exp(-2j * np.pi * ((hi * k2) % 1.0 + (c - hi) * k2))
+def inverse_fourier_to_time(spectrum: Spectrum, m: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse transform f(t) = int dw/(2*pi) f[w] exp(-i*w*t), trapezoid rule, on a DFT time grid.
 
-
-def _chirp_z(x: np.ndarray, c: float, m: int) -> np.ndarray:
-    """y[i] = sum_k x[k] exp(-2 pi i c i k) for i < m (Bluestein's algorithm)."""
-    n = x.size
-    size = 1 << (n + m - 2).bit_length()  # the power of two >= n + m - 1
-    w = _chirp(0.5 * c, max(n, m))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:m], kernel[size - n + 1:] = np.conj(w[:m]), np.conj(w[1:n][::-1])
-    conv = np.fft.ifft(np.fft.fft(x * w[:n], size) * np.fft.fft(kernel), size)
-    return conv[:m] * w[:m]
-
-
-def inverse_fourier_to_time(spectrum: Spectrum, t: np.ndarray) -> np.ndarray:
-    """Inverse transform f(t) = int dw/(2*pi) f[w] exp(-i*w*t), trapezoid rule.
-
-    On uniform w and t grids the sum is a chirp-z transform, evaluated in
-    O((n + nt) log(n + nt)) by Bluestein's algorithm.
+    Sample k of a grid symmetric about zero sits at w_k = (k - n//2)*dw, so at
+    t_j = 2*pi*j / (m*dw) the sum is a length-m DFT of the weighted samples
+    folded modulo m, exactly, as exp(-2*pi*i*k*j/m) is m-periodic in k.
 
     Parameters
     ----------
     spectrum : Spectrum
-        Samples on a uniform grid spanning the support of interest.
-    t : numpy.ndarray
-        Uniformly spaced output times, one-dimensional, in either order.
+        Samples on a uniform grid symmetric about zero that samples w = 0.
+    m, nt : int
+        The DFT length, m time steps to the alias-free period 2*pi/dw, and
+        the number of times, odd and at most m, centred on t = 0.
 
     Returns
     -------
-    numpy.ndarray
-        Complex time samples, same length as ``t``.
-
-    Raises
-    ------
-    ValueError
-        If ``t`` is not one-dimensional and uniform to 1e-12 of max |t|, or
-        spans more than the alias-free window 2*pi/dw (by a relative 1e-12),
-        past which the sum is a periodic image of f(t), not f(t).
+    t, f : numpy.ndarray
+        The times t_j, |j| <= (nt - 1)/2, and the complex samples f(t_j).
+        Any other grid, or an even nt or one past m, raises ValueError.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1:
-        raise ValueError(f"inverse_fourier_to_time: t must be one-dimensional, got shape {t.shape}")
-    nt = t.size
-    if nt == 0:
-        return np.empty(0, dtype=complex)
-    dt = (t[-1] - t[0]) / (nt - 1) if nt > 1 else 0.0
-    if not np.max(np.abs(t - (t[0] + dt * np.arange(nt)))) <= 1e-12 * np.max(np.abs(t)):
-        raise ValueError("inverse_fourier_to_time: t must be finite and uniformly spaced")
+    om = spectrum.omega
+    require_symmetric(om)
+    n = om.size
+    if om[n // 2] != 0.0 or nt % 2 == 0 or not 0 < nt <= m:
+        raise ValueError(f"inverse_fourier_to_time: needs w = 0 sampled and odd nt <= m, got n={n}, nt={nt}, m={m}")
     dw = spectrum.grid.spacing
-    span = abs(t[-1] - t[0])
-    # a span of exactly one window may round a few ulps past it
-    if span > 2.0 * np.pi / dw * (1.0 + 1e-12):
-        raise ValueError(
-            f"inverse_fourier_to_time: time span {span:.3g} exceeds the alias-free "
-            f"window {2.0 * np.pi / dw:.3g} for grid spacing {dw:.3g}"
-        )
-    # t_i w_k = t_i w_0 + t_0 k dw + i k dt dw on the two grids
-    n = spectrum.grid.size
-    x = np.concatenate([[0.5], np.ones(n - 2), [0.5]]) * dw / (2.0 * np.pi) * spectrum.values
-    x = x * np.exp(-1j * t[0] * dw * np.arange(n))
-    return np.exp(-1j * t * spectrum.omega[0]) * _chirp_z(x, dt * dw / (2.0 * np.pi), nt)
+    x = dw / (2.0 * np.pi) * spectrum.values
+    x[[0, -1]] *= 0.5  # the trapezoid's end weights
+    # sample k at index (k - n//2) mod m of whole periods, zero between w >= 0 and w < 0, summed over them
+    folded = np.zeros(-(-n // m) * m, dtype=complex)
+    folded[:n - n // 2], folded[folded.size - n // 2:] = x[n // 2:], x[:n // 2]
+    j = np.arange(nt) - nt // 2
+    return 2.0 * np.pi / (m * dw) * j, np.fft.fft(folded.reshape(-1, m).sum(axis=0))[j % m]

@@ -109,7 +109,8 @@ def energy_exchange_kernel(model: Mirror, omega) -> np.ndarray:
 def mean_force_integrand(model: Mirror, state: FieldState, omega):
     """w^2 Tr[F(w, -w) cplus(w)], evaluated in cancellation-free form.
 
-    For diagonal states the trace collapses to
+    The trace is alpha (c00 - c11) + beta (c10 - c01) on the entries of
+    cplus(w).  For diagonal states it collapses to
     alpha(w, -w) * (E_phi(w) - E_psi(w)), with E the components' excess over
     the vacuum (see :meth:`FieldState.excess`); for isotropic states (vacuum,
     thermal) the two components are equal and the integrand is exactly zero
@@ -117,6 +118,7 @@ def mean_force_integrand(model: Mirror, state: FieldState, omega):
     """
     w = np.asarray(omega, dtype=float)
     if not state.diagonal:
-        return w * w * np.trace(force_kernel(model, w, -w) @ state.cplus(w), axis1=-2, axis2=-1)
+        (a, b), c = alpha_beta(model, w, -w), state.cplus(w)
+        return w * w * (a * (c[..., 0, 0] - c[..., 1, 1]) + b * (c[..., 1, 0] - c[..., 0, 1]))
     phi, psi = state.excess(w)
     return alpha(model, w, -w) * (phi - psi)

@@ -370,7 +370,8 @@ def motional_force_spectrum(
     :class:`MonochromaticOscillation` the output is a line spectrum: zero
     except at the grid samples nearest +/- frequency, whose values are the
     delta-line coefficients (amplitude/2) chi(+/- frequency); the exact lines
-    are also listed in ``meta["lines"]``.
+    are also listed in ``meta["lines"]``.  A line more than half a spacing
+    beyond the grid span has no nearest sample and raises ValueError.
     """
     if isinstance(traj, TabulatedSpectrum):
         if not np.array_equal(traj.grid.omega, grid.omega):
@@ -380,6 +381,10 @@ def motional_force_spectrum(
     if isinstance(traj, MonochromaticOscillation):
         vals = np.zeros(grid.size, dtype=complex)
         w_lines, weights = np.array(traj.line_weights()).T
+        lo, hi, half = grid.omega[0], grid.omega[-1], 0.5 * grid.spacing
+        for w_line in w_lines:
+            if not lo - half <= w_line <= hi + half:
+                raise ValueError(f"line at omega={w_line:g} lies outside the grid span [{lo:g}, {hi:g}]")
         forces = weights * susceptibility(model, state, w_lines, quad)
         for w_line, force in zip(w_lines, forces):
             vals[int(np.argmin(np.abs(grid.omega - w_line)))] += force

@@ -409,14 +409,20 @@ def hilbert_dense(omega, f, chunk=256):
     return out
 
 
-def inverse_fourier_dense(omega, values, t, chunk=256):
-    """Trapezoid sum int dw/(2 pi) f[w] exp(-i w t) as a dense matrix product;
-    the reference for ``numerics.inverse_fourier_to_time``."""
+def inverse_fourier_dense(omega, values, m, nt, chunk=256):
+    """Trapezoid sum int dw/(2 pi) f[w] exp(-i w t) as a dense matrix product
+    on an odd symmetric grid w_k = k dw, at t_j = 2 pi j / (m dw) for
+    |j| <= nt // 2; the reference for ``numerics.inverse_fourier_to_time``.
+    The phase w_k t_j = 2 pi k j / m is reduced modulo m in integers, so no
+    rounding grows with |w t|."""
     om = np.asarray(omega, dtype=float)
-    t = np.asarray(t, dtype=float)
-    weighted = _pv_weights(om) / (2.0 * np.pi) * np.asarray(values, dtype=complex)
-    out = np.empty(t.size, dtype=complex)
-    for start in range(0, t.size, chunk):
-        stop = min(start + chunk, t.size)
-        out[start:stop] = np.exp(-1j * np.outer(t[start:stop], om)) @ weighted
+    k = np.arange(om.size) - om.size // 2
+    j = np.arange(nt) - nt // 2
+    weights = np.full(om.size, (om[-1] - om[0]) / (om.size - 1))
+    weights[[0, -1]] /= 2
+    weighted = weights / (2.0 * np.pi) * np.asarray(values, dtype=complex)
+    out = np.empty(nt, dtype=complex)
+    for start in range(0, nt, chunk):
+        turns = np.outer(j[start:start + chunk], k) % m / m
+        out[start:start + chunk] = np.exp(-2j * np.pi * turns) @ weighted
     return out

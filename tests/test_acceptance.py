@@ -188,23 +188,25 @@ def test_radiation_reaction_force_in_the_time_domain():
     # -hbar q''''(t) / 12 pi Omega; what remains falls as Omega^-2
     grid = FrequencyGrid.symmetric(12.0, 1201)
     traj = TabulatedSpectrum(grid, np.sqrt(2.0 * np.pi) * np.exp(-grid.omega**2 / 2.0))
-    t = np.linspace(-4.0, 4.0, 161)
-    q = np.exp(-t**2 / 2.0)
-    q3, q4 = (3.0 * t - t**3) * q, (t**4 - 6.0 * t**2 + 3.0) * q
     vac = VacuumState()
     hbar = vac.hbar
 
     def force(model):
-        return inverse_fourier_to_time(motional_force_spectrum(model, vac, traj, grid), t)
+        # 161 times on [-4, 4], in steps of 2 pi / (6284 dw) = 0.049993
+        return inverse_fourier_to_time(motional_force_spectrum(model, vac, traj, grid), 6284, 161)
+
+    t, perfect = force(PerfectMirror())
+    assert np.isclose(t[-1], 4.0, rtol=1e-3)
+    q = np.exp(-t**2 / 2.0)
+    q3, q4 = (3.0 * t - t**3) * q, (t**4 - 6.0 * t**2 + 3.0) * q
 
     limit = hbar * q3 / (6.0 * np.pi)
-    perfect = force(PerfectMirror())
     peak = np.max(np.abs(perfect))
     assert np.max(np.abs(perfect.real - limit)) <= 1e-14 * peak
     assert np.max(np.abs(perfect.imag)) <= 1e-14 * peak
     plain, corrected = [], []
     for omega_c in (10.0, 100.0, 1000.0):
-        f = force(SinglePoleMirror(omega_c))
+        f = force(SinglePoleMirror(omega_c))[1]
         plain.append(np.max(np.abs(f - limit)) / peak)
         corrected.append(np.max(np.abs(f - limit + hbar * q4 / (12.0 * np.pi * omega_c))) / peak)
     plain, corrected = np.array(plain), np.array(corrected)

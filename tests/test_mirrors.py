@@ -10,6 +10,7 @@ from vacmirror import (
     TabulatedMirror,
     validate_model,
 )
+from oracles import hilbert_dense
 from vacmirror.cli import main
 from vacmirror.mirrors import Mirror
 
@@ -215,6 +216,33 @@ def test_validate_accepts_symmetric_grids(tmp_path):
     assert main(["validate", "--out", str(tmp_path / "report.csv")]) == 0
     # no sample at w = 0 is needed
     assert validate_model(SinglePoleMirror(1.0), FrequencyGrid(np.linspace(-50.0, 50.0, 4000))).passed
+
+
+def test_validate_dispersion_residual_subtracts_the_edge_value():
+    # Re(s - 1) enters the transform less its edge value, so that a constant
+    # offset reads as causal; scored against the dense transform on the
+    # middle half of a grid coarse enough that Re(s - 1) still has a slope
+    # between the two outermost samples
+    model = SinglePoleMirror(1.0)
+    grid = FrequencyGrid.symmetric(20.0, 401)
+    sigma = model.amplitudes(grid.omega)[0]
+    predicted = -hilbert_dense(grid.omega, sigma.real - sigma.real[0])
+    middle = slice(100, 301)
+    norms = [np.linalg.norm(x[middle]) for x in (sigma.imag - predicted, sigma.imag, predicted)]
+    expect = norms[0] / max(norms[1:])
+    assert np.isclose(validate_model(model, grid).causality, expect, rtol=1e-9, atol=0.0)
+    shifted = TabulatedMirror(grid.omega[200:], 1.0 + sigma[200:] + 0.25, sigma[200:])
+    assert np.isclose(validate_model(shifted, grid).causality, expect, rtol=1e-9, atol=0.0)
+
+
+def test_validate_scores_transparency_at_the_last_sample():
+    # the last-but-one sample is fully reflecting, the last one transparent
+    om = np.linspace(0.0, 20.0, 201)
+    s, r = np.ones(om.size, complex), np.zeros(om.size, complex)
+    s[-2], r[-2] = 0.0, 1.0
+    report = validate_model(TabulatedMirror(om, s, r), FrequencyGrid.symmetric(20.0, 401))
+    assert report.transparency <= 1e-12
+    assert report.checks["transparency"]
 
 
 def test_validate_perfect_fails_only_transparency():

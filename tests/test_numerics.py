@@ -238,21 +238,21 @@ def test_hilbert_rejects_values_that_are_not_a_real_vector(values):
 def test_ift_exponential_pair():
     grid = FrequencyGrid.symmetric(200.0, 16001)
     spec = Spectrum(grid, (1.0 / (1.0 - 1j * grid.omega)).astype(complex))
-    t = np.linspace(-2.0, 2.0, 9)
-    probe = [0, 3, 5, 6, 8]  # t = -2, -0.5, 0.5, 1, 2
-    ft = inverse_fourier_to_time(spec, t)[probe]
+    t, ft = inverse_fourier_to_time(spec, 503, 9)  # t_j = 0.49967 j
+    probe = [0, 3, 5, 6, 8]  # t near -2, -0.5, 0.5, 1, 2
     expect = np.where(t[probe] > 0, np.exp(-np.abs(t[probe])), 0.0)
-    assert np.allclose(ft.real, expect, rtol=0.0, atol=5e-3)
-    tt = np.linspace(-20.0, 20.0, 4001)
-    power = np.abs(inverse_fourier_to_time(spec, tt)) ** 2
+    assert np.allclose(ft[probe].real, expect, rtol=0.0, atol=5e-3)
+    tt, ftt = inverse_fourier_to_time(spec, 25133, 4001)  # [-20, 20] in steps of 0.01
+    assert np.isclose(tt[-1], 20.0, rtol=1e-4)
+    power = np.abs(ftt) ** 2
     assert power[tt < -0.05].sum() / power.sum() < 1e-3
 
 
 def test_ift_gaussian_pair_real_and_even():
     grid = FrequencyGrid.symmetric(40.0, 4001)
     spec = Spectrum(grid, np.exp(-grid.omega**2).astype(complex))
-    t = np.linspace(-3.0, 3.0, 301)
-    ft = inverse_fourier_to_time(spec, t)
+    t, ft = inverse_fourier_to_time(spec, 15708, 301)  # [-3, 3] in steps of 0.02
+    assert np.array_equal(t, -t[::-1])
     assert np.max(np.abs(ft.imag)) < 1e-12
     assert np.max(np.abs(ft - ft[::-1])) < 1e-12
     expect = np.exp(-(t**2) / 4.0) / (2.0 * np.sqrt(np.pi))
@@ -261,52 +261,47 @@ def test_ift_gaussian_pair_real_and_even():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    n=st.integers(65, 4001),
-    span=st.floats(1e-2, 1e3),
-    offset=st.floats(-1.0, 1.0),
-    t_frac=st.floats(1e-3, 1.0),
-    t_center=st.floats(-0.5, 0.5),
-    nt=st.one_of(st.integers(1, 8), st.integers(9, 512)),  # few times: the widest chirp
+    half=st.integers(32, 2000),
+    w_max=st.floats(1e-2, 1e3),
+    m=st.one_of(st.integers(33, 64), st.integers(65, 8001)),  # m < n folds the samples
+    nt_frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=4001, span=200.0, offset=0.25, t_frac=1.0, t_center=0.2, nt=2, seed=0)
-# n + nt - 1 = 4097 is padded to 8192, the largest power-of-two padding
-@example(n=3586, span=200.0, offset=-0.4, t_frac=0.5, t_center=-0.3, nt=512, seed=2)
-# a span of one full window that rounds one ulp past it must not raise
-@example(n=310, span=125.0, offset=0.0, t_frac=1.0, t_center=0.453125, nt=2, seed=0)
-def test_ift_matches_dense_reference(n, span, offset, t_frac, t_center, nt, seed):
-    grid = _drawn_grid(n, span, offset)
+@example(half=2000, w_max=200.0, m=4001, nt_frac=1.0, seed=0)  # m = n, 513 times
+@example(half=2000, w_max=200.0, m=1501, nt_frac=1.0, seed=1)  # m < n: three periods folded onto one
+def test_ift_matches_dense_reference(half, w_max, m, nt_frac, seed):
+    grid = FrequencyGrid.symmetric(w_max, 2 * half + 1)
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    # t span and center inside the alias-free window 2 pi / dw
-    window = 2.0 * np.pi / grid.spacing
-    t = t_center * window + np.linspace(-0.5, 0.5, nt) * t_frac * window
-    ft = inverse_fourier_to_time(Spectrum(grid, vals), t)
-    expect = inverse_fourier_dense(grid.omega, vals, t)
-    assert np.max(np.abs(ft - expect)) <= 1e-11 * np.max(np.abs(expect))
+    vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    # odd, in [33, m]: the peak of 33 or more sums cannot all cancel
+    nt = 33 + 2 * int(nt_frac * (min(m, 513) - 33) / 2)
+    t, ft = inverse_fourier_to_time(Spectrum(grid, vals), m, nt)
+    assert t.size == nt and t[nt // 2] == 0.0
+    assert np.allclose(np.diff(t), 2.0 * np.pi / (m * grid.spacing), rtol=1e-12, atol=0.0)
+    expect = inverse_fourier_dense(grid.omega, vals, m, nt)
+    assert np.max(np.abs(ft - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
-def test_ift_rejects_non_uniform_times():
-    grid = FrequencyGrid.symmetric(10.0, 401)
-    spec = Spectrum(grid, np.exp(-grid.omega**2).astype(complex))
-    t = np.linspace(-2.0, 2.0, 101)
-    bent = t.copy()
-    bent[50] += 1e-6
-    for bad in (bent, np.array([0.0, 1.0, 3.0]), np.array([0.0, np.nan, 2.0]), t.reshape(1, -1)):
-        with pytest.raises(ValueError, match="t must be"):
-            inverse_fourier_to_time(spec, bad)
-    assert np.allclose(inverse_fourier_to_time(spec, t[::-1]), inverse_fourier_to_time(spec, t)[::-1])
+def test_ift_rejects_asymmetric_grids_and_bad_time_counts():
+    om = FrequencyGrid.symmetric(10.0, 401).omega
+    gauss = np.exp(-om**2).astype(complex)
+    for grid in (FrequencyGrid(om + 0.1), FrequencyGrid(np.linspace(-10.0, 10.0, 400))):
+        with pytest.raises(ValueError, match="symmetric about zero|w = 0 sampled"):
+            inverse_fourier_to_time(Spectrum(grid, gauss[: grid.size]), 401, 101)
+    spec = Spectrum(FrequencyGrid(om), gauss)
+    for m, nt in ((401, 100), (401, 0), (401, -1), (99, 101)):
+        with pytest.raises(ValueError, match=f"odd nt <= m, got n=401, nt={nt}, m={m}"):
+            inverse_fourier_to_time(spec, m, nt)
 
 
-def test_ift_empty_and_single_time():
+def test_ift_single_time_is_the_trapezoid_integral():
+    # m = 1 folds every sample into one bin, whose DFT is its sum
     grid = FrequencyGrid.symmetric(10.0, 401)
     vals = np.exp(-grid.omega**2).astype(complex)
-    spec = Spectrum(grid, vals)
-    empty = inverse_fourier_to_time(spec, np.array([]))
-    assert empty.shape == (0,) and empty.dtype == complex
-    single = inverse_fourier_to_time(spec, np.array([0.7]))
-    assert single.shape == (1,)
-    assert np.isclose(single[0], inverse_fourier_dense(grid.omega, vals, [0.7])[0], rtol=1e-13)
+    t, ft = inverse_fourier_to_time(Spectrum(grid, vals), 1, 1)
+    assert t.shape == ft.shape == (1,) and t[0] == 0.0
+    assert np.isclose(ft[0], np.trapezoid(vals, grid.omega) / (2.0 * np.pi), rtol=1e-14)
+    assert np.isclose(ft[0], 1.0 / (2.0 * np.sqrt(np.pi)), rtol=1e-14)
 
 
 @pytest.mark.parametrize("transform", ["hilbert", "inverse_fourier"])
@@ -316,13 +311,12 @@ def test_transform_memory_is_linear_in_grid_size(transform):
     grid = FrequencyGrid.symmetric(200.0, n)
     values = np.exp(-grid.omega**2)
     spec = Spectrum(grid, values)
-    t = np.linspace(-20.0, 20.0, 4001)
     tracemalloc.start()
     try:
         if transform == "hilbert":
             hilbert_transform(values)
         else:
-            inverse_fourier_to_time(spec, t)
+            inverse_fourier_to_time(spec, 20000, 4001)  # the causality metric's times, folded
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,7 +324,9 @@ def test_transform_memory_is_linear_in_grid_size(transform):
 
 
 def test_ift_raises_beyond_alias_span():
+    # nt > m times would span more than one period 2 pi / dw, past which the
+    # sum is a periodic image of f(t)
     grid = FrequencyGrid.symmetric(40.0, 4001)
     spec = Spectrum(grid, np.exp(-grid.omega**2).astype(complex))
-    with pytest.raises(ValueError, match="alias-free"):
-        inverse_fourier_to_time(spec, np.linspace(-300.0, 300.0, 101))
+    with pytest.raises(ValueError, match="odd nt <= m, got n=4001, nt=4003, m=4001"):
+        inverse_fourier_to_time(spec, 4001, 4003)

@@ -267,6 +267,28 @@ def test_mean_force_routes_agree():
     assert np.isclose(mean_force(m, state)[0], slow_force, rtol=1e-10)
 
 
+def test_mean_force_integrand_is_the_kernel_trace():
+    # the non-diagonal route reads the trace off (alpha, beta) and cplus's entries
+    vac = VacuumState()
+
+    def correlated(nu):
+        nu = np.asarray(nu, dtype=float)
+        c = np.empty(nu.shape + (2, 2), dtype=complex)
+        c[..., 0, 0], c[..., 1, 1] = 1.0 + 1.0 / (1.0 + nu**2), 2.0 + 0.0 * nu
+        c[..., 0, 1] = 0.5 * np.exp(1j * nu)
+        c[..., 1, 0] = np.conj(c[..., 0, 1])
+        return c
+
+    w = np.linspace(-29.99, 30.01, 601)  # 0 is off the grid, where the vacuum rule diverges
+    # the vacuum's trace vanishes, the correlated state's does not
+    for state, traced in ((CustomState(correlated), True), (CustomState(vac.cplus, diagonal=False), False)):
+        for m in (SinglePoleMirror(1.0), SinglePoleMirror(0.3), PerfectMirror()):
+            x = np.asarray(mean_force_integrand(m, state, w))
+            ref = w * w * np.trace(force_kernel(m, w, -w) @ state.cplus(w), axis1=-2, axis2=-1)
+            assert np.all(np.abs(x - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
+            assert (np.max(np.abs(ref)) > 1.0) == traced
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     log_phi=st.floats(-2.0, 5.0),

@@ -214,6 +214,23 @@ def test_motional_force_monochromatic_lines():
     assert np.isclose(spec.values[nonzero[1]], chi1)
 
 
+def test_motional_force_lines_beyond_the_grid_raise():
+    m = SinglePoleMirror(1.0)
+    vac = VacuumState()
+    # a line past the edge by more than half a spacing has no nearest sample, on either side
+    for grid, side in ((FrequencyGrid.linear(-2.0, 5.0, 15), "-4"), (FrequencyGrid.linear(-5.0, 2.0, 15), "4")):
+        with pytest.raises(ValueError, match=f"line at omega={side} lies outside"):
+            motional_force_spectrum(m, vac, MonochromaticOscillation(1.0, 4.0), grid)
+    grid = FrequencyGrid.symmetric(5.0, 11)
+    with pytest.raises(ValueError, match="grid span \\[-5, 5\\]"):
+        motional_force_spectrum(m, vac, MonochromaticOscillation(1.0, 10.0), grid)
+    # on the edge, or within half a spacing of it, the line lands on the edge sample
+    for frequency in (5.0, 5.4):
+        spec = motional_force_spectrum(m, vac, MonochromaticOscillation(2.0, frequency), grid)
+        assert np.flatnonzero(spec.values).tolist() == [0, 10]
+        assert np.isclose(spec.values[-1], susceptibility(m, vac, frequency), rtol=1e-12, atol=0.0)
+
+
 def test_motional_force_tabulated_product():
     m = SinglePoleMirror(1.0)
     vac = VacuumState()
