@@ -159,14 +159,23 @@ def convolve(
     pieces are left, doubled: the whole line for an even integrand such as
     the mean force's; beside other samples its empty upper piece has zero
     width and places its nodes on the first piece, adding exact zeros.
-    Each piece is one unit of t in :func:`integrate_batch`, and a node at u
-    in (0, 1) sits at start + width * u^3 from the piece's end nearer the
-    kink, where the structure is (Sidi 1993): the samples share one set of
-    interval positions, and each stops at its own tolerance, at 79.3 nodes
-    per vacuum chi sample on [-200, 200] (84 at most) and 146.2 per thermal
-    one at T = Omega = hbar = 1 (168 at most).  With theta = T/hbar and
-    m = min(theta, delta), the natural scale hbar (|w|^3 + theta m |w| +
-    theta m^2), times ``unit`` (hbar for the noise, C_FF = 2 hbar xi),
+    Each piece is one unit of t in :func:`integrate_batch`, and its nodes
+    are placed from its end nearer the kink, where the structure is.  The
+    kernels' singularities lie off the real axis there: the mirror's at a
+    distance delta, the occupancy's Matsubara poles at 2 pi T/hbar.  So
+    with d = min(delta, 2 pi T_min/hbar), T_min the state's smallest
+    temperature (d = delta in the vacuum), a node at u in (0, 1) sits at
+    start +/- d_k sinh(u A_k), A_k = asinh(width/d_k), with weight
+    d_k A_k cosh(u A_k)/pi, which moves the pole away from the piece
+    (Johnston & Elliott 2005); d_k = max(d, the piece's offset from the
+    kink), so the inner and first outer pieces take d and each geometric
+    one its cut.  Without a scale the node sits at start +/- width u^3,
+    weight 3 width u^2/pi (Sidi 1993).  The samples share one set of
+    interval positions, and each stops at its own tolerance: every vacuum
+    chi sample on [-200, 200] converges on the starting halves, in 42
+    nodes, and a thermal one at T = Omega = hbar = 1 in 126.  With
+    theta = T/hbar and m = min(theta, delta), the natural scale
+    hbar (|w|^3 + theta m |w| + theta m^2), times ``unit`` (hbar for the noise, C_FF = 2 hbar xi),
     tightens ``abs_tol`` in :func:`integrate_batch`, whose values, QUADPACK
     error estimates of the doubled integrand and node counts are returned.
     Cuts that need more intervals than ``quad.max_subdivisions`` raise
@@ -210,20 +219,34 @@ def convolve(
     keep = spans.any(axis=1)  # the upper piece at w = 0 is empty
     starts, spans = starts[keep], spans[keep]
     last = len(spans) - 1
-    widths = 3.0 / np.pi * np.abs(spans)  # 2 d(u^3)/du / (2 pi) = widths * u^2
+    empty = spans == 0
     # an empty piece keeps its zero width but places its nodes along the
     # first piece, where the kernel is regular, so they add exact zeros
-    spans = np.where(spans == 0, spans[:1], spans)
+    spans = np.where(empty, spans[:1], spans)
     origins = kink + starts[:, None]
+    # a node at u in (0, 1) sits at origin + lengths shape(rates u), with
+    # weight 2 / (2 pi) d(wp)/du = widths slope(rates u)
+    if scale is None:  # span u^3
+        rates, lengths, widths = np.ones_like(spans), spans, 3.0 / np.pi * np.abs(spans)
+        shape, slope = (lambda z: z**3), np.square
+    else:  # sign(span) d_k sinh(u A_k), d_k the nearest pole's distance or the piece's offset
+        poles = [scale] + [2.0 * np.pi * temperature / hbar for temperature in state.temperatures]
+        # |span| / d_k capped at 1e300, so that A_k and the nodes stay finite
+        with np.errstate(over="ignore"):
+            ratio = np.minimum(np.abs(spans) / np.maximum(min(poles), -starts)[:, None], 1e300)
+        distance, rates = np.abs(spans) / ratio, np.arcsinh(ratio)
+        lengths, widths = np.copysign(distance, spans), distance / np.pi * rates
+        shape, slope = np.sinh, np.cosh
+    widths = np.where(empty, 0.0, widths)
 
     def integrand(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # nodes never sit on a piece edge, so each lies inside one piece; it
         # is placed from the piece's end nearer the kink along its signed
         # span, to keep its digits there even across a wide thermal piece
         piece = np.minimum(t.astype(int), last)
-        u = (t - piece)[:, None]
-        wp = origins[:, cols][piece] + spans[:, cols][piece] * u**3
-        return kernel(wp, x[cols] - wp) * (u**2 * widths[:, cols][piece])
+        z = (t - piece)[:, None] * rates[:, cols][piece]
+        wp = origins[:, cols][piece] + lengths[:, cols][piece] * shape(z)
+        return kernel(wp, x[cols] - wp) * (slope(z) * widths[:, cols][piece])
 
     values = np.zeros(w.shape, dtype=complex)
     abs_error = np.zeros(w.shape)

@@ -70,10 +70,14 @@ class FieldState:
     constant in the caller's units (the field propagates at speed 1).
     ``diagonal`` declares that cplus(w) is diagonal in the doublet basis at
     every frequency, enabling the cancellation-free kernel forms.
+    ``temperatures`` are those of a thermal excess, none for the vacuum and
+    custom states: the largest sets the thermal window, the smallest the
+    Matsubara pole nearest the real axis.
     """
 
     hbar: float
     diagonal: bool = True
+    temperatures: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0 < self.hbar < np.inf:
@@ -121,10 +125,10 @@ class FieldState:
     def decay_scale(self) -> float | None:
         """Largest temperature driving the excess's high-frequency tails.
 
-        None means there is no excess (vacuum), so integrals over the
-        weights need no thermal window.
+        None means there is no known temperature (the vacuum, a custom
+        state), so integrals over the weights need no thermal window.
         """
-        return None
+        return max(self.temperatures, default=None)
 
 
 @dataclass(frozen=True)
@@ -144,11 +148,12 @@ class VacuumState(FieldState):
 
 def _excess(nu, temperature: float, hbar: float):
     """E(v) = (T/2) y / (e^y - 1) = (hbar|v|/2) nbar, y = hbar|v|/T; E(0) = T/2 exactly."""
-    y = np.abs(np.asarray(nu, dtype=float)) * (hbar / temperature)
-    # past y ~ 709 the denominator overflows: y / inf is the decayed occupancy, an exact +0
-    with np.errstate(over="ignore"):
-        denominator = np.expm1(y)
-    return temperature / 2.0 * np.divide(y, denominator, out=np.ones_like(y), where=y != 0)
+    # past y ~ 709 the denominator overflows: y / inf is the decayed occupancy,
+    # an exact +0, also where y itself overflows, capped as inf / inf is NaN;
+    # at y = 0, 0/0 is NaN, and fmin takes the limit 1 instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.minimum(np.abs(np.asarray(nu, dtype=float)) * (hbar / temperature), 1e300)
+        return temperature / 2.0 * np.fmin(y / np.expm1(y), 1.0)
 
 
 class _Thermal(FieldState):
@@ -156,8 +161,6 @@ class _Thermal(FieldState):
 
     A single temperature serves both components and is evaluated once.
     """
-
-    temperatures: tuple[float, ...]
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -168,9 +171,6 @@ class _Thermal(FieldState):
     def excess(self, nu):
         e = [_excess(nu, t, self.hbar) for t in self.temperatures]
         return e[0], e[-1]
-
-    def decay_scale(self) -> float | None:
-        return max(self.temperatures)
 
 
 @dataclass(frozen=True)

@@ -371,8 +371,8 @@ def integrate(
 
 
 def _pv_weights(omega):
-    """Trapezoid weights for the full grid."""
-    h = omega[1] - omega[0]
+    """Trapezoid weights for the full grid, with the spacing of its span."""
+    h = (omega[-1] - omega[0]) / (omega.size - 1)
     w = np.full(omega.size, h)
     w[0] = w[-1] = h / 2
     return w

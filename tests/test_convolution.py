@@ -23,6 +23,7 @@ import oracles
 from vacmirror import (
     CustomState,
     FrequencyGrid,
+    Mirror,
     NonConvergenceError,
     PerfectMirror,
     QuadratureConfig,
@@ -293,6 +294,20 @@ def test_thermal_spectra_match_30_digit_references(spectrum, reference, log_rati
         assert error <= 1e-10 * abs(ref), (w, error)
 
 
+@pytest.mark.parametrize("temps", [(1.0, 1e-4), (1e3, 1e-3)], ids=["1-1e-4", "1e3-1e-3"])
+def test_two_temperature_chi_matches_the_mean_of_30_digit_references(temps):
+    # chi is linear in the excess, so each component contributes half the
+    # one-temperature chi; the colder one's Matsubara pole at 2 pi i T/hbar
+    # lies nearer the real axis than the mirror's, and nodes placed for the
+    # hotter one's were 1.4e-8 off at (1e3, 1e-3) with no error reported
+    grid = FrequencyGrid(np.array([2.0, 3.0]))
+    spec = susceptibility_grid(SinglePoleMirror(1.0), TwoTemperatureState(*temps), grid)
+    ref = sum(oracles.thermal_chi_mp(2.0, 1.0, temp) for temp in temps) / 2.0
+    error = abs(spec.values[0] - ref)
+    assert error <= spec.meta["abs_error"][0], (error, spec.meta["abs_error"][0])
+    assert error <= 1e-10 * abs(ref), error
+
+
 @pytest.mark.parametrize("hbar", [10.0**-k for k in range(15, 31)])
 def test_thermal_spectra_reach_the_classical_limit_at_every_hbar(hbar):
     # at Omega = T = 1 the window is 46/hbar wide: chi -> i T Omega w and
@@ -354,37 +369,58 @@ def _mean_force_nodes(model, state, grid):
     return mean_force(model, state)[2]
 
 
+class _AmplitudesOnly(Mirror):
+    """A model that defines s and r only, so it declares no scale."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def s(self, omega):
+        return self.inner.s(omega)
+
+    def r(self, omega):
+        return self.inner.r(omega)
+
+
 _SPECTRA = {"noise": noise_spectrum_grid, "chi": susceptibility_grid}
-_WIDE = [("noise", "1e3", 294), ("noise", "1e5", 378), ("noise", "1e6", 378), ("noise", "1e8", 462)]
-_WIDE += [("chi", "1e6", 378), ("chi", "1e8", 504)]
-_MEAN = [((2.0, 0.5), 126), ((1e3, 1.0), 252), ((1e5, 1e4), 336)]
+_WIDE = [("noise", "1e3", 210), ("noise", "1e5", 252), ("noise", "1e6", 252), ("noise", "1e8", 336)]
+_WIDE += [("chi", "1e6", 252), ("chi", "1e8", 336)]
+_MEAN = [((2.0, 0.5), 84), ((1e3, 1.0), 168), ((1e5, 1e4), 210)]
+_POLE = SinglePoleMirror(1.0)
 
 
 @pytest.mark.parametrize(
-    "nodes, state, omega_c, grid, ceiling, mean_ceiling",
+    "nodes, state, model, grid, ceiling, mean_ceiling",
     [
-        (_nodes(susceptibility_grid), VacuumState(), 2.0, FrequencyGrid.linear(-200.0, 200.0, 2001), 84, 80),
-        (_nodes(susceptibility_grid), VacuumState(), 1.0, FrequencyGrid.linear(-200.0, 200.0, 16001), 126, 100),
-        (_nodes(susceptibility_grid), ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 101), 168, 147),
-        (_nodes(noise_spectrum_grid), ThermalState(1.0), 1.0, FrequencyGrid.linear(-5.0, 5.0, 41), 126, 126),
         (
-            _nodes(noise_spectrum_grid), TwoTemperatureState(2.0, 0.5), 1.0,
-            FrequencyGrid.linear(-5.0, 5.0, 41), 210, 204,
+            _nodes(susceptibility_grid), VacuumState(), SinglePoleMirror(2.0),
+            FrequencyGrid.linear(-200.0, 200.0, 2001), 42, 42,
         ),
-        (_fdt_xi_nodes, VacuumState(), 10.0, FrequencyGrid.linear(-5.0, 5.0, 41), 42, 42),
-        (_nodes(susceptibility_grid), ThermalState(1.0, 1e-20), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), 756, 756),
+        (_nodes(susceptibility_grid), VacuumState(), _POLE, FrequencyGrid.linear(-200.0, 200.0, 16001), 42, 42),
+        (_nodes(susceptibility_grid), ThermalState(1.0), _POLE, FrequencyGrid.linear(-5.0, 5.0, 101), 126, 126),
+        (_nodes(noise_spectrum_grid), ThermalState(1.0), _POLE, FrequencyGrid.linear(-5.0, 5.0, 41), 126, 126),
+        (
+            _nodes(noise_spectrum_grid), TwoTemperatureState(2.0, 0.5), _POLE,
+            FrequencyGrid.linear(-5.0, 5.0, 41), 126, 126,
+        ),
+        (_fdt_xi_nodes, VacuumState(), SinglePoleMirror(10.0), FrequencyGrid.linear(-5.0, 5.0, 41), 42, 42),
+        (_nodes(susceptibility_grid), ThermalState(1.0, 1e-20), _POLE, FrequencyGrid.linear(-5.0, 5.0, 11), 588, 588),
+        (
+            _nodes(susceptibility_grid), VacuumState(), _AmplitudesOnly(SinglePoleMirror(1e-4)),
+            FrequencyGrid.linear(-200.0, 200.0, 401), 294, 264,
+        ),
     ]
     + [
-        (_nodes(_SPECTRA[kind]), ThermalState(float(t)), 1.0, FrequencyGrid.linear(-5.0, 5.0, 11), c, c)
+        (_nodes(_SPECTRA[kind]), ThermalState(float(t)), _POLE, FrequencyGrid.linear(-5.0, 5.0, 11), c, c)
         for kind, t, c in _WIDE
     ]
-    + [(_mean_force_nodes, TwoTemperatureState(*temps), 1.0, None, c, c) for temps, c in _MEAN],
+    + [(_mean_force_nodes, TwoTemperatureState(*temps), _POLE, None, c, c) for temps, c in _MEAN],
     ids=["vacuum-2001", "vacuum-16001", "thermal-chi", "thermal-noise", "two-temperature-noise", "vacuum-xi-fdt"]
-    + ["thermal-chi-hbar1e-20"]
+    + ["thermal-chi-hbar1e-20", "vacuum-no-scale"]
     + [f"thermal-{kind}-T{t}" for kind, t, _ in _WIDE]
     + [f"mean-force-{t_phi:g}-{t_psi:g}" for (t_phi, t_psi), _ in _MEAN],
 )
-def test_shared_subdivision_stays_under_a_node_ceiling(nodes, state, omega_c, grid, ceiling, mean_ceiling):
+def test_shared_subdivision_stays_under_a_node_ceiling(nodes, state, model, grid, ceiling, mean_ceiling):
     # a deterministic work bound: starting from whole pieces, with the stop
     # test only after one refinement round, took 105, 147, 252, 252, 294 and
     # 63 nodes here, 336, 420, 462 and 546 in the wide thermal windows and
@@ -401,11 +437,16 @@ def test_shared_subdivision_stays_under_a_node_ceiling(nodes, state, omega_c, gr
     # nodes at hbar = 1e-20, where the geometric pieces grow as log(T/hbar).
     # Refining every sample until the worst one met its tolerance took the
     # maximum for every sample (168 for the thermal noise); each sample
-    # stopping at its own tolerance takes 79.3, 99.8, 146.2, 126 and 203.9
+    # stopping at its own tolerance took 79.3, 99.8, 146.2, 126 and 203.9
     # nodes per sample on average in the first five rows, and no more than
-    # before at the most.  Samples with no support (w = 0 for chi, w <= 0
-    # in the vacuum) take none and are left out of the mean.
-    counts = np.atleast_1d(nodes(SinglePoleMirror(omega_c), state, grid))
+    # before at the most.  Placing the nodes by start + width u^3 instead of
+    # by a sinh map at the nearest pole's distance took 84, 126, 168, 126,
+    # 210 and 756 at the most, 294, 378, 378 and 462, and 378 and 504 in the
+    # wide thermal windows, and 126, 252 and 336 for the mean force; a model
+    # without a scale keeps the u^3 map, as a sinh map at a fallback distance
+    # took 2-2.7 times its nodes.  Samples with no support (w = 0 for chi,
+    # w <= 0 in the vacuum) take none and are left out of the mean.
+    counts = np.atleast_1d(nodes(model, state, grid))
     counts = counts[counts > 0]
     assert np.max(counts) <= ceiling
     assert np.mean(counts) <= mean_ceiling
@@ -420,6 +461,18 @@ def test_vacuum_spectra_stay_right_at_very_large_frequencies(omega):
     cff = noise_spectrum(model, VacuumState(), omega)
     assert abs(chi / oracles.chi_single_pole_mp(omega, 1.0) - 1.0) <= 1e-10
     assert abs(cff / oracles.cff_vacuum_mp(omega, 1.0) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "omega_c, omega, reference",
+    [(1e-300, 1e10, oracles.chi_single_pole_mp(1e10, 1e-300)), (1e300, 1e-10, complex(oracles.chi_cubic(1e-10)))],
+    ids=["pole-1e-300", "pole-1e300"],
+)
+def test_pole_distances_300_decades_from_the_span_keep_the_error_contract(omega_c, omega, reference):
+    # span / d is 5e309, past the largest double, or 5e-311, a subnormal
+    grid = FrequencyGrid(np.array([omega, 2.0 * omega]))
+    spec = susceptibility_grid(SinglePoleMirror(omega_c), VacuumState(), grid)
+    assert abs(spec.values[0] - reference) <= spec.meta["abs_error"][0]
 
 
 @pytest.mark.parametrize("spectrum", [susceptibility, noise_spectrum, xi_spectrum])

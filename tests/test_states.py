@@ -134,6 +134,18 @@ def test_large_argument_guard_avoids_overflow():
     assert np.allclose(c_both, VacuumState().cplus(np.array([x, -x])), rtol=1e-15, atol=0.0)
 
 
+def test_excess_decays_where_its_argument_overflows():
+    # hbar|v|/T past the largest double: inf / inf would be NaN, with numpy's
+    # invalid-value warning; a subnormal temperature overflows hbar/T itself
+    for temp in (1e-300, 5e-320):
+        th = ThermalState(temp)
+        e = th.excess(np.array([0.0, -1e10, 1e10, 1e-300]))
+        for values in e:
+            assert values[0] == temp / 2.0
+            assert values[1] == values[2] == 0.0 and not np.signbit(values[1])
+            assert 0.0 <= values[3] <= temp / 2.0
+
+
 _POWER_OF_TWO = st.integers(-20, 20).map(lambda k: 2.0**k)
 
 
