@@ -49,7 +49,6 @@ from .numerics import (
     inverse_fourier_to_time,
 )
 from .pressure import (
-    alpha,
     alpha_beta,
     energy_exchange_kernel,
     force_kernel,
@@ -105,7 +104,6 @@ __all__ = [
     "VacuumState",
     "ValidationReport",
     "__version__",
-    "alpha",
     "alpha_beta",
     "causality_report",
     "cff_kernel",

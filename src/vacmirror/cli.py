@@ -285,8 +285,10 @@ def cmd_squeeze(cfg: RunConfig, grid: FrequencyGrid) -> int:
         raise ValueError("squeeze output is json only; use --format json")
     model = _build_model(cfg)
     state = _build_state(cfg)
-    # lines sit at w + w' = +/- 2 w0 for a mirror oscillating at w0
-    osc = MonochromaticOscillation(amplitude=cfg.osc_amp, frequency=2.0 * cfg.osc_freq)
+    line = 2.0 * cfg.osc_freq  # lines sit at w + w' = +/- 2 w0 for a mirror oscillating at w0
+    if line == np.inf:
+        raise ValueError(f"--osc-freq {cfg.osc_freq:g} puts the line sum 2 w0 past the largest float")
+    osc = MonochromaticOscillation(amplitude=cfg.osc_amp, frequency=line)
     entries = []
     for w, w2, matrix in oscillation_squeeze_lines(model, state, osc):
         entries.append(

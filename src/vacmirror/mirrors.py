@@ -28,7 +28,9 @@ which the force kernel is free of cancellation; or both :meth:`Mirror.s` and
 its frequencies stacked.
 
 :attr:`Mirror.scale`, the width of a model's structure, sets where thermal
-convolutions cut their outer piece (:func:`vacmirror.response.convolve`).
+convolutions cut their outer piece and, in every state, the vacuum included,
+the pole distance of the sinh map placing their nodes
+(:func:`vacmirror.response.convolve`); without it they take a u^3 map.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ class Mirror:
     frequency, which :func:`validate_model` scores.  A model with frequency
     structure must set :attr:`scale` to its width: with the default None,
     thermal spectra where T/hbar far exceeds that width (small hbar) can be
-    wrong with no error.  Instances are immutable and safe to share.
+    wrong with no error, and every spectrum takes more nodes: up to 294 in
+    place of 42 per vacuum chi sample for ``SinglePoleMirror(1e-4)`` read
+    through s and r.  Instances are immutable and safe to share.
     """
 
     transparent: bool = False

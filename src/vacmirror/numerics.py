@@ -115,7 +115,7 @@ _ROUNDING, _TINY = 50.0 * np.finfo(float).eps, np.finfo(float).tiny
 # more whole intervals, for all samples or for a block of them.  The budget
 # trades per-element cost against per-call overhead.  At 8190 complex elements
 # each temporary is ~128 KiB, glibc's default mmap threshold: a standalone
-# pressure.alpha call of that size takes 192 minor page faults and ~65 ns per
+# alpha evaluation of that size takes 192 minor page faults and ~65 ns per
 # element, one of 4096 elements none and ~23 ns.  Yet halving the budget
 # doubles the calls, and lost in the benchmark (run_s medians, 4 pairs of 40 s
 # runs, 2-core VM: vacuum-wideband 0.0281 -> 0.0314 s, thermal-spectra

@@ -64,14 +64,6 @@ def _force_kernel(model: Mirror, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def alpha(model: Mirror, omega, omega2):
-    """Diagonal kernel entry 1 - s(w)s(w') + r(w)r(w'), vectorized, in its sigma form.
-
-    The susceptibility kernel needs alpha alone, so beta is not formed here.
-    """
-    return _alpha(*model.amplitudes(frequency_pair(omega, omega2)))
-
-
 def force_kernel(model: Mirror, omega, omega2) -> np.ndarray:
     """F[w, w'] = [[alpha, beta], [-beta, -alpha]], shape ``np.broadcast(w, w').shape + (2, 2)``."""
     return _force_kernel(model, frequency_pair(omega, omega2))
@@ -121,4 +113,4 @@ def mean_force_integrand(model: Mirror, state: FieldState, omega):
         (a, b), c = alpha_beta(model, w, -w), state.cplus(w)
         return w * w * (a * (c[..., 0, 0] - c[..., 1, 1]) + b * (c[..., 1, 0] - c[..., 0, 1]))
     phi, psi = state.excess(w)
-    return alpha(model, w, -w) * (phi - psi)
+    return _alpha(*model.amplitudes(frequency_pair(w, -w))) * (phi - psi)

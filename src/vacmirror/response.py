@@ -29,7 +29,6 @@ identically, which :func:`chi_kernel_comoving` exposes for cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from .core import ETA_COLS, ETA_ROWS, FrequencyGrid, Spectrum, finite, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig, integrate_batch
-from .pressure import _alpha_beta, alpha
+from .pressure import _alpha, _alpha_beta
 from .states import FieldState, VacuumState
 
 # occupancy factor e^{-x} below double precision; sets thermal windows
@@ -79,14 +78,16 @@ def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
     w w' Tr[F (i w cplus(w) eta + i w' eta cplus(-w'))], read off F's
     entries (alpha, beta) by :func:`_traced`, which requires w, w' != 0.
     """
-    if state.diagonal:
-        a = alpha(model, omega, omega2)
-        weights = (0.5 * state.hbar) * (omega2 * np.abs(omega) + omega * np.abs(omega2))
-        if not isinstance(state, VacuumState):  # the vacuum has no excess
-            (phi, psi), (phi2, psi2) = state.excess(omega), state.excess(omega2)
-            weights = weights + (omega2 * (phi + psi) + omega * (phi2 + psi2))
-        return 1j * a * weights
     w = frequency_pair(omega, omega2)
+    if state.diagonal:
+        a = _alpha(*model.amplitudes(w))
+        weights = (0.5 * state.hbar) * (w[1] * np.abs(w[0]) + w[0] * np.abs(w[1]))
+        if not isinstance(state, VacuumState):  # the vacuum has no excess; E_phi + E_psi at w and w'
+            e = np.broadcast_to(np.add(*state.excess(w)), w.shape)
+            weights = weights + (w[1] * e[0] + w[0] * e[1])
+        a *= 1j  # in place: complex temporaries of numerics._CHUNK_ELEMENTS nodes cost page faults
+        a *= weights
+        return a
     return _traced(*_alpha_beta(model, w), state.cplus, w)
 
 
@@ -133,15 +134,15 @@ def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):
 
 
 def convolve(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    omegas,
+    kernel: Callable[[Mirror, FieldState, np.ndarray, np.ndarray], np.ndarray],
+    model: Mirror,
     state: FieldState,
+    omegas,
     quad: QuadratureConfig,
     what: str,
-    scale: float | None,
     unit: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """integral dw'/(2 pi) kernel(w', w - w') at every w, in one vector quadrature.
+    """integral dw'/(2 pi) kernel(model, state, w', w - w') at every w, in one vector quadrature.
 
     Every convolved kernel is symmetric under argument exchange, so the
     integrand is even about w' = w/2: only the support below w/2 is
@@ -150,8 +151,9 @@ def convolve(
     w <= 0 has empty support and gives exactly zero (chi and xi are folded
     onto w > 0 first).  Other states use [lo - reach, lo] and [lo, w/2],
     cut at the kink lo = min(0, w) so kinks line up across samples; reach
-    is the larger of the thermal window 46 T/hbar and ``quad.window`` W
-    (required without a decay scale), so the doubled half covers [-W, W].
+    is the larger of the thermal window 46 T/hbar, T the largest of the
+    state's ``temperatures``, and ``quad.window`` W (required without
+    one), so the doubled half covers [-W, W].
     The outer piece is cut again at 4 delta, 4 delta 64, 4 delta 64^2, ...
     from the kink, delta the mirror's ``scale`` (None: no cuts), so its
     width-delta structure stays resolved at any T/hbar, in log(T/(hbar
@@ -183,9 +185,9 @@ def convolve(
     piece is left to :func:`integrate_batch`.
     """
     w = finite(omegas, what)
-    hbar = state.hbar
-    decay = state.decay_scale()
-    theta = (decay or 0.0) / hbar
+    hbar, scale = state.hbar, model.scale
+    hottest = max(state.temperatures, default=None)
+    theta = (hottest or 0.0) / hbar
     m = theta if scale is None else min(theta, scale)
     # capped where the cube stays finite, past which min(abs_tol, 1e-10 natural) = abs_tol (unit hbar > 1e-290 abs_tol)
     a = np.minimum(np.abs(w), 1e100)
@@ -193,7 +195,7 @@ def convolve(
     if isinstance(state, VacuumState):
         kink, starts, spans = np.zeros_like(w), np.zeros(1), np.maximum(w, 0.0)[None] / 2.0
     else:
-        if decay is None and quad.window is None:
+        if hottest is None and quad.window is None:
             raise ValueError(
                 f"{what} for a custom state has no known support bound; "
                 "set QuadratureConfig.window explicitly"
@@ -246,7 +248,7 @@ def convolve(
         piece = np.minimum(t.astype(int), last)
         z = (t - piece)[:, None] * rates[:, cols][piece]
         wp = origins[:, cols][piece] + lengths[:, cols][piece] * shape(z)
-        return kernel(wp, x[cols] - wp) * (slope(z) * widths[:, cols][piece])
+        return kernel(model, state, wp, x[cols] - wp) * (slope(z) * widths[:, cols][piece])
 
     values = np.zeros(w.shape, dtype=complex)
     abs_error = np.zeros(w.shape)
@@ -258,7 +260,7 @@ def convolve(
     return values, abs_error, evaluations
 
 
-def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, what: str, scale: float | None):
+def fold(reflect, kernel, model: Mirror, state: FieldState, omegas, quad: QuadratureConfig, what: str):
     """:func:`convolve` on the distinct |w| > 0 of ``omegas`` only, in one call.
 
     The results are spread back over ``omegas``, with ``reflect`` applied to
@@ -271,14 +273,13 @@ def fold(reflect, kernel, omegas, state: FieldState, quad: QuadratureConfig, wha
     skip = int(mags.size > 0 and mags[0] == 0)  # w = 0 sorts first
     values, abs_error, evaluations = (
         np.concatenate([np.zeros(skip, part.dtype), part])[back].reshape(w.shape)
-        for part in convolve(kernel, mags[skip:], state, quad, what, scale)
+        for part in convolve(kernel, model, state, mags[skip:], quad, what)
     )
     return np.where(w < 0, reflect(values), values), abs_error, evaluations
 
 
 def _chi(model: Mirror, state: FieldState, omega, quad: QuadratureConfig):
-    kernel = partial(chi_kernel, model, state)
-    return fold(np.conj, kernel, omega, state, quad, "susceptibility", model.scale)
+    return fold(np.conj, chi_kernel, model, state, omega, quad, "susceptibility")
 
 
 def susceptibility(

@@ -16,9 +16,9 @@ the vacuum,
     E_i(v) = v^2 cplus_ii(v) - hbar |v| / 4,
 
 even in v and finite where cplus alone diverges.  It implements
-:meth:`FieldState.excess` and :meth:`FieldState.decay_scale`; cplus, cfull
-and every weight the force kernels need follow from the excess.  The full
-covariance is one-sided in its vacuum part,
+:meth:`FieldState.excess`; cplus, cfull and every weight the force kernels
+need follow from the excess.  The full covariance is one-sided in its
+vacuum part,
 
     cfull_ii(v) = hbar theta(v) / (2|v|) + E_i(v) / v^2 = W_i(v) / v^2,
 
@@ -121,14 +121,6 @@ class FieldState:
         nu = np.asarray(nu, dtype=float)
         vacuum = (0.5 * self.hbar) * np.maximum(nu, 0.0)
         return tuple(vacuum + e for e in self.excess(nu))
-
-    def decay_scale(self) -> float | None:
-        """Largest temperature driving the excess's high-frequency tails.
-
-        None means there is no known temperature (the vacuum, a custom
-        state), so integrals over the weights need no thermal window.
-        """
-        return max(self.temperatures, default=None)
 
 
 @dataclass(frozen=True)

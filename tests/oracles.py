@@ -30,7 +30,7 @@ import scipy.integrate
 
 from vacmirror.core import ETA, dagger
 from vacmirror.numerics import NonConvergenceError, QuadratureConfig
-from vacmirror.pressure import alpha, alpha_beta, force_kernel
+from vacmirror.pressure import alpha_beta, force_kernel
 from vacmirror.squeezing import delta_cout
 
 
@@ -279,7 +279,7 @@ def trapezoid_chi(model, state, omega, lo, hi, n=200_001):
     def u(v):
         return state.hbar * np.abs(v) / 2.0 + sum(state.excess(v))
 
-    vals = 1j * alpha(model, wp, omega - wp) * (
+    vals = 1j * alpha_beta(model, wp, omega - wp)[0] * (
         (omega - wp) * u(wp) + wp * u(omega - wp)
     )
     return complex(np.trapezoid(vals, wp) / (2.0 * np.pi))
@@ -288,7 +288,7 @@ def trapezoid_chi(model, state, omega, lo, hi, n=200_001):
 def trapezoid_cff(model, state, omega, lo, hi, n=200_001):
     """C_FF(w) by fixed trapezoid over the diagonal-state noise kernel."""
     wp = np.linspace(lo, hi, n)
-    a2 = np.abs(alpha(model, wp, omega - wp)) ** 2
+    a2 = np.abs(alpha_beta(model, wp, omega - wp)[0]) ** 2
     b2 = np.abs(alpha_beta(model, wp, omega - wp)[1]) ** 2
     phi1, psi1 = state.noise_weight(wp)
     phi2, psi2 = state.noise_weight(omega - wp)

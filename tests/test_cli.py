@@ -193,9 +193,9 @@ def test_noise_command_runs_one_convolution(tmp_path, monkeypatch):
     calls = []
     convolve = vacmirror.response.convolve
 
-    def counting(kernel, omegas, *args, **kwargs):
+    def counting(kernel, model, state, omegas, *args, **kwargs):
         calls.append(np.size(omegas))
-        return convolve(kernel, omegas, *args, **kwargs)
+        return convolve(kernel, model, state, omegas, *args, **kwargs)
 
     # the noise spectrum convolves directly, xi_spectrum through response.fold
     monkeypatch.setattr(vacmirror.fluctuations, "convolve", counting)
@@ -291,10 +291,12 @@ def test_exit_codes_for_input_errors(tmp_path, capsys):
         # finite bounds whose span overflows, sign-symmetric or not
         (["noise", "--grid=-1e308:1.5e308:5"], None, "grid span [-1e+308, 1.5e+308] is too wide"),
         (["noise", "--grid=-1e308:1e308:5"], None, "grid span [-1e+308, 1e+308] is too wide"),
+        # a finite frequency whose line sum 2 w0 overflows is named as given
+        (["squeeze", "--osc-freq", "1e308"], None, "--osc-freq 1e+308 puts the line sum 2 w0 past the largest float"),
     ],
     ids=["unreadable-config", "config-line-without-equals", "table-without-file",
          "one-temperature", "non-integer-count", "infinite-span", "nan-bound", "infinite-max",
-         "overflowing-span", "overflowing-symmetric-span"],
+         "overflowing-span", "overflowing-symmetric-span", "overflowing-line-sum"],
 )
 def test_input_error_exits_name_the_bad_input(tmp_path, capsys, argv, config, message):
     paths = {"missing": tmp_path / "missing.cfg", "cfg": tmp_path / "run.cfg"}

@@ -65,7 +65,7 @@ def _scalar(kernel, state, omega, quad, delta):
     mirror scale ``delta``.
     """
     hbar = state.hbar
-    temp = state.decay_scale() or 0.0
+    temp = max(state.temperatures, default=0.0)
     theta = temp / hbar
     m = theta if delta is None else min(theta, delta)
     scale = hbar * (abs(omega) ** 3 + theta * m * abs(omega) + theta * m * m)
