@@ -61,8 +61,6 @@ from .response import (
     chi_kernel,
     chi_kernel_comoving,
     chi_kernel_symmetrized,
-    comoving_covariance_perturbation,
-    delta_smatrix,
     motional_force_spectrum,
     susceptibility,
     susceptibility_grid,
@@ -72,7 +70,6 @@ from .squeezing import (
     delta_cout_vacuum,
     oscillation_line_strength,
     oscillation_squeeze_lines,
-    secular_hamiltonian_kernel,
 )
 from .states import (
     CustomState,
@@ -111,11 +108,9 @@ __all__ = [
     "chi_kernel_comoving",
     "chi_kernel_symmetrized",
     "commutator_kernel",
-    "comoving_covariance_perturbation",
     "dagger",
     "delta_cout",
     "delta_cout_vacuum",
-    "delta_smatrix",
     "energy_exchange_kernel",
     "fdt_check",
     "force_kernel",
@@ -130,7 +125,6 @@ __all__ = [
     "noise_spectrum_grid",
     "oscillation_line_strength",
     "oscillation_squeeze_lines",
-    "secular_hamiltonian_kernel",
     "susceptibility",
     "susceptibility_grid",
     "unitarity_identities",

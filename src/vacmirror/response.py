@@ -21,9 +21,9 @@ Like every convolved kernel, chi[w', w - w'] is even about w' = w/2, so
 :func:`convolve` integrates the half of the support below w/2 and doubles it.
 
 The same response can be derived in the comoving frame by perturbing the
-input covariance instead of the S-matrix
-(:func:`comoving_covariance_perturbation`); both contractions agree
-identically, which :func:`chi_kernel_comoving` exposes for cross-checks.
+input covariance, by -i w c(w) eta - i w' eta c(-w'), instead of the
+S-matrix; both contractions agree identically, which
+:func:`chi_kernel_comoving` exposes for cross-checks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ETA_COLS, ETA_ROWS, FrequencyGrid, Spectrum, finite, frequency_pair
+from .core import FrequencyGrid, Spectrum, finite, frequency_pair
 from .mirrors import Mirror
 from .numerics import QuadratureConfig, integrate_batch
 from .pressure import _alpha, _alpha_beta
@@ -55,19 +55,6 @@ def _traced(a, b, cov, w):
     c = cov(np.array([w[0], -w[1]]))
     t, x = c[..., 0, 0] + c[..., 1, 1], c[..., 0, 1] + c[..., 1, 0]
     return 1j * w[0] * w[1] * (a * (w[0] * t[0] + w[1] * t[1]) + b * (w[0] * x[0] - w[1] * x[1]))
-
-
-def delta_smatrix(model: Mirror, omega, omega2) -> np.ndarray:
-    """First-order scattering perturbation i w' (S(w) eta - eta S(w')).
-
-    The returned matrix multiplies the trajectory weight dq[w - w']; at equal
-    frequencies the diagonal cancels and only the off-diagonal -/+ 2 r
-    structure survives, while w' = 0 gives the zero matrix.  Elementwise
-    over frequency arrays, shape ``... + (2, 2)``.
-    """
-    w = frequency_pair(omega, omega2)
-    s = model.smatrix(w)
-    return 1j * w[1][..., None, None] * (s[0] * ETA_COLS - ETA_ROWS * s[1])
 
 
 def chi_kernel(model: Mirror, state: FieldState, omega, omega2):
@@ -106,19 +93,6 @@ def chi_kernel_symmetrized(model: Mirror, state: FieldState, omega, omega2):
     a, b = _alpha_beta(model, w)
     t = _traced(a, np.array([b, -b]), state.cfull, (w, w[::-1]))  # both orders, each (w, w') stacked
     return (t[0] + t[1]) / 2.0
-
-
-def comoving_covariance_perturbation(state: FieldState, omega, omega2) -> np.ndarray:
-    """Input-covariance perturbation seen from the comoving frame.
-
-    Returns -i w c(w) eta - i w' eta c(-w') per unit dq[w + w']: the mirror's
-    motion makes the stationary input appear modulated.  Elementwise over
-    frequency arrays, shape ``... + (2, 2)``; raises at zero frequency where
-    the full covariance is singular.
-    """
-    w = frequency_pair(omega, omega2)
-    c = state.cfull(np.array([w[0], -w[1]])) * (1j * w)[..., None, None]  # i w c(w), i w' c(-w')
-    return -(c[0] * ETA_COLS + c[1] * ETA_ROWS)
 
 
 def chi_kernel_comoving(model: Mirror, state: FieldState, omega, omega2):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ETA_COLS, ETA_ROWS, frequency_pair
 from .mirrors import Mirror
-from .pressure import _force_kernel, force_kernel
+from .pressure import _force_kernel
 from .response import MonochromaticOscillation
 from .states import FieldState
 
@@ -64,15 +64,9 @@ def delta_cout_vacuum(model: Mirror, omega, omega2, hbar: float = 1.0) -> np.nda
     return prefactor[..., None, None] * _force_kernel(model, w).mT
 
 
-def secular_hamiltonian_kernel(model: Mirror, omega, omega2) -> np.ndarray:
-    """Coupling kernel w w' F[w, w'] paired with dq[-w - w'].
-
-    Its trace contraction with input covariances gives the time-integrated
-    coupling energy; the w w' prefactor zeroes the kernel whenever either
-    frequency vanishes, and the swap rule follows the force kernel's.
-    Elementwise over frequency arrays, shape ``... + (2, 2)``.
-    """
-    return np.multiply(omega, omega2)[..., None, None] * force_kernel(model, omega, omega2)
+def _interior(total: float, k: int) -> np.ndarray:
+    """The k - 1 interior samples total * j/k of the segment [0, total]; finite for every finite total."""
+    return total * (np.arange(1, k) / k)
 
 
 def oscillation_squeeze_lines(
@@ -94,8 +88,7 @@ def oscillation_squeeze_lines(
     """
     out: list[tuple[float, float, np.ndarray]] = []
     for total, weight in osc.line_weights():
-        # 33 interior samples per segment: its endpoints sit at zero frequency
-        ws = total * np.arange(1, 34) / 34
+        ws = _interior(total, 34)  # 33 samples: the segment's endpoints sit at zero frequency
         mats = weight * delta_cout(model, state, ws, total - ws)
         out += [(float(w), float(total - w), m) for w, m in zip(ws, mats)]
     return out
@@ -116,8 +109,11 @@ def oscillation_line_strength(
     """
     strengths: dict[float, float] = {}
     for total, weight in osc.line_weights():
-        ws = total * np.arange(1, 130) / 130
-        norms = np.linalg.norm(weight * delta_cout(model, state, ws, total - ws), axis=(-2, -1))
+        ws = _interior(total, 130)
+        mats = weight * delta_cout(model, state, ws, total - ws)
+        # a power-of-two scale per matrix, exact, keeps tiny entries from underflowing when squared
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(mats), axis=(-2, -1)))[1])
+        norms = scale * np.linalg.norm(mats / scale[:, None, None], axis=(-2, -1))
         # ws descends for the negative line; |.| restores the positive measure
         strengths[total] = float(abs(np.trapezoid(norms, ws)))
     return strengths

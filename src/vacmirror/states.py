@@ -4,7 +4,7 @@ A stationary Gaussian state of the counterpropagating doublet is described by
 its frequency-diagonal covariance c(w), split into a state-dependent
 anticommutator part and a universal commutator part:
 
-    c(w) = cplus(w) + cminus(w),      cminus(w) = I * hbar / (4 w).
+    c(w) = cplus(w) + I * hbar / (4 w).
 
 Every state carries its own ``hbar`` (default 1), checked positive and finite
 where the state is built.  The anticommutator part satisfies
@@ -91,7 +91,7 @@ class FieldState:
         zero, so no inf meets another of opposite sign.
         """
         nu = _nonzero(omega, what)
-        vacuum = np.maximum(self.hbar / (2.0 * nu), 0.0) if full else self.hbar / (4.0 * np.abs(nu))
+        vacuum = np.maximum((0.5 * self.hbar) / nu, 0.0) if full else (0.25 * self.hbar) / np.abs(nu)
         # c_i = vacuum + E_i/v/v, divided twice so that v^2 cannot overflow or underflow
         c = [vacuum] if isinstance(self, VacuumState) else [vacuum + e / nu / nu for e in self.excess(nu)]
         return _diag2(*c)
@@ -100,12 +100,8 @@ class FieldState:
         """Anticommutator spectrum diag(c_phi, c_psi), c_i(v) = hbar/(4|v|) + E_i(v)/v^2."""
         return self._covariance(omega, "cplus", False)
 
-    def cminus(self, omega) -> np.ndarray:
-        """Universal commutator spectrum I*hbar/(4 w), state independent."""
-        return _diag2(self.hbar / (4.0 * _nonzero(omega, "cminus")))
-
     def cfull(self, omega) -> np.ndarray:
-        """Full covariance c = cplus + cminus: c_i(v) = hbar theta(v)/(2|v|) + E_i(v)/v^2 on the diagonal."""
+        """Full covariance c = cplus + I hbar/(4 v): c_i(v) = hbar theta(v)/(2|v|) + E_i(v)/v^2 on the diagonal."""
         return self._covariance(omega, "cfull", True)
 
     def excess(self, nu):
@@ -250,7 +246,7 @@ class CustomState(FieldState):
         c = np.asarray(self._rule(nu), dtype=complex)
         if c.shape != nu.shape + (2, 2):
             raise ValueError(f"cplus rule must return 2x2 matrices, shape {nu.shape + (2, 2)}; got {c.shape}")
-        return c + _diag2(self.hbar / (4.0 * nu)) if full else c
+        return c + _diag2((0.25 * self.hbar) / nu) if full else c
 
     def excess(self, nu):
         nu = np.asarray(nu, dtype=float)

@@ -18,7 +18,11 @@ compared.  :func:`xi_from_squeezing` integrates the squared output
 perturbation of the general squeezing route with a fixed Gauss-Legendre
 rule.  :func:`unitarity_residuals_matrix`, :func:`energy_exchange_matrix`
 and :func:`modulated_trace` evaluate the kernel routes that work on the
-force kernel's entries as stacked 2x2 matrix products instead.
+force kernel's entries as stacked 2x2 matrix products instead, as
+:func:`output_perturbation` does the general squeezing route from the
+first-order scattering :func:`smatrix_perturbation`;
+:func:`weighted_force_matrix` and :func:`commutator_part` state the
+zero-frequency and state-independence facts those routes rest on.
 """
 
 import warnings
@@ -188,6 +192,44 @@ def modulated_trace(model, cov, omega, omega2):
     trace = w1 * w2 * np.trace(f @ (p + q), axis1=-2, axis2=-1)
     terms = np.abs(w1 * w2) * np.sum(np.abs(f) * (np.abs(p) + np.abs(q)).mT, axis=(-2, -1))
     return trace, terms
+
+
+def _pair(omega, omega2):
+    return np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(omega2, dtype=float))
+
+
+def smatrix_perturbation(model, omega, omega2):
+    """First-order scattering perturbation dS[w, w'] = i w' (S(w) eta - eta S(w')) per unit dq[w - w'].
+
+    Zero at w' = 0; at w = w' the diagonal cancels and only the reflection
+    lines -/+ 2 i w r(w) survive off it.
+    """
+    w1, w2 = _pair(omega, omega2)
+    return 1j * w2[..., None, None] * (model.smatrix(w1) @ ETA - ETA @ model.smatrix(w2))
+
+
+def output_perturbation(model, cov, omega, omega2):
+    """dC_out[w, w'] = dS[w, -w'] c(-w') S(w') + S(w) c(w) dS[w', -w]^T per unit dq[w + w'].
+
+    The output covariance's first-order change, from
+    :func:`smatrix_perturbation` and the covariance ``cov`` as 2x2 products.
+    """
+    w1, w2 = _pair(omega, omega2)
+    return (
+        smatrix_perturbation(model, w1, -w2) @ cov(-w2) @ model.smatrix(w2)
+        + model.smatrix(w1) @ cov(w1) @ smatrix_perturbation(model, w2, -w1).mT
+    )
+
+
+def weighted_force_matrix(model, omega, omega2):
+    """w w' F[w, w'] = w w' (eta - S(w') eta S(w)): zero where either frequency is, since F is finite there."""
+    w1, w2 = _pair(omega, omega2)
+    return (w1 * w2)[..., None, None] * (ETA - model.smatrix(w2) @ ETA @ model.smatrix(w1))
+
+
+def commutator_part(omega, hbar=1.0):
+    """I hbar / (4 w), the commutator part of every state's full covariance."""
+    return (hbar / (4.0 * np.asarray(omega, dtype=float)))[..., None, None] * np.eye(2)
 
 
 def bose_weights_mp(nu, temp, hbar=1.0):

@@ -265,6 +265,38 @@ def test_squeeze_json_payload(tmp_path):
     )
 
 
+def _single_pole_force_kernel(w, w2):
+    """F[w, w2] = eta - S(w2) eta S(w) from the Omega = 1 single-pole amplitudes, as 2x2 products."""
+
+    def smat(x):
+        s, r = x / (x + 1j), -1j / (x + 1j)
+        return np.array([[s, r], [r, s]])
+
+    eta = np.diag([1.0, -1.0])
+    return eta - smat(w2) @ eta @ smat(w)
+
+
+def test_squeeze_holds_up_to_the_largest_line_sum(tmp_path):
+    # warnings are errors here: no line sample may overflow, no norm underflow
+    strengths = []
+    for freq in ("1e100", "1e200", "1e300", "8e307"):
+        out = tmp_path / f"squeeze-{freq}.json"
+        assert main(["squeeze", "--osc-freq", freq, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())["data"]
+        assert len(data["lines"]) == 66
+        total = 2.0 * float(freq)
+        for entry in data["lines"]:
+            w, w2 = entry["omega"], entry["omega2"]
+            assert entry["same_sign"] and abs(abs(entry["sum"]) - total) <= 1e-15 * total
+            # amplitude/2 times the vacuum form (i hbar/2)(theta(w) - theta(-w')) F[w', w]
+            ref = 0.25j * np.sign(w) * _single_pole_force_kernel(w2, w)
+            got = np.array(entry["matrix"]) @ [1.0, 1j]
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+        strengths.append((data["line_strength_minus"], data["line_strength_plus"]))
+    # the strength does not depend on the drive once it is far above the mirror's cutoff
+    assert np.allclose(strengths, strengths[0][0], rtol=1e-12, atol=0.0)
+
+
 def test_exit_codes_for_input_errors(tmp_path, capsys):
     assert main(["susceptibility", "--grid", "1:2"]) == 2
     assert main(["validate", "--model", "table", "--file", str(tmp_path / "missing.csv")]) == 2

@@ -8,6 +8,13 @@ non-unitary tables, every kind of state, 1000 random pairs and scalar calls,
 to 1e-14 max(|x|, 1).  A trace sums terms that for a two-temperature state
 reach ~150 times its value; its rounding error scales with them (4e-16 of
 their sum, measured), so a trace's scale also holds a quarter of that sum.
+
+The general squeezing route ``delta_cout`` must match its product form
+through the first-order scattering dS, to the same bound.  The matrix forms
+also state the paper's facts that no route of the package computes alone:
+dS vanishes at w' = 0 and is pure reflection at w = w', w w' F vanishes
+wherever either frequency does, and every state's full covariance exceeds
+cplus by the same commutator part I hbar/(4 w).
 """
 
 import numpy as np
@@ -25,7 +32,9 @@ from vacmirror import (
     chi_kernel,
     chi_kernel_comoving,
     chi_kernel_symmetrized,
+    delta_cout,
     energy_exchange_kernel,
+    force_kernel,
     unitarity_identities,
 )
 
@@ -113,3 +122,44 @@ def test_general_chi_kernel_matches_the_matrix_trace(model):
     for w1, w2 in PAIRS:
         want, terms = oracles.modulated_trace(model, state.cplus, w1, w2)
         _assert_close(chi_kernel(model, state, w1, w2), want, terms / 4.0)
+
+
+@pytest.mark.parametrize("state", STATES.values(), ids=STATES)
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
+def test_general_squeezing_route_matches_the_smatrix_products(model, state):
+    for w1, w2 in PAIRS:
+        _assert_close(delta_cout(model, state, w1, w2), oracles.output_perturbation(model, state.cfull, w1, w2))
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
+def test_smatrix_perturbation_vanishes_at_zero_and_reflects_at_equal_frequencies(model):
+    # dS[w, w'] multiplies dq[w - w']: a static mirror (w' = 0) scatters nothing new
+    assert np.array_equal(oracles.smatrix_perturbation(model, W1, 0.0), np.zeros(W1.shape + (2, 2)))
+    # at w = w' the diagonal cancels exactly, leaving the reflection lines -/+ 2 i w r
+    d = oracles.smatrix_perturbation(model, W1, W1)
+    assert np.array_equal(np.diagonal(d, axis1=-2, axis2=-1), np.zeros(W1.shape + (2,)))
+    lines = 2j * W1 * model.r(W1)
+    _assert_close(d[:, 0, 1], -lines)
+    _assert_close(d[:, 1, 0], lines)
+
+
+@pytest.mark.parametrize("state", STATES.values(), ids=STATES)
+def test_commutator_part_is_universal(state):
+    # cfull - cplus = I hbar/(4 w) whatever the state, exactly 0 off the diagonal;
+    # its rounding error scales with cplus, which the excess makes large near zero
+    c = state.cplus(W1)
+    diff = state.cfull(W1) - c
+    want = oracles.commutator_part(W1, state.hbar)
+    assert np.all(np.abs(diff - want) <= 1e-14 * np.maximum(np.abs(want), np.abs(c)))
+    assert not np.any(diff * (1.0 - np.eye(2)))
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
+def test_weighted_force_kernel_vanishes_at_zero_frequency(model):
+    for w1, w2 in PAIRS:
+        got = np.multiply(w1, w2)[..., None, None] * force_kernel(model, w1, w2)
+        _assert_close(got, oracles.weighted_force_matrix(model, w1, w2))
+    # F stays finite at zero frequency, so w w' F is exactly zero there
+    for pair in ((0.0, W1), (W1, 0.0)):
+        assert np.isfinite(force_kernel(model, *pair)).all()
+        assert np.array_equal(oracles.weighted_force_matrix(model, *pair), np.zeros(W1.shape + (2, 2)))

@@ -17,7 +17,6 @@ from vacmirror import (
     chi_kernel,
     chi_kernel_comoving,
     chi_kernel_symmetrized,
-    delta_smatrix,
     motional_force_spectrum,
     noise_spectrum,
     susceptibility,
@@ -160,19 +159,6 @@ def test_susceptibility_grid_reality_is_bitwise():
     assert np.array_equal(spec.values, np.conj(spec.values[::-1]))
     mid = spec.values.size // 2
     assert spec.values[mid] == 0.0
-
-
-def test_delta_smatrix_values():
-    assert np.array_equal(delta_smatrix(SinglePoleMirror(1.0), 2.0, 0.0), np.zeros((2, 2)))
-    w2 = 1.5
-    got = delta_smatrix(PerfectMirror(), 0.7, w2)
-    assert np.allclose(got, [[0.0, 2j * w2], [-2j * w2, 0.0]])
-    # at equal arguments the diagonal cancels, leaving the reflection lines
-    m = SinglePoleMirror(1.0)
-    w = 0.9
-    d = delta_smatrix(m, w, w)
-    r = complex(m.r(w))
-    assert np.allclose(d, [[0.0, -2j * w * r], [2j * w * r, 0.0]], atol=1e-15)
 
 
 def test_oscillation_validation():

@@ -15,10 +15,8 @@ from vacmirror import (
     susceptibility,
     delta_cout,
     delta_cout_vacuum,
-    force_kernel,
     oscillation_line_strength,
     oscillation_squeeze_lines,
-    secular_hamiltonian_kernel,
 )
 from vacmirror.core import ETA
 
@@ -79,17 +77,6 @@ def test_trace_contraction_recovers_susceptibility_kernel():
             lhs = w1 * w2 * np.trace(ETA @ delta_cout(m, state, w1, w2))
             rhs = chi_kernel(m, state, w1, w2)
             assert abs(lhs - rhs) <= 1e-11 * max(abs(rhs), 1.0)
-
-
-def test_secular_kernel_is_weighted_force_kernel():
-    m = SinglePoleMirror(2.0)
-    w1, w2 = 1.3, -0.4
-    assert np.allclose(
-        secular_hamiltonian_kernel(m, w1, w2),
-        w1 * w2 * force_kernel(m, w1, w2),
-        atol=1e-15,
-    )
-    assert np.array_equal(secular_hamiltonian_kernel(m, 0.0, 2.0), np.zeros((2, 2)))
 
 
 def test_squeeze_lines_sit_on_support_segments():

@@ -1,8 +1,9 @@
 """The package and its CLI load on numpy alone; scipy is imported for tables only.
 
 Checked in a fresh interpreter, by the modules it has loaded, not by wall time.
-Every module also reads every name it imports, and some module reads every
-private module-level name.
+Every module also reads every name it imports, some module reads every
+private module-level name, and the package's ``__all__`` lists exactly the
+public names it binds.
 """
 
 import ast
@@ -116,3 +117,15 @@ def test_every_private_module_name_is_read():
                 read.add(node.attr)
     unread = [f"{file}:{line} {name}" for file, line, name in defined if name not in read]
     assert defined and unread == []
+
+
+def test_all_lists_exactly_the_public_names_the_package_binds():
+    # a deletion can then leave neither a dangling export nor an unlisted import
+    bound = set()
+    for node in ast.parse(Path(vacmirror.__file__).read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    assert sorted(vacmirror.__all__) == sorted(name for name in bound - {"__all__"} if not _is_private(name))
+    exec("from vacmirror import *", {})  # every listed name resolves

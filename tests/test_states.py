@@ -24,13 +24,8 @@ def test_vacuum_covariance_values():
     assert np.allclose(vac.cplus(-2.0), 0.125 * np.eye(2))
     assert np.allclose(vac.cfull(1.0), 0.5 * np.eye(2))
     assert np.allclose(vac.cfull(-1.0), np.zeros((2, 2)), atol=1e-15)
-
-
-def test_commutator_part_is_universal():
-    vac = VacuumState()
-    th = ThermalState(3.0)
-    assert np.allclose(vac.cminus(0.7), th.cminus(0.7))
-    assert np.allclose(vac.cminus(-2.0), -np.eye(2) / 8.0)
+    # one-sided: below zero cfull - cplus is the commutator part -I hbar/(4|w|) alone, exactly
+    assert np.array_equal(vac.cfull(-2.0) - vac.cplus(-2.0), -np.eye(2) / 8.0)
 
 
 def test_singular_at_zero_frequency():
@@ -38,7 +33,7 @@ def test_singular_at_zero_frequency():
         with pytest.raises(SingularFrequencyError):
             state.cplus(0.0)
         with pytest.raises(SingularFrequencyError):
-            state.cminus(0.0)
+            state.cfull(0.0)
 
 
 def test_thermal_occupancy():
@@ -298,8 +293,8 @@ BUILT_IN = {
         (VacuumState(), "cplus", 1e-320),
         (TwoTemperatureState(2.0, 0.5), "cfull", 1e-200),
     ]
-    + [(state, "cminus", 1e-320) for state in BUILT_IN.values()],
-    ids=["thermal-cplus", "vacuum-cplus", "two-temperature-cfull"] + [f"{k}-cminus" for k in BUILT_IN],
+    + [(state, "cfull", 1e-320) for state in BUILT_IN.values()],
+    ids=["thermal-cplus", "vacuum-cplus", "two-temperature-cfull"] + [f"{k}-cfull-1e-320" for k in BUILT_IN],
 )
 def test_overflowing_diagonal_keeps_exact_zeros_off_it(state, method, nu):
     # the diagonal overflows to inf, numpy's overflow is expected; an
