@@ -9,7 +9,8 @@ to 1e-14 max(|x|, 1).  A trace sums terms that for a two-temperature state
 reach ~150 times its value; its rounding error scales with them (4e-16 of
 their sum, measured), so a trace's scale also holds a quarter of that sum.
 
-The general squeezing route ``delta_cout`` must match its product form
+The general squeezing route ``delta_cout``, and over the vacuum of a unitary
+mirror its closed form ``delta_cout_vacuum``, must match the product form
 through the first-order scattering dS, to the same bound.  The matrix forms
 also state the paper's facts that no route of the package computes alone:
 dS vanishes at w' = 0 and is pure reflection at w = w', w w' F vanishes
@@ -33,6 +34,7 @@ from vacmirror import (
     chi_kernel_comoving,
     chi_kernel_symmetrized,
     delta_cout,
+    delta_cout_vacuum,
     energy_exchange_kernel,
     force_kernel,
     unitarity_identities,
@@ -163,3 +165,18 @@ def test_weighted_force_kernel_vanishes_at_zero_frequency(model):
     for pair in ((0.0, W1), (W1, 0.0)):
         assert np.isfinite(force_kernel(model, *pair)).all()
         assert np.array_equal(oracles.weighted_force_matrix(model, *pair), np.zeros(W1.shape + (2, 2)))
+
+
+def test_perfect_mirror_smatrix_perturbation_is_pure_reflection():
+    # S = -sigma_x: dS[w, w'] = [[0, 2 i w'], [-2 i w', 0]] exactly, whatever w
+    d = oracles.smatrix_perturbation(PerfectMirror(), W1, W2)
+    assert np.array_equal(d, 2j * W2[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+# the vacuum closed form rests on S being unitary, which the tables are not
+@pytest.mark.parametrize("hbar", [1.0, 0.37])
+@pytest.mark.parametrize("model", [MODELS["single-pole"], MODELS["perfect"]], ids=["single-pole", "perfect"])
+def test_vacuum_closed_form_matches_the_smatrix_products(model, hbar):
+    for w1, w2 in PAIRS:
+        want = oracles.output_perturbation(model, VacuumState(hbar).cfull, w1, w2)
+        _assert_close(delta_cout_vacuum(model, w1, w2, hbar=hbar), want)

@@ -293,8 +293,9 @@ BUILT_IN = {
         (VacuumState(), "cplus", 1e-320),
         (TwoTemperatureState(2.0, 0.5), "cfull", 1e-200),
     ]
-    + [(state, "cfull", 1e-320) for state in BUILT_IN.values()],
-    ids=["thermal-cplus", "vacuum-cplus", "two-temperature-cfull"] + [f"{k}-cfull-1e-320" for k in BUILT_IN],
+    + [(state, method, 1e-320) for state in BUILT_IN.values() for method in ("cfull", "cplus")],
+    ids=["thermal-cplus", "vacuum-cplus", "two-temperature-cfull"]
+    + [f"{k}-{method}-1e-320" for k in BUILT_IN for method in ("cfull", "cplus")],
 )
 def test_overflowing_diagonal_keeps_exact_zeros_off_it(state, method, nu):
     # the diagonal overflows to inf, numpy's overflow is expected; an
